@@ -14,7 +14,7 @@
 //! ```
 //!
 //! With `--faults SPEC` the in-process daemon runs under deterministic
-//! fault injection (see `iwb_server::fault`) and the report adds the
+//! fault injection (see `iwb_store::fault`) and the report adds the
 //! chaos view: protocol errors observed, recovery latency (first error
 //! to the next successful command, per incident), quarantine events
 //! handled by close-and-recreate, and the server's error-budget
@@ -63,8 +63,8 @@
 use iwb_loaders::to_er_text;
 use iwb_registry::GeneratorConfig;
 use iwb_server::client::Client;
-use iwb_server::fault::{FaultSpec, EXEC_HANG};
 use iwb_server::server::{serve, ServerConfig, ServerHandle};
+use iwb_store::fault::{FaultSpec, EXEC_HANG};
 use std::net::SocketAddr;
 use std::sync::{Arc, Barrier};
 use std::thread;
@@ -317,7 +317,7 @@ fn run_session(
             0 => format!("show matrix {left} {right}"),
             1 => "show coverage".to_owned(),
             2 => format!("show schema {left}"),
-            3 => "query ? ? ?".to_owned(),
+            3 => "query ?s ?p ?o".to_owned(),
             _ => format!("match {left} {right}"),
         };
         run(&mut report, &mut error_since, command, None);
@@ -491,9 +491,9 @@ fn reserve_addrs(n: usize) -> Vec<String> {
 }
 
 /// Spawn one replicating fleet backend per peer address, each with its
-/// own store under `scratch` (no shared disk, no startup sweep — the
-/// router directs per-session recovery, and failover promotes from the
-/// successor's streamed replica).
+/// own store under `scratch` (no startup sweep — the router promotes
+/// each session where it routes it, from the successor's streamed
+/// replica).
 fn fleet_backends(scratch: &std::path::Path, peers: &[String]) -> Vec<Option<ServerHandle>> {
     use iwb_server::repl::ReplConfig;
     peers
@@ -658,8 +658,7 @@ struct PassCounters {
 /// backends, one store each, behind 2 in-process routers), then an
 /// identical pass with the most-loaded backend hard-killed once half
 /// the measured commands have completed — failover must promote from
-/// the successors' streamed replicas, there is no shared disk to fall
-/// back on. Gates zero session loss, at least one failover and
+/// the successors' streamed replicas. Gates zero session loss, at least one failover and
 /// promotion, no stale-replica refusals, and bounded steady-state
 /// replication lag; reports p50/p99 with vs without failover plus
 /// replication-lag percentiles.
@@ -720,7 +719,7 @@ fn run_fleet(args: &Args) {
         if kill {
             let mut owned = vec![0usize; backends_n];
             for i in 0..sessions {
-                owned[iwb_router::hash::rank(&format!("f{i}"), backends_n)[0]] += 1;
+                owned[iwb_store::rendezvous::rank(&format!("f{i}"), backends_n)[0]] += 1;
             }
             let victim = (0..backends_n).max_by_key(|&b| owned[b]).unwrap();
             let half = (sessions * commands) as u64 / 2;

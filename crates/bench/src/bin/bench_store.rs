@@ -23,9 +23,8 @@ use iwb_harmony::{Confidence, HarmonyEngine, MatchConfig, MatchResult};
 use iwb_loaders::export::to_er_text;
 use iwb_registry::perturb::PerturbConfig;
 use iwb_registry::SchemaPair;
-use iwb_server::{
-    FaultPlan, JournalConfig, RecoveryReport, ServerStats, SessionRegistry, StoreConfig,
-};
+use iwb_server::{JournalConfig, RecoveryReport, ServerStats, SessionRegistry, StoreConfig};
+use iwb_store::fault::FaultPlan;
 use iwb_store::{CommandRecord, SessionStore};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};

@@ -1,8 +1,7 @@
 //! # iwb-bench — shared experiment harness
 //!
 //! Utilities used by the experiment binaries in `src/bin/` (one per
-//! table/figure — see DESIGN.md §4) and the Criterion benches in
-//! `benches/`.
+//! table/figure — see DESIGN.md §4).
 //!
 //! The workload generators and scoring helpers moved to
 //! [`iwb_eval::harness`] (so the golden regression suite, the

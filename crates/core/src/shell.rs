@@ -409,24 +409,28 @@ impl Shell {
             ["show", "coverage"] => Ok(self.manager.coverage()),
             ["show", "trace"] => Ok(self.manager.trace().join("\n")),
             ["query", s, p, o] => {
-                let part = |w: &str| -> PatternTerm {
-                    if let Some(v) = w.strip_prefix('?') {
-                        return PatternTerm::var(v);
+                let part = |w: &str| -> Result<PatternTerm, ToolError> {
+                    if w.starts_with('?') {
+                        let var = PatternTerm::var(w);
+                        if var.as_var() == Some("") {
+                            return Err(ToolError::Failed(format!(
+                                "usage: query <s> <p> <o> — a variable needs a name (?v), got {w:?}"
+                            )));
+                        }
+                        return Ok(var);
                     }
-                    match w {
+                    Ok(match w {
                         "true" => PatternTerm::Const(Term::boolean(true)),
                         "false" => PatternTerm::Const(Term::boolean(false)),
                         _ => match w.strip_prefix('"').and_then(|x| x.strip_suffix('"')) {
                             Some(lit) => PatternTerm::Const(Term::literal(lit)),
                             None => PatternTerm::Const(Term::iri(w)),
                         },
-                    }
+                    })
                 };
-                let solutions =
-                    self.manager
-                        .query(&[TriplePattern::new(part(s), part(p), part(o))]);
+                let pattern = TriplePattern::new(part(s)?, part(p)?, part(o)?);
+                let (store, solutions) = self.manager.blackboard().query(&[pattern]);
                 let mut out = format!("{} solution(s)\n", solutions.len());
-                let store = self.manager.blackboard().materialize_rdf();
                 for sol in solutions.iter().take(20) {
                     let mut kv: Vec<String> = sol
                         .iter()
@@ -842,6 +846,26 @@ show coverage
         let transcript = run_script("load er s <<EOF\nentity E { f : text }\nEOF\nshow schema s\n");
         assert!(transcript.contains("[contains-entity] E"));
         assert!(transcript.contains("[contains-attribute] f"));
+    }
+
+    #[test]
+    fn query_rejects_unnamed_variables_and_binds_named_ones() {
+        let mut shell = Shell::new();
+        shell
+            .execute("load er a", Some("entity A { x : text }\n"))
+            .unwrap();
+        shell
+            .execute("load er b", Some("entity B { y : text }\n"))
+            .unwrap();
+        let err = shell.execute("query ? ? ?", None).unwrap_err();
+        assert!(err.to_string().contains("usage: query"), "{err}");
+        let out = shell.execute("query ?s ?p ?o", None).unwrap();
+        let (count, _) = out.split_once(' ').unwrap();
+        assert!(count.parse::<usize>().unwrap() >= 1, "{out}");
+        let first = out.lines().nth(1).unwrap();
+        for var in ["?s = ", "?p = ", "?o = "] {
+            assert!(first.contains(var), "{var} unbound in {first:?}");
+        }
     }
 
     #[test]

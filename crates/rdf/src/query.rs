@@ -8,7 +8,7 @@
 use crate::pattern::{Resolution, TriplePattern};
 use crate::store::TripleStore;
 use crate::term::TermId;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// One solution: a binding of variable names to terms.
 pub type Bindings = HashMap<String, TermId>;
@@ -48,16 +48,11 @@ pub fn select(store: &TripleStore, patterns: &[TriplePattern]) -> Vec<Bindings> 
 }
 
 fn dedup(mut solutions: Vec<Bindings>) -> Vec<Bindings> {
-    let mut seen: Vec<Vec<(String, TermId)>> = Vec::new();
+    let mut seen: HashSet<Vec<(String, TermId)>> = HashSet::new();
     solutions.retain(|b| {
         let mut kv: Vec<(String, TermId)> = b.iter().map(|(k, &v)| (k.clone(), v)).collect();
         kv.sort();
-        if seen.contains(&kv) {
-            false
-        } else {
-            seen.push(kv);
-            true
-        }
+        seen.insert(kv)
     });
     solutions
 }

@@ -2,27 +2,22 @@
 //! a fleet of `workbenchd` backends.
 //!
 //! ```sh
-//! workbenchd --addr 127.0.0.1:7181 --store /var/iwb --no-recover &
-//! workbenchd --addr 127.0.0.1:7182 --store /var/iwb --no-recover &
+//! workbenchd --addr 127.0.0.1:7181 --store /var/iwb-0 --no-recover \
+//!     --repl-peers 127.0.0.1:7181,127.0.0.1:7182 --repl-self 0 &
+//! workbenchd --addr 127.0.0.1:7182 --store /var/iwb-1 --no-recover \
+//!     --repl-peers 127.0.0.1:7181,127.0.0.1:7182 --repl-self 1 &
 //! cargo run --release -p iwb-router --bin workbench-router -- \
 //!     --addr 127.0.0.1:7171 --backend 127.0.0.1:7181 --backend 127.0.0.1:7182
 //! ```
 //!
 //! Clients speak the ordinary `workbenchd` line protocol to the
-//! router; session ids are rendezvous-hashed across the backends, a
-//! prober quarantines/re-admits them, and on backend death sessions
-//! are promoted onto their successor (`repl promote`; see
-//! `iwb_router::router`). Backends run with `--no-recover` and either
-//! share one `--store` directory, or keep one `--store` each and
-//! stream journal records to their rendezvous successor with
-//! `--repl-peers`/`--repl-self` — no shared disk:
-//!
-//! ```sh
-//! workbenchd --addr 127.0.0.1:7181 --store /var/iwb-0 --no-recover \
-//!     --repl-peers 127.0.0.1:7181,127.0.0.1:7182 --repl-self 0 &
-//! workbenchd --addr 127.0.0.1:7182 --store /var/iwb-1 --no-recover \
-//!     --repl-peers 127.0.0.1:7181,127.0.0.1:7182 --repl-self 1 &
-//! ```
+//! router; session ids are rendezvous-hashed across the backends, and
+//! a prober quarantines/re-admits them. Each backend keeps its own
+//! `--store` and streams journal records to each session's rendezvous
+//! successor (`--repl-peers`/`--repl-self`, listing the backends in
+//! the router's order); on backend death or `migrate <id>` the router
+//! moves the session with a floor-checked `repl promote` on a
+//! successor (see `iwb_router::router`).
 //!
 //! `migrate --all <backend>` (by index or address) drains a backend
 //! session by session for planned maintenance, and a restarted router
@@ -54,13 +49,13 @@
 //! * `--faults SPEC`            fleet-level fault injection, e.g.
 //!   `seed=7,probe-timeout=1.0,migration-stall=0:150`
 //!   (`backend-crash`, `probe-timeout`, `split-routing`,
-//!   `migration-stall`; see `iwb_server::fault`)
+//!   `migration-stall`; see `iwb_store::fault`)
 //!
 //! The router exits after a client issues the `shutdown` command; the
 //! backends keep running.
 
 use iwb_router::router::{serve, RouterConfig};
-use iwb_server::fault::FaultSpec;
+use iwb_store::fault::FaultSpec;
 use std::time::Duration;
 
 fn usage() -> ! {

@@ -6,22 +6,21 @@
 //! a single daemon; the router owns placement, health, failover, and
 //! planned migration.
 //!
-//! * [`hash`] — rendezvous (highest-random-weight) hashing (re-exported
-//!   from `iwb_store::rendezvous`): stable rankings under membership
-//!   change, so a backend crash only remaps the sessions it owned.
-//! * [`router`] — the proxy itself: health-checked membership with
-//!   seeded-jitter probing, `RETRY-AFTER`-aware placement, sticky
-//!   routes, promotion-based failover (`repl promote` from a shared
-//!   `--store` directory *or* from streamed `--repl-peers` replicas,
-//!   refusing `STALE-REPLICA` evidence), planned draining
-//!   (`migrate --all <backend>`), restart re-discovery of placement
-//!   from the backends' own books, and per-session sequence stamping
-//!   for exactly-once mutation semantics.
+//! * [`router`] — the proxy itself: rendezvous placement
+//!   ([`iwb_store::rendezvous`]: stable rankings under membership
+//!   change, so a backend crash only remaps the sessions it owned),
+//!   health-checked membership with seeded-jitter probing,
+//!   `RETRY-AFTER`-aware placement, sticky routes, failover and
+//!   migration by floor-checked `repl promote` from the streamed
+//!   `--repl-peers` replicas (refusing `STALE-REPLICA` evidence),
+//!   planned draining (`migrate --all <backend>`), restart
+//!   re-discovery of placement from the backends' own books, and
+//!   per-session sequence stamping for exactly-once mutation
+//!   semantics.
 //!
 //! The `workbench-router` binary wraps [`router::serve`] with flag
 //! parsing mirroring `workbenchd`'s.
 
-pub mod hash;
 pub mod router;
 
 pub use router::{serve, Fleet, RouterConfig, RouterHandle, RouterStats};

@@ -10,30 +10,31 @@
 //! Design pillars:
 //!
 //! * **Rendezvous placement, sticky routes.** A session's *preference
-//!   order* over backends comes from [`crate::hash::rank`]; its
-//!   *current owner* lives in the route table. The table is the source
-//!   of truth: after a failover the session stays on its successor even
-//!   when the original owner is re-admitted, so a flapping backend can
-//!   never split a session across two owners.
+//!   order* over backends comes from [`iwb_store::rendezvous::rank`];
+//!   its *current owner* lives in the route table. The table is the
+//!   source of truth: after a failover the session stays on its
+//!   successor even when the original owner is re-admitted, so a
+//!   flapping backend can never split a session across two owners.
 //! * **Health-checked membership.** One prober thread walks the
 //!   backends on a seeded-jitter schedule ([`iwb_pool::ProbeSchedule`];
 //!   fixed-rate, so the probe order is deterministic per seed).
 //!   `quarantine_after` consecutive failures quarantine a backend;
 //!   `readmit_after` consecutive successes re-admit it.
-//! * **Promotion-based failover, shared disk optional.** When the
-//!   owner dies (or `migrate <id>` asks), the router releases the
-//!   session on the old owner (best effort — a crashed backend cannot
-//!   answer), then asks the successor to `repl promote <id> <seq>`,
-//!   passing the last seq it saw acknowledged to a client as the
-//!   promotion floor. The backend rebuilds from its best local
-//!   evidence — its own journal/snapshot when the fleet shares a
-//!   `--store` directory, or the standby replica streamed to it by
-//!   `--repl-peers` replication when each backend has its own disk —
+//! * **One failover path: floor-checked promotion.** When the owner
+//!   dies (or `migrate <id>` asks), the router releases the session on
+//!   the old owner (best effort — a crashed backend cannot answer),
+//!   then walks the old owner's replication successors — the healthy
+//!   slots after it in the session's rendezvous order, cyclically, the
+//!   order `--repl-peers` streams replicas along — asking each to
+//!   `repl promote <id> <seq>` with the last seq it saw acknowledged
+//!   to a client as the promotion floor. The backend rebuilds from its
+//!   own journal/snapshot or from the standby replica streamed to it,
 //!   and *refuses* with `STALE-REPLICA` when that evidence is provably
 //!   behind the floor. The router surfaces the refusal rather than
-//!   serving silently-wrong state; only a successful promotion flips
-//!   the route. (Backends too old to promote fall back to the original
-//!   `session recover` handshake.)
+//!   serving silently-wrong state; a route changes owner only after a
+//!   successful promotion. An attach that misses the route table has
+//!   no floor, so it promotes a session live nowhere only once every
+//!   backend has answered: one that cannot may be the live owner.
 //! * **Planned draining.** `migrate --all <backend>` walks every
 //!   session routed to one backend through the release → promote
 //!   handshake, rate-limited by [`RouterConfig::drain_interval`]. The
@@ -54,13 +55,13 @@
 //!   complete on the old backend or fail with a retryable structured
 //!   error — never execute twice.
 
-use crate::hash;
 use iwb_core::RetryableError;
 use iwb_pool::{ProbeSchedule, ThreadPool};
 use iwb_rng::StdRng;
 use iwb_server::client::{Backoff, Client, Response};
-use iwb_server::fault::{FaultPlan, MIGRATION_STALL, PROBE_TIMEOUT, PROMOTE_STALE, SPLIT_ROUTING};
 use iwb_server::server::{read_protocol_line, write_response, LineRead};
+use iwb_store::fault::{FaultPlan, MIGRATION_STALL, PROBE_TIMEOUT, PROMOTE_STALE, SPLIT_ROUTING};
+use iwb_store::rendezvous;
 use std::collections::HashMap;
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -87,9 +88,9 @@ const MIGRATE_LOCK_TIMEOUT: Duration = Duration::from_secs(5);
 pub struct RouterConfig {
     /// Bind address; port 0 picks an ephemeral port.
     pub addr: String,
-    /// Backend `workbenchd` addresses. All of them run with
-    /// `--no-recover` and either share one `--store` directory or run
-    /// streamed replication (`--repl-peers`, one `--store` each).
+    /// Backend `workbenchd` addresses. Each runs with `--no-recover`,
+    /// its own `--store` directory, and streamed replication
+    /// (`--repl-peers` listing these addresses in this order).
     pub backends: Vec<String>,
     /// Worker threads (= max concurrently served client connections).
     pub workers: usize,
@@ -235,7 +236,7 @@ struct BackendState {
 
 /// A session's pinned owner and sequence watermark. Commands lock the
 /// state; migration holds the lock across the whole
-/// release → recover → flip handshake, so concurrent commands see
+/// release → promote → flip handshake, so concurrent commands see
 /// either the old owner or the new one — never a half-migrated route.
 struct RouteState {
     backend: usize,
@@ -377,7 +378,18 @@ impl Fleet {
 
     /// The session's backend preference order, healthy slots only.
     fn healthy_rank(&self, id: &str) -> Vec<usize> {
-        hash::rank(id, self.backends.len())
+        rendezvous::rank(id, self.backends.len())
+            .into_iter()
+            .filter(|&b| self.backend_healthy(b))
+            .collect()
+    }
+
+    /// The healthy slots of [`rendezvous::successors`]: the order the
+    /// session's journal streams along after `from`, so the backends
+    /// most likely to hold a current replica of a session `from` owned
+    /// are asked before any other.
+    fn successors(&self, id: &str, from: usize) -> Vec<usize> {
+        rendezvous::successors(id, self.backends.len(), from)
             .into_iter()
             .filter(|&b| self.backend_healthy(b))
             .collect()
@@ -677,12 +689,20 @@ struct ClientConn<'a> {
     upstream: Option<Upstream>,
 }
 
-/// Extract the `seq=N` watermark a backend appends to attach/recover
-/// replies.
+/// Extract the `seq=N` watermark a backend appends to attach/release/
+/// promote replies.
 fn seq_in(body: &str) -> Option<u64> {
     let (_, tail) = body.rsplit_once("seq=")?;
     tail.split_whitespace().next()?.parse().ok()
 }
+
+/// The `repl promote` refusals that mean the backend holds nothing of
+/// the session: no persisted state, journaling off, an invalid id.
+const NOTHING_TO_PROMOTE: [&str; 3] = [
+    "no persisted state",
+    "journaling disabled",
+    "invalid session id",
+];
 
 /// One backend's answer to a `repl promote` request.
 enum PromoteOutcome {
@@ -691,12 +711,15 @@ enum PromoteOutcome {
     /// Refused: the backend's evidence is provably behind the floor.
     /// Carries the backend's `STALE-REPLICA …` body for the client.
     Stale(String),
-    /// The backend cannot promote at all (unreachable, journaling
-    /// off, no persisted state) — try the legacy recover handshake.
+    /// The backend answered that it holds no evidence for the session
+    /// ([`NOTHING_TO_PROMOTE`]).
+    Absent,
+    /// The backend could not answer (unreachable, shedding, a failed
+    /// rebuild): it may still hold the session's history.
     Unavailable,
 }
 
-/// How a failover attempt ended.
+/// How a promotion walk ended.
 enum FailoverOutcome {
     /// The route flipped to a promoted successor.
     Flipped,
@@ -945,9 +968,9 @@ impl ClientConn<'_> {
     }
 
     /// Attach to an existing session: the route table wins; a route
-    /// miss walks the ranking, and a session that is live nowhere but
-    /// persisted in the shared store is recovered onto its top-ranked
-    /// healthy backend.
+    /// miss asks every backend whether the session is live there, and a
+    /// session live nowhere is promoted (`repl promote <id> 0`) on the
+    /// first ranked backend holding evidence for it.
     fn attach(&mut self, id: &str) -> (bool, String, bool) {
         if let Some(entry) = self.fleet.route(id) {
             let Some(mut st) = lock_route(&entry, ROUTE_LOCK_TIMEOUT) else {
@@ -962,18 +985,8 @@ impl ClientConn<'_> {
                     false,
                 );
             };
-            return match self.dial_attached(st.backend, id) {
-                Ok((client, seq)) => {
-                    if let Some(n) = seq {
-                        st.seq = n;
-                    }
-                    self.upstream = Some(Upstream {
-                        backend: st.backend,
-                        client,
-                    });
-                    self.attached = Some(id.to_owned());
-                    (true, format!("session {id} attached seq={}", st.seq), false)
-                }
+            let (client, seq) = match self.dial_attached(st.backend, id) {
+                Ok(dialed) => dialed,
                 Err(_) => {
                     // Owner unreachable: fail the session over now, at
                     // attach time, then land on the successor.
@@ -989,51 +1002,78 @@ impl ClientConn<'_> {
                         }
                     }
                     match self.dial_attached(st.backend, id) {
-                        Ok((client, seq)) => {
-                            if let Some(n) = seq {
-                                st.seq = n;
-                            }
-                            self.upstream = Some(Upstream {
-                                backend: st.backend,
-                                client,
-                            });
-                            self.attached = Some(id.to_owned());
-                            (true, format!("session {id} attached seq={}", st.seq), false)
-                        }
-                        Err(e) => (false, format!("backend unreachable: {e}"), false),
+                        Ok(dialed) => dialed,
+                        Err(e) => return (false, format!("backend unreachable: {e}"), false),
                     }
                 }
             };
+            if let Some(n) = seq {
+                st.seq = n;
+            }
+            return self.adopt_upstream(id, st.backend, client, st.seq);
         }
-        // No route yet: first try live backends in preference order,
-        // then fall back to store recovery on the top-ranked one.
-        let ranked = self.fleet.healthy_rank(id);
+        // Route miss. Floor 0 proves nothing, so a promotion is safe
+        // only once every backend has answered: one that cannot (down,
+        // quarantined, shedding) may be the live owner, and promoting a
+        // replica elsewhere would fork the session's history.
+        let unanswered = || {
+            (
+                false,
+                format!("RETRY-AFTER 250ms: a backend that may hold session {id} did not answer"),
+                false,
+            )
+        };
+        let ranked = rendezvous::rank(id, self.fleet.len());
+        let mut all_answered = true;
         for &b in &ranked {
-            if let Ok((client, seq)) = self.dial_attached(b, id) {
-                let seq = seq.unwrap_or(0);
-                self.fleet.pin(id, b, seq);
-                self.upstream = Some(Upstream { backend: b, client });
-                self.attached = Some(id.to_owned());
-                return (true, format!("session {id} attached seq={seq}"), false);
+            if !self.fleet.backend_healthy(b) {
+                all_answered = false;
+                continue;
+            }
+            match self.dial_attached(b, id) {
+                Ok((client, seq)) => {
+                    let seq = seq.unwrap_or(0);
+                    self.fleet.pin(id, b, seq);
+                    return self.adopt_upstream(id, b, client, seq);
+                }
+                Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+                Err(_) => all_answered = false,
             }
         }
+        if !all_answered {
+            return unanswered();
+        }
         for &b in &ranked {
-            let Ok(resp) = self.admin_request(b, &format!("session recover {id}")) else {
-                continue;
-            };
-            if !resp.ok {
-                continue;
-            }
-            let seq = seq_in(&resp.body).unwrap_or(0);
-            if let Ok((client, attach_seq)) = self.dial_attached(b, id) {
-                let seq = attach_seq.unwrap_or(seq);
-                self.fleet.pin(id, b, seq);
-                self.upstream = Some(Upstream { backend: b, client });
-                self.attached = Some(id.to_owned());
-                return (true, format!("session {id} attached seq={seq}"), false);
+            match self.promote_on(b, id, 0) {
+                PromoteOutcome::Promoted(seq) => {
+                    self.fleet.pin(id, b, seq);
+                    return match self.dial_attached(b, id) {
+                        Ok((client, attach_seq)) => {
+                            self.adopt_upstream(id, b, client, attach_seq.unwrap_or(seq))
+                        }
+                        Err(e) => (false, format!("backend unreachable: {e}"), false),
+                    };
+                }
+                PromoteOutcome::Stale(body) => return (false, body, false),
+                PromoteOutcome::Absent => {}
+                PromoteOutcome::Unavailable => return unanswered(),
             }
         }
         (false, format!("no session {id:?}"), false)
+    }
+
+    /// Make `client`, attached to `id` on `backend`, this connection's
+    /// upstream.
+    fn adopt_upstream(
+        &mut self,
+        id: &str,
+        backend: usize,
+        client: Client,
+        seq: u64,
+    ) -> (bool, String, bool) {
+        self.upstream = Some(Upstream { backend, client });
+        self.attached = Some(id.to_owned());
+        (true, format!("session {id} attached seq={seq}"), false)
     }
 
     fn close_session(&mut self, id: &str) -> (bool, String, bool) {
@@ -1073,7 +1113,7 @@ impl ClientConn<'_> {
     }
 
     /// Planned migration: hold the route lock across the whole
-    /// release → (stall) → recover → flip handshake. Concurrent
+    /// release → (stall) → promote → flip handshake. Concurrent
     /// commands and attaches on this session time out on the lock and
     /// answer `MOVED` — retryable, and correct both before and after
     /// the flip.
@@ -1104,45 +1144,28 @@ impl ClientConn<'_> {
         if let Some(ms) = self.config.faults.fires(MIGRATION_STALL) {
             thread::sleep(Duration::from_millis(ms.max(50)));
         }
-        let mut stale = None;
-        for b in self.fleet.healthy_rank(id) {
-            if b == old {
-                continue;
-            }
-            let seq = match self.promote_on(b, id, floor) {
-                PromoteOutcome::Promoted(seq) => seq,
-                PromoteOutcome::Stale(body) => {
-                    stale = Some(body);
-                    continue;
-                }
-                PromoteOutcome::Unavailable => {
-                    let Ok(resp) = self.admin_request(b, &format!("session recover {id}")) else {
-                        continue;
-                    };
-                    if !resp.ok {
-                        continue;
-                    }
-                    seq_in(&resp.body).unwrap_or(st.seq)
-                }
-            };
-            st.backend = b;
-            st.seq = seq.max(st.seq);
+        let outcome = self.promote_walk(id, floor, &mut st);
+        if let FailoverOutcome::Flipped = outcome {
             self.upstream = None;
             self.stats.migrations.fetch_add(1, Ordering::Relaxed);
             return (
                 true,
-                format!("session {id} migrated backend {old} -> {b} seq={}", st.seq),
+                format!(
+                    "session {id} migrated backend {old} -> {} seq={}",
+                    st.backend, st.seq
+                ),
                 false,
             );
         }
-        // No successor took it: put it back where it was so the
-        // session stays reachable.
+        // No successor took it: promote it back on the old owner, from
+        // its own journal, so the session stays live where the route
+        // still points.
         if released {
-            let _ = self.admin_request(old, &format!("session recover {id}"));
+            let _ = self.promote_on(old, id, floor);
         }
-        match stale {
-            Some(body) => (false, body, false),
-            None => (
+        match outcome {
+            FailoverOutcome::Stale(body) => (false, body, false),
+            _ => (
                 false,
                 format!("no healthy successor for session {id}; migration aborted"),
                 false,
@@ -1207,7 +1230,7 @@ impl ClientConn<'_> {
 
     /// Forward one shell command to the session's owner, stamping
     /// mutating commands with the route's sequence number and failing
-    /// over (release → recover → flip → retry the *same* stamp) when
+    /// over (release → promote → flip → retry the *same* stamp) when
     /// the owner dies mid-flight.
     fn forward_shell(&mut self, command: &str, heredoc: Option<&str>) -> (bool, String) {
         let Some(id) = self.attached.clone() else {
@@ -1314,9 +1337,9 @@ impl ClientConn<'_> {
                 }
                 Err(_) => {
                     // Mid-flight death: the ack (if any) is lost, but
-                    // the journal record (if reached) survives — on
-                    // shared disk or in the successor's replica. Fail
-                    // over and retry the same stamped command.
+                    // the journal record (if reached) survives in the
+                    // successor's replica. Fail over and retry the same
+                    // stamped command.
                     self.upstream = None;
                     match self.failover(&id, &mut st) {
                         FailoverOutcome::Flipped => {}
@@ -1356,18 +1379,17 @@ impl ClientConn<'_> {
                     .fetch_add(1, Ordering::Relaxed);
                 PromoteOutcome::Stale(resp.body)
             }
+            Ok(resp) if NOTHING_TO_PROMOTE.iter().any(|p| resp.body.starts_with(p)) => {
+                PromoteOutcome::Absent
+            }
             _ => PromoteOutcome::Unavailable,
         }
     }
 
-    /// Promotion-based failover: quarantine the dead owner, release
-    /// best-effort (a crashed backend cannot answer; an alive-but-
-    /// quarantined one must drop the session so it is never live in two
-    /// places), then walk the next-ranked healthy backends asking each
-    /// to `repl promote` from its best evidence — own journal/snapshot
-    /// on a shared store, or the standby replica under streamed
-    /// replication. A `STALE-REPLICA` refusal is remembered and
-    /// surfaced when nobody can do better.
+    /// Crash failover: quarantine the dead owner, release best-effort
+    /// (a crashed backend cannot answer; an alive-but-quarantined one
+    /// must drop the session so it is never live in two places), then
+    /// promote the session on a successor at the route's floor.
     fn failover(&self, id: &str, st: &mut RouteState) -> FailoverOutcome {
         let dead = st.backend;
         self.fleet.mark_down(dead);
@@ -1376,33 +1398,26 @@ impl ClientConn<'_> {
         if let Some(ms) = self.config.faults.fires(MIGRATION_STALL) {
             thread::sleep(Duration::from_millis(ms.max(50)));
         }
+        self.promote_walk(id, st.seq, st)
+    }
+
+    /// The one way a session changes owner: walk the current owner's
+    /// successors ([`Fleet::successors`]) asking each to `repl promote`
+    /// the session at `floor`, and flip the route to the first that
+    /// succeeds. A `STALE-REPLICA` refusal is remembered and surfaced
+    /// when nobody can do better. Walking past a backend that cannot
+    /// answer is safe here: every candidate must prove `floor`.
+    fn promote_walk(&self, id: &str, floor: u64, st: &mut RouteState) -> FailoverOutcome {
         let mut stale = None;
-        for b in self.fleet.healthy_rank(id) {
-            if b == dead {
-                continue;
-            }
-            match self.promote_on(b, id, st.seq) {
+        for b in self.fleet.successors(id, st.backend) {
+            match self.promote_on(b, id, floor) {
                 PromoteOutcome::Promoted(seq) => {
                     st.backend = b;
                     st.seq = seq.max(st.seq);
                     return FailoverOutcome::Flipped;
                 }
                 PromoteOutcome::Stale(body) => stale = Some(body),
-                PromoteOutcome::Unavailable => {
-                    // Journaling-off backends keep the legacy
-                    // shared-store recover handshake.
-                    let Ok(resp) = self.admin_request(b, &format!("session recover {id}")) else {
-                        continue;
-                    };
-                    if !resp.ok {
-                        continue;
-                    }
-                    st.backend = b;
-                    if let Some(n) = seq_in(&resp.body) {
-                        st.seq = n;
-                    }
-                    return FailoverOutcome::Flipped;
-                }
+                PromoteOutcome::Absent | PromoteOutcome::Unavailable => {}
             }
         }
         match stale {
@@ -1462,13 +1477,20 @@ impl ClientConn<'_> {
     }
 
     /// Dial a backend and attach `id`; returns the client and the
-    /// backend's reported sequence watermark.
+    /// backend's reported sequence watermark. The error kind is
+    /// `NotFound` only when the backend answered that `id` is not live
+    /// there; a shed or any other refusal proves nothing about it.
     fn dial_attached(&self, backend: usize, id: &str) -> io::Result<(Client, Option<u64>)> {
         let mut client = self.dial(backend)?;
         let resp = client.request(&format!("session attach {id}"))?;
         if !resp.ok {
+            let kind = if resp.body.starts_with("no session ") {
+                io::ErrorKind::NotFound
+            } else {
+                io::ErrorKind::Other
+            };
             return Err(io::Error::new(
-                io::ErrorKind::NotFound,
+                kind,
                 format!("attach {id} on backend {backend}: {}", resp.body),
             ));
         }
@@ -1476,7 +1498,7 @@ impl ClientConn<'_> {
         Ok((client, seq))
     }
 
-    /// One short-lived admin request (release/recover/close/cancel) on
+    /// One short-lived admin request (release/promote/close/cancel) on
     /// its own connection, so admin traffic never disturbs the
     /// attached upstream.
     fn admin_request(&self, backend: usize, command: &str) -> io::Result<Response> {
@@ -1524,5 +1546,20 @@ mod tests {
         assert_eq!(fleet.routed_backend("s1"), Some(1));
         assert_eq!(fleet.routed_to(1), vec!["s1".to_owned()]);
         assert!(fleet.routed_to(0).is_empty());
+    }
+
+    #[test]
+    fn successors_follow_the_replication_order_after_the_owner() {
+        let addrs: Vec<String> = (1..=3).map(|port| format!("127.0.0.1:{port}")).collect();
+        let fleet = Fleet::new(&addrs).unwrap();
+        let order = rendezvous::rank("s1", 3);
+        assert_eq!(fleet.successors("s1", order[0]), vec![order[1], order[2]]);
+        assert_eq!(
+            fleet.successors("s1", order[1]),
+            vec![order[2], order[0]],
+            "after a failover the promoted owner's own successor comes first"
+        );
+        fleet.mark_down(order[2]);
+        assert_eq!(fleet.successors("s1", order[1]), vec![order[0]]);
     }
 }

@@ -28,9 +28,10 @@
 //!   eviction/shutdown; needs `--store`)
 //! * `--no-recover`            skip the startup journal sweep even
 //!   with `--store`/`--recover`. Fleet backends behind a
-//!   `workbench-router` run this way: every backend shares the store
-//!   directory, so each must recover only the sessions the router
-//!   routes to it (via `session recover <id>`), not all of them
+//!   `workbench-router` run this way: the router promotes each session
+//!   where it routes it (`repl promote <id> <floor>`), and a sweep
+//!   would revive sessions that have since moved to another backend
+//!   as a second, stale live copy
 //! * `--quarantine-after N`    quarantine a session after N
 //!   consecutive panicking commands (default 3; 0 disables)
 //! * `--max-line-bytes N`      protocol line bound (default 65536)
@@ -54,13 +55,13 @@
 //!   `--repl-peers` list
 //! * `--faults SPEC`           deterministic fault injection, e.g.
 //!   `seed=42,exec-panic=0.01,exec-slow=0.05:20,journal-torn=0.02`
-//!   (chaos testing; see `iwb_server::fault`)
+//!   (chaos testing; see `iwb_store::fault`)
 //!
 //! The daemon exits after a client issues the `shutdown` protocol
 //! command (graceful: in-flight requests drain first).
 
-use iwb_server::fault::FaultSpec;
 use iwb_server::server::{serve, ServerConfig};
+use iwb_store::fault::FaultSpec;
 use std::path::PathBuf;
 use std::time::Duration;
 

@@ -47,7 +47,7 @@
 //! falls back to full replay when `base == 0` and refuses the session
 //! otherwise — never silently wrong.
 
-use crate::fault::{FaultPlan, JOURNAL_TORN};
+use iwb_store::fault::{FaultPlan, JOURNAL_TORN};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
@@ -104,7 +104,7 @@ impl JournalRecord {
         let mut out = format!(
             "r {} {:016x} {}\n",
             payload.len(),
-            crate::fault::fnv1a64(&payload),
+            iwb_store::fault::fnv1a64(&payload),
             if self.heredoc.is_some() { 'h' } else { '-' }
         )
         .into_bytes();
@@ -409,7 +409,7 @@ fn parse_record(bytes: &[u8]) -> Option<(JournalRecord, &[u8])> {
         return None;
     }
     let payload = &rest[..len];
-    if crate::fault::fnv1a64(payload) != hash {
+    if iwb_store::fault::fnv1a64(payload) != hash {
         return None;
     }
     let text = String::from_utf8_lossy(payload);
@@ -425,7 +425,7 @@ fn parse_record(bytes: &[u8]) -> Option<(JournalRecord, &[u8])> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultSpec;
+    use iwb_store::fault::FaultSpec;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(

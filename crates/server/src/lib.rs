@@ -21,15 +21,12 @@
 //! * [`journal`] — append-only per-session command journals (fsync on
 //!   commit, periodic compaction) and the crash-recovery replay behind
 //!   `workbenchd --recover`;
-//! * [`repl`] — streamed journal replication for fleets without a
-//!   shared disk: each backend ships committed records to the
-//!   session's rendezvous successor, keeps standby journals for its
-//!   peers, and promotes from them on failover (`repl promote`) —
-//!   refusing with `STALE-REPLICA` when the replica is provably behind
-//!   the last acked client mutation;
-//! * [`fault`] — deterministic, seeded fault injection (tool errors,
-//!   panics, slow/hung/stalled commands, torn journal writes) for
-//!   chaos tests and `bench_server --faults`;
+//! * [`repl`] — streamed journal replication between fleet backends,
+//!   each on its own store: each backend ships committed records to
+//!   the session's rendezvous successor, keeps standby journals for
+//!   its peers, and promotes from them when the router moves a session
+//!   (`repl promote`) — refusing with `STALE-REPLICA` when the replica
+//!   is provably behind the last acked client mutation;
 //! * [`stats`] — per-command counters and fixed-bucket latency
 //!   histograms plus the robustness error-budget counters, exposed
 //!   through the `stats` protocol command;
@@ -51,7 +48,6 @@
 //! session list          one line per live session
 //! session current       the attached session id
 //! session release <id>  persist a session and drop it live (files kept)
-//! session recover <id>  load a persisted session from the store/journal
 //! repl subscribe <id> <len>   replication handshake (backend → backend)
 //! repl append <id> <seq> <c>  stream one journal record to a replica
 //! repl status           per-session replication lag + standby journals
@@ -79,9 +75,11 @@
 //! is what makes fleet failover retries (`iwb-router`) exactly-once:
 //! redelivery of a command whose ack was lost in a crash is
 //! acknowledged from the journal, and a stale backend reached by split
-//! routing refuses to fork the history. `session release` +
-//! `session recover` are the planned-migration handshake over the
-//! shared store directory (see `workbenchd --no-recover`).
+//! routing refuses to fork the history. `repl promote` is the only way
+//! a session moves between backends: the router promotes it on a
+//! successor after a crash or a `session release`, and back on the
+//! releasing backend when a migration aborts (see
+//! `workbenchd --no-recover`).
 //!
 //! ## Deadlines, cancellation, admission control
 //!
@@ -98,7 +96,6 @@
 //! queueing unboundedly.
 
 pub mod client;
-pub mod fault;
 pub mod journal;
 pub mod repl;
 pub mod server;
@@ -106,12 +103,17 @@ pub mod session;
 pub mod stats;
 
 pub use client::{Backoff, Client, Response};
-pub use fault::{FaultPlan, FaultSpec};
 pub use journal::{Journal, JournalConfig, JournalRecord};
 pub use repl::{ReplConfig, ReplicaStore, Replicator};
 pub use server::{serve, ServerConfig, ServerHandle};
 pub use session::{ExecOutcome, RecoveryReport, Session, SessionRegistry, StoreConfig, StoreStats};
 pub use stats::{CommandClass, ServerStats};
+
+/// The fault plan's old path, kept only for `iwb_bench/src/layers.rs`;
+/// everything else imports [`iwb_store::fault`].
+pub mod fault {
+    pub use iwb_store::fault::FaultPlan;
+}
 
 /// Install a process-wide panic hook that stays silent for *injected*
 /// panics (payloads mentioning `injected fault`) and defers to the

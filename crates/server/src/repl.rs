@@ -1,11 +1,9 @@
 //! Streamed journal replication between fleet backends.
 //!
-//! PR 8's failover worked only because every backend shared one
-//! `--store` directory — a single point of failure that caps the fleet
-//! at one machine. This module removes that assumption: each backend
+//! Every fleet backend keeps its own `--store` directory. Each backend
 //! streams every committed journal record of each session it owns to
 //! the session's **rendezvous-next-ranked successor** (the backend the
-//! router's failover walk will try first, see
+//! router's failover walk tries first, see
 //! [`iwb_store::rendezvous::successor`]), which maintains a warm
 //! standby journal per replicated session under
 //! `<journal-dir>/replica/`. When the owner dies, the router asks the
@@ -55,8 +53,8 @@
 //! safety check to take the `STALE-REPLICA` path.
 
 use crate::client::Client;
-use crate::fault::{FaultPlan, REPL_DISCONNECT, REPL_LAG};
 use crate::journal::{Journal, JournalConfig, JournalRecord};
+use iwb_store::fault::{FaultPlan, REPL_DISCONNECT, REPL_LAG};
 use iwb_store::rendezvous;
 use std::collections::HashMap;
 use std::io;
@@ -392,7 +390,7 @@ pub fn stale_replica(session: &str, have: u64, need: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultSpec;
+    use iwb_store::fault::FaultSpec;
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!(

@@ -15,7 +15,7 @@
 //! (`catch_unwind` inside the shell lock), quarantines sessions after
 //! repeated faults, journals mutating commands when a journal
 //! directory is configured, and honors the configured
-//! [`crate::fault::FaultPlan`]. Protocol reads are bounded
+//! [`iwb_store::fault::FaultPlan`]. Protocol reads are bounded
 //! (`max_line_bytes` / `max_heredoc_bytes`), so a malicious client
 //! cannot balloon worker memory.
 //!
@@ -26,13 +26,13 @@
 //! in flight on another connection — both aborts are cooperative, so
 //! session state stays exactly as before the command.
 
-use crate::fault::FaultPlan;
 use crate::journal::{JournalConfig, JournalRecord};
 use crate::repl::ReplConfig;
 use crate::session::{ExecOutcome, RecoveryReport, SessionRegistry, StoreConfig};
 use crate::stats::{CommandClass, ServerStats};
 use iwb_core::shell::{heredoc_start, HEREDOC_END};
 use iwb_pool::ThreadPool;
+use iwb_store::fault::FaultPlan;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -760,9 +760,9 @@ fn dispatch(
             None => (true, "none".to_owned(), Action::Continue),
         },
         // Fleet migration, releasing side: persist the session's final
-        // snapshot and drop it from the live map *keeping* its on-disk
-        // state, so a successor backend can `session recover` it from
-        // the shared store directory.
+        // snapshot, drain its replication stream, and drop it from the
+        // live map *keeping* its on-disk state, so an aborted migration
+        // can `repl promote` it back here.
         ["session", "release", id] => {
             if attached.as_ref().is_some_and(|s| s.id() == *id) {
                 *attached = None;
@@ -776,21 +776,10 @@ fn dispatch(
                 Err(e) => (false, e, Action::Continue),
             }
         }
-        // Fleet migration, receiving side: rebuild one session from
-        // the shared store (verified snapshot + journal-suffix replay;
-        // incomplete or corrupt history is refused, never guessed).
-        ["session", "recover", id] => match registry.recover_one(id, stats) {
-            Ok(session) => (
-                true,
-                format!("session {id} recovered seq={}", session.seq()),
-                Action::Continue,
-            ),
-            Err(e) => (false, e, Action::Continue),
-        },
         ["session", ..] => (
             false,
             "usage: session new [id] | attach <id> | detach | close [id] | list | current \
-             | release <id> | recover <id>"
+             | release <id>"
                 .to_owned(),
             Action::Continue,
         ),
@@ -845,10 +834,10 @@ fn dispatch(
                 Action::Continue,
             ),
         },
-        // Fleet failover, no shared disk: rebuild <session> from the
-        // best local evidence (own journal/snapshot or the standby
-        // replica), refusing with STALE-REPLICA when that evidence is
-        // provably behind the router's last acked seq.
+        // Every fleet ownership change: rebuild <session> from the best
+        // local evidence (own journal/snapshot or the standby replica),
+        // refusing with STALE-REPLICA when that evidence is provably
+        // behind the router's last acked seq.
         ["repl", "promote", id, min_seq] => match min_seq.parse::<u64>() {
             Ok(min) => match registry.promote(id, min, stats) {
                 Ok(seq) => (
@@ -973,7 +962,7 @@ fn dispatch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{FaultSpec, EXEC_PANIC};
+    use iwb_store::fault::{FaultSpec, EXEC_PANIC};
 
     struct Ctx {
         registry: Arc<SessionRegistry>,
@@ -1121,7 +1110,7 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_sequences_release_and_recover_a_session() {
+    fn dispatch_sequences_release_and_repl_promote_a_session() {
         let dir = std::env::temp_dir().join(format!(
             "iwb-dispatch-fleet-{}-{:?}",
             std::process::id(),
@@ -1163,16 +1152,24 @@ mod tests {
         assert!(ok);
         assert!(body.ends_with("seq=1"), "{body}");
 
-        // Release drops it live-but-persisted; recover brings it back.
+        // Release drops it live-but-persisted; promote brings it back,
+        // refusing a floor its evidence cannot meet.
         let (ok, body, _) = ctx.dispatch("session release m", None, &mut attached);
         assert!(ok, "{body}");
         assert!(body.contains("released seq=1"), "{body}");
         assert!(attached.is_none(), "release must detach");
         assert_eq!(ctx.registry.len(), 0);
-        let (ok, body, _) = ctx.dispatch("session recover m", None, &mut attached);
+        let (ok, body, _) = ctx.dispatch("repl promote m 2", None, &mut attached);
+        assert!(!ok);
+        assert!(
+            body.starts_with("STALE-REPLICA session=m have=1 need=2"),
+            "{body}"
+        );
+        assert_eq!(ctx.registry.len(), 0, "a refused promotion stays released");
+        let (ok, body, _) = ctx.dispatch("repl promote m 1", None, &mut attached);
         assert!(ok, "{body}");
-        assert!(body.contains("recovered seq=1"), "{body}");
-        let (ok, body, _) = ctx.dispatch("session recover ghost", None, &mut attached);
+        assert_eq!(body, "session m promoted seq=1");
+        let (ok, body, _) = ctx.dispatch("repl promote ghost 0", None, &mut attached);
         assert!(!ok);
         assert!(body.contains("no persisted state"), "{body}");
         let _ = std::fs::remove_dir_all(&dir);

@@ -35,7 +35,6 @@
 //! startup so a restarted daemon reattaches clients to their
 //! pre-crash sessions.
 
-use crate::fault::{FaultPlan, EXEC_ERROR, EXEC_HANG, EXEC_PANIC, EXEC_SLOW, SHARD_STALL};
 use crate::journal::{Journal, JournalConfig, JournalRecord, LoadedJournal};
 use crate::repl::{stale_replica, ReplConfig, ReplicaStore, Replicator};
 use crate::stats::ServerStats;
@@ -43,8 +42,9 @@ use iwb_core::persist::{self, SessionState};
 use iwb_core::shell::Shell;
 use iwb_core::tool::ToolError;
 use iwb_pool::{BackgroundWorker, Budget, CancelToken, Deadline, Interrupt};
+use iwb_store::fault::{FaultPlan, EXEC_ERROR, EXEC_HANG, EXEC_PANIC, EXEC_SLOW, SHARD_STALL};
 use iwb_store::{CommandRecord, SessionSnapshot, SessionStore};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -654,7 +654,8 @@ pub struct RecoveryReport {
     pub replayed: usize,
     /// Journals whose torn/corrupt tail was dropped and healed.
     pub torn_tails: usize,
-    /// Journal files skipped (unreadable, bad header, duplicate id).
+    /// Sessions skipped (unreadable journal, bad header, incomplete
+    /// history, duplicate id, or over the session cap).
     pub skipped: usize,
     /// Replayed commands that errored (should be zero: they succeeded
     /// before the crash).
@@ -666,6 +667,10 @@ pub struct RecoveryReport {
     /// version) and were bypassed in favor of plain journal replay.
     pub snapshot_fallbacks: usize,
 }
+
+/// A session's replayable history: every command, the journal base a
+/// verified snapshot covers, and that snapshot's warm engine state.
+type History = (Vec<JournalRecord>, u64, Option<SessionState>);
 
 /// The registry of live sessions.
 pub struct SessionRegistry {
@@ -810,12 +815,15 @@ impl SessionRegistry {
     }
 
     /// Promote `id` on this backend from the best local evidence — own
-    /// journal/snapshot, or the standby replica streamed by the dead
-    /// owner — refusing with `STALE-REPLICA` when that evidence is
-    /// provably behind `min_seq`, the last seq the router saw
-    /// acknowledged to a client. This is the fleet's no-shared-disk
-    /// failover path; like [`SessionRegistry::recover_one`] it is
-    /// idempotent for a session that is already live (and current).
+    /// journal/snapshot, or the standby replica streamed by the owner —
+    /// refusing with `STALE-REPLICA` when that evidence is provably
+    /// behind `min_seq`, the last seq the router saw acknowledged to a
+    /// client. This is the fleet's only way to move a session: crash
+    /// failover and planned migration promote on a successor, an
+    /// aborted migration promotes the released session back on its old
+    /// owner, and a router attaching a session that is live nowhere
+    /// promotes it with `min_seq` 0. Idempotent for a session that is
+    /// already live (and current).
     pub fn promote(&self, id: &str, min_seq: u64, stats: &ServerStats) -> Result<u64, String> {
         if !valid_id(id) {
             return Err(format!("invalid session id {id:?}"));
@@ -831,24 +839,9 @@ impl SessionRegistry {
             return Err("journaling disabled: nothing to promote from".into());
         };
         let mut report = RecoveryReport::default();
-        // Local evidence: this backend may have owned the session
-        // before (journal paired with its snapshot, or a snapshot
-        // alone) — e.g. a planned migration bouncing back.
-        let path = Journal::path_for(&config.dir, id);
-        let local = if path.exists() {
-            match Journal::load(&path) {
-                Ok(loaded) if loaded.session_id == id => {
-                    if loaded.torn_tail {
-                        report.torn_tails += 1;
-                    }
-                    self.paired_history(loaded, &mut report).ok()
-                }
-                _ => None,
-            }
-        } else {
-            self.load_snapshot_for(id, &mut report)
-                .map(Self::snapshot_history)
-        };
+        // Evidence this backend cannot prove complete counts as none:
+        // the replica may still meet the floor.
+        let local = self.own_history(&config, id, &mut report).ok().flatten();
         let replica = self.replicas.as_ref().and_then(|r| r.history(id));
         let local_len = local.as_ref().map_or(0, |(r, _, _)| r.len() as u64);
         let replica_len = replica.as_ref().map_or(0, |r| r.len() as u64);
@@ -988,111 +981,46 @@ impl SessionRegistry {
             return Ok(RecoveryReport::default());
         };
         let mut report = RecoveryReport::default();
-        let mut seen: Vec<String> = Vec::new();
+        // Every journal, plus snapshots without a journal file (a crash
+        // between the two deletes of a close, or a pruned directory): a
+        // verified snapshot alone still carries the full command history.
+        let mut ids = BTreeSet::new();
         for path in Journal::scan_dir(&config.dir)? {
-            let loaded = match Journal::load(&path) {
-                Ok(loaded) => loaded,
-                Err(_) => {
-                    report.skipped += 1;
-                    continue;
+            match path.file_stem().and_then(|s| s.to_str()) {
+                Some(stem) => {
+                    ids.insert(stem.to_owned());
                 }
-            };
-            // The file stem is authoritative for the path; the header
-            // must agree or the file is treated as foreign.
-            let stem_ok = path
-                .file_stem()
-                .and_then(|s| s.to_str())
-                .is_some_and(|stem| stem == loaded.session_id);
-            if !stem_ok || !valid_id(&loaded.session_id) {
+                None => report.skipped += 1,
+            }
+        }
+        if let Some(store_config) = &self.store {
+            ids.extend(SessionStore::scan_dir(&store_config.dir));
+        }
+        for id in ids {
+            if !valid_id(&id) {
                 report.skipped += 1;
                 continue;
             }
-            if loaded.torn_tail {
-                report.torn_tails += 1;
-            }
-            let id = loaded.session_id.clone();
-            seen.push(id.clone());
-            let (records, base, warm) = match self.paired_history(loaded, &mut report) {
-                Ok(history) => history,
-                Err(_) => {
-                    report.skipped += 1;
-                    continue;
+            match self.own_history(&config, &id, &mut report) {
+                Ok(Some((records, base, warm))) => {
+                    self.rebuild_session(&config, &id, records, base, warm, &mut report, stats)
                 }
-            };
-            self.rebuild_session(&config, &id, records, base, warm, &mut report, stats);
-        }
-        // Snapshots without a journal file (a crash between the two
-        // deletes of a close, or a pruned directory): a verified
-        // snapshot alone still carries the full command history.
-        if let Some(store_config) = self.store.clone() {
-            for id in SessionStore::scan_dir(&store_config.dir) {
-                if seen.iter().any(|s| s == &id) || !valid_id(&id) {
-                    continue;
-                }
-                let Some(snap) = self.load_snapshot_for(&id, &mut report) else {
-                    report.skipped += 1;
-                    continue;
-                };
-                let (records, base, warm) = Self::snapshot_history(snap);
-                self.rebuild_session(&config, &id, records, base, warm, &mut report, stats);
+                Ok(None) | Err(_) => report.skipped += 1,
             }
         }
         stats.recovery(&report);
         Ok(report)
     }
 
-    /// Recover a single session by id — the fleet migration path. A
-    /// router, after releasing the session on its old backend, asks the
-    /// successor to rebuild it from the shared store directory. Applies
-    /// exactly the same verification as [`SessionRegistry::recover`]:
-    /// snapshot-or-refuse pairing, torn-tail trimming, header/id
-    /// agreement — never a silently-wrong state. Idempotent: a session
-    /// that is already live is returned as-is.
-    pub fn recover_one(&self, id: &str, stats: &ServerStats) -> Result<Arc<Session>, String> {
-        if let Some(session) = self.get(id) {
-            return Ok(session);
-        }
-        if !valid_id(id) {
-            return Err(format!("invalid session id {id:?}"));
-        }
-        let Some(config) = self.journal.clone() else {
-            return Err("journaling disabled: nothing to recover from".into());
-        };
-        let mut report = RecoveryReport::default();
-        let path = Journal::path_for(&config.dir, id);
-        if path.exists() {
-            let loaded = Journal::load(&path).map_err(|e| format!("journal unreadable: {e}"))?;
-            if loaded.session_id != id {
-                return Err(format!(
-                    "journal header names {:?}, not {id:?}",
-                    loaded.session_id
-                ));
-            }
-            if loaded.torn_tail {
-                report.torn_tails += 1;
-            }
-            let (records, base, warm) = self.paired_history(loaded, &mut report)?;
-            self.rebuild_session(&config, id, records, base, warm, &mut report, stats);
-        } else {
-            let snap = self
-                .load_snapshot_for(id, &mut report)
-                .ok_or_else(|| format!("no persisted state for session {id:?}"))?;
-            let (records, base, warm) = Self::snapshot_history(snap);
-            self.rebuild_session(&config, id, records, base, warm, &mut report, stats);
-        }
-        stats.recovery(&report);
-        self.get(id)
-            .ok_or_else(|| format!("recovery of session {id:?} was refused"))
-    }
-
     /// Release a live session for migration: persist its final
-    /// snapshot, then drop it from the live map *keeping* its on-disk
-    /// state (unlike [`SessionRegistry::close`], which deletes it) so a
-    /// successor backend can [`SessionRegistry::recover_one`] it from
-    /// the shared store. Returns the session's sequence watermark —
-    /// the router uses it to verify nothing was lost in flight. Waits
-    /// for any in-flight command: the snapshot flush takes the shell
-    /// lock, so the command completes (and journals) first.
+    /// snapshot, drain its replication stream, then drop it from the
+    /// live map *keeping* its on-disk state (unlike
+    /// [`SessionRegistry::close`], which deletes it), so an aborted
+    /// migration can [`SessionRegistry::promote`] it back here. Returns
+    /// the session's sequence watermark — the router's promotion floor
+    /// for the successor. Waits for any in-flight command: the snapshot
+    /// flush takes the shell lock, so the command completes (and
+    /// journals) first.
     pub fn release(&self, id: &str) -> Result<u64, String> {
         if self.journal.is_none() {
             return Err("journaling disabled: nothing to release".into());
@@ -1106,9 +1034,41 @@ impl SessionRegistry {
         }
         // Drain the replication stream at the released watermark so a
         // planned migration's successor can promote from its replica
-        // with zero lag — no shared disk required.
+        // with zero lag.
         session.ship_replica(&FaultPlan::none());
         Ok(session.seq())
+    }
+
+    /// This backend's own evidence for `id`: its journal paired with
+    /// its snapshot, or a verified snapshot alone when no journal file
+    /// exists. `Ok(None)`: nothing usable is persisted. `Err`: the
+    /// journal exists but cannot prove a complete history (unreadable,
+    /// its header names another session, or it was truncated under a
+    /// snapshot that is gone) — the session is refused, never rebuilt
+    /// wrong.
+    fn own_history(
+        &self,
+        config: &JournalConfig,
+        id: &str,
+        report: &mut RecoveryReport,
+    ) -> Result<Option<History>, String> {
+        let path = Journal::path_for(&config.dir, id);
+        if !path.exists() {
+            return Ok(self
+                .load_snapshot_for(id, report)
+                .map(Self::snapshot_history));
+        }
+        let loaded = Journal::load(&path).map_err(|e| format!("journal unreadable: {e}"))?;
+        if loaded.session_id != id {
+            return Err(format!(
+                "journal header names {:?}, not {id:?}",
+                loaded.session_id
+            ));
+        }
+        if loaded.torn_tail {
+            report.torn_tails += 1;
+        }
+        self.paired_history(loaded, report).map(Some)
     }
 
     /// Pair a loaded journal with its snapshot (when a store is
@@ -1120,7 +1080,7 @@ impl SessionRegistry {
         &self,
         loaded: LoadedJournal,
         report: &mut RecoveryReport,
-    ) -> Result<(Vec<JournalRecord>, u64, Option<SessionState>), String> {
+    ) -> Result<History, String> {
         match self.load_snapshot_for(&loaded.session_id, report) {
             Some(snap) => {
                 if snap.watermark < loaded.base {
@@ -1158,7 +1118,7 @@ impl SessionRegistry {
     /// A verified snapshot's contribution to recovery: its embedded
     /// command prefix, its watermark as the journal base, and the warm
     /// engine state to prime around replay.
-    fn snapshot_history(snap: SessionSnapshot) -> (Vec<JournalRecord>, u64, Option<SessionState>) {
+    fn snapshot_history(snap: SessionSnapshot) -> History {
         let records: Vec<JournalRecord> = snap
             .commands
             .iter()
@@ -1335,7 +1295,7 @@ impl SessionRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::{FaultSpec, SNAPSHOT_TORN};
+    use iwb_store::fault::{FaultSpec, SNAPSHOT_TORN};
 
     fn exec(
         session: &Session,
@@ -1635,7 +1595,7 @@ mod tests {
             (1, 1, 0),
             "{report:?}"
         );
-        let recovered = fresh.get("alpha").expect("session recovered");
+        let recovered = fresh.get("alpha").expect("recovery rebuilt the session");
         // `export` is read-only, so it was never journaled — but the
         // mutating prefix rebuilds identical state.
         let after = match exec(&recovered, "export", None, &none, &stats) {
@@ -1681,7 +1641,7 @@ mod tests {
             (1, 2, 0),
             "{report:?}"
         );
-        let recovered = fresh.get("blocker").expect("session recovered");
+        let recovered = fresh.get("blocker").expect("recovery rebuilt the session");
         let after = match exec(&recovered, "find-candidates q 3", None, &none, &stats) {
             ExecOutcome::Output(out) => out,
             other => panic!("{other:?}"),
@@ -1787,7 +1747,7 @@ mod tests {
             "{report:?}"
         );
         assert_eq!(report.replayed, WARM_SCRIPT.len(), "full history replays");
-        let recovered = fresh.get("warm").expect("session recovered");
+        let recovered = fresh.get("warm").expect("recovery rebuilt the session");
         // The expensive steps were served from the snapshot, not
         // recomputed: both matches and the index build hit primed state.
         let (match_hits, index_hits) = recovered.with_shell(|shell| {
@@ -1914,7 +1874,7 @@ mod tests {
                 (1, 3, 0),
                 "{spec}: {report:?}"
             );
-            let recovered = fresh.get("c").expect("session recovered from journal");
+            let recovered = fresh.get("c").expect("journal replay rebuilt the session");
             assert_eq!(before, export_of(&recovered, &stats), "{spec}");
             let _ = std::fs::remove_dir_all(&dir);
         }
@@ -1969,7 +1929,7 @@ mod tests {
             (1, 0, 1, 2),
             "{report:?}"
         );
-        let recovered = fresh.get("window").expect("session recovered");
+        let recovered = fresh.get("window").expect("recovery rebuilt the session");
         assert_eq!(before, export_of(&recovered, &stats));
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -2003,6 +1963,52 @@ mod tests {
         // The journal was re-armed: new mutating commands append again.
         assert!(Journal::path_for(&dir, "solo").exists());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_bad_journal_beside_a_good_snapshot_is_refused() {
+        let stats = ServerStats::new();
+        let load = |reg: &SessionRegistry, id: &str| {
+            let s = reg.create(Some(id)).unwrap();
+            let out = exec(
+                &s,
+                "load er po",
+                Some("entity A { x : text }\n"),
+                &FaultPlan::none(),
+                &stats,
+            );
+            assert!(matches!(out, ExecOutcome::Output(_)), "{out:?}");
+            reg.drain_snapshots();
+        };
+        // A journal whose header names another session, written in a
+        // directory of its own.
+        let elsewhere = store_dir("bad-journal-src");
+        load(&store_registry(&elsewhere, 1), "other");
+        let foreign = std::fs::read(Journal::path_for(&elsewhere, "other")).unwrap();
+        for (tag, bytes) in [
+            ("foreign", foreign),
+            ("garbage", b"not a journal\n".to_vec()),
+        ] {
+            let dir = store_dir(&format!("bad-journal-{tag}"));
+            load(&store_registry(&dir, 1), "solo");
+            assert!(SessionStore::new(&dir, "solo").path().exists());
+            std::fs::write(Journal::path_for(&dir, "solo"), bytes).unwrap();
+
+            // The snapshot alone cannot prove the journal held nothing
+            // past its watermark, so neither path rebuilds the session.
+            let fresh = store_registry(&dir, 1);
+            let report = fresh.recover(&stats).unwrap();
+            assert_eq!(
+                (report.sessions, report.skipped),
+                (0, 1),
+                "{tag}: {report:?}"
+            );
+            assert!(fresh.get("solo").is_none(), "{tag}");
+            assert!(fresh.promote("solo", 0, &stats).is_err(), "{tag}");
+            assert!(fresh.get("solo").is_none(), "{tag}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+        let _ = std::fs::remove_dir_all(&elsewhere);
     }
 
     // ---- fleet: sequence guard + single-session migration ----
@@ -2053,40 +2059,39 @@ mod tests {
     }
 
     #[test]
-    fn release_then_recover_one_migrates_a_session() {
+    fn release_then_promote_restores_local_evidence() {
         let dir = store_dir("migrate");
         let stats = ServerStats::new();
-        let old = store_registry(&dir, 1);
-        let s = old.create(Some("mig")).unwrap();
+        let reg = store_registry(&dir, 1);
+        let s = reg.create(Some("mig")).unwrap();
         run_warm_script(&s, &stats);
         let before = export_of(&s, &stats);
         drop(s);
 
-        assert!(old.release("nope").is_err(), "unknown id must fail");
-        let seq = old.release("mig").expect("release persists and detaches");
+        assert!(reg.release("nope").is_err(), "unknown id must fail");
+        let seq = reg.release("mig").expect("release persists and detaches");
         assert_eq!(seq as usize, WARM_SCRIPT.len());
-        assert!(old.get("mig").is_none(), "released session leaves the map");
-        // Unlike close(), the on-disk state survives for the successor.
+        assert!(reg.get("mig").is_none(), "released session leaves the map");
+        // Unlike close(), the on-disk state survives the release.
         assert!(Journal::path_for(&dir, "mig").exists());
 
-        // The successor backend shares the store directory and pulls
-        // just this session — no full-directory recover() sweep.
-        let successor = store_registry(&dir, 1);
-        let migrated = successor
-            .recover_one("mig", &stats)
-            .expect("successor recovers the released session");
-        assert_eq!(migrated.seq(), seq, "watermark survives the hop");
+        // An aborted migration promotes the session back from this
+        // backend's own journal and snapshot, at the released floor.
+        assert_eq!(reg.promote("mig", seq, &stats), Ok(seq));
+        let promoted = reg.get("mig").expect("promotion makes the session live");
         assert_eq!(
             before,
-            export_of(&migrated, &stats),
-            "migrated state must be byte-identical"
+            export_of(&promoted, &stats),
+            "promoted state must be byte-identical"
         );
-        // Idempotent: a second recover_one returns the live session.
-        let again = successor.recover_one("mig", &stats).unwrap();
-        assert!(Arc::ptr_eq(&migrated, &again));
+        // Idempotent: a second promote answers from the live session.
+        assert_eq!(reg.promote("mig", seq, &stats), Ok(seq));
+        assert!(Arc::ptr_eq(&promoted, &reg.get("mig").unwrap()));
         assert!(
-            successor.recover_one("ghost", &stats).is_err(),
-            "no persisted state must be refused"
+            reg.promote("ghost", 0, &stats)
+                .unwrap_err()
+                .contains("no persisted state"),
+            "an id with no evidence must be refused"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

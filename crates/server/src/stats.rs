@@ -272,7 +272,7 @@ impl ServerStats {
         self.sessions_evicted.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// A configured fault fired (see [`crate::fault::FaultPlan`]).
+    /// A configured fault fired (see [`iwb_store::fault::FaultPlan`]).
     pub fn fault_injected(&self) {
         self.faults_injected.fetch_add(1, Ordering::Relaxed);
     }

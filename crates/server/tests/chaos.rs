@@ -20,8 +20,8 @@
 //! * past `max_pending` connections are shed with `RETRY-AFTER`.
 
 use iwb_server::client::{Backoff, Client};
-use iwb_server::fault::{FaultSpec, EXEC_HANG, EXEC_PANIC, JOURNAL_TORN, SHARD_STALL};
 use iwb_server::server::{serve, ServerConfig, ServerHandle};
+use iwb_store::fault::{FaultSpec, EXEC_HANG, EXEC_PANIC, JOURNAL_TORN, SHARD_STALL};
 use std::io::Write;
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};

@@ -5,9 +5,9 @@
 //! append`. Deterministic fault seeds throughout.
 
 use iwb_server::client::Client;
-use iwb_server::fault::{FaultPlan, FaultSpec};
 use iwb_server::repl::ReplConfig;
 use iwb_server::server::{serve, ServerConfig, ServerHandle};
+use iwb_store::fault::{FaultPlan, FaultSpec};
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};

@@ -53,17 +53,18 @@ cargo run -q --release --offline -p iwb-bench --bin bench_server -- \
     --cancel-storm --sessions 4 --out target/BENCH_server_storm.json
 grep -q '"session_leaks": 0' target/BENCH_server_storm.json
 
-echo "== store snapshot format suite (torn/bitflip/stale detection, roundtrips)"
+echo "== store suite (snapshot torn/bitflip/stale detection, roundtrips, rendezvous ranking)"
 cargo test -q --offline -p iwb-store
 
-echo "== store persistence suite (warm reopen, corrupt-snapshot fallback, compaction window)"
+echo "== store persistence suite (warm reopen, corrupt-snapshot fallback, compaction window, bad-journal refusal)"
 cargo test -q --offline -p iwb-server --lib -- \
     store_sessions_reopen_warm_after_restart \
     evicted_store_sessions_are_persisted_not_forgotten \
     closing_a_store_session_deletes_snapshot_and_journal \
     corrupt_snapshots_fall_back_to_journal_replay \
     a_corrupt_snapshot_after_truncation_rewidens_the_journal \
-    an_orphaned_snapshot_alone_recovers_the_session
+    an_orphaned_snapshot_alone_recovers_the_session \
+    a_bad_journal_beside_a_good_snapshot_is_refused
 
 echo "== incremental re-match determinism (byte-identical splice across threads/cache)"
 cargo test -q --offline -p iwb-harmony --test determinism -- \
@@ -75,24 +76,21 @@ cargo run -q --release --offline -p iwb-bench --bin bench_store -- \
     --quick --out target/BENCH_store_quick.json
 grep -q '"incremental_identical": true' target/BENCH_store_quick.json
 
-echo "== router unit suite (rendezvous hashing, membership stability)"
+echo "== router unit suite (re-discovery rows, successor-first promotion walk)"
 cargo test -q --offline -p iwb-router --lib
 
-echo "== fleet chaos suite (kill mid-command, split routing, probe quarantine, migration)"
+echo "== fleet chaos suite (kill mid-command + mid-curation, split routing, probe quarantine, migration, stale-replica refusal, promotion floor, route-miss promotion only when every backend answers, successor-first walk, drain + re-discovery)"
 cargo test -q --offline -p iwb-router --test fleet_chaos
 
-echo "== sequence-guard + migration handshake suite (duplicate acks, gaps, release/recover)"
+echo "== sequence-guard + migration handshake suite (duplicate acks, gaps, release/promote)"
 cargo test -q --offline -p iwb-server --lib -- \
     sequence_guard_acks_duplicates_and_rejects_gaps \
-    release_then_recover_one_migrates_a_session \
-    dispatch_sequences_release_and_recover_a_session \
+    release_then_promote_restores_local_evidence \
+    dispatch_sequences_release_and_repl_promote_a_session \
     dispatch_answers_probes_without_a_session
 
 echo "== streamed-replication suite (torn replica tail heals on restart, lag visible + drains)"
 cargo test -q --offline -p iwb-server --test repl_stream
-
-echo "== replication chaos suite (kill mid-curation, stale-replica refusal, drain + re-discovery)"
-cargo test -q --offline -p iwb-router --test repl_chaos
 
 echo "== bench_server fleet smoke (replicated failover, zero session loss, bounded lag)"
 cargo run -q --release --offline -p iwb-bench --bin bench_server -- \

@@ -64,6 +64,7 @@ use iwb_loaders::to_er_text;
 use iwb_registry::GeneratorConfig;
 use iwb_server::client::Client;
 use iwb_server::server::{serve, ServerConfig, ServerHandle};
+use iwb_server::stats::ServerCounter;
 use iwb_store::fault::{FaultSpec, EXEC_HANG};
 use std::net::SocketAddr;
 use std::sync::{Arc, Barrier};
@@ -914,8 +915,11 @@ fn main() {
 
         let report = run_cancel_storm(&args, &handle);
         let (mean_us, max_us) = mean_max_us(&report.latencies);
-        let cancelled = handle.stats().commands_cancelled_count();
-        let shed = handle.stats().connections_shed_count();
+        let cancelled = handle
+            .stats()
+            .counters
+            .get(ServerCounter::CommandsCancelled);
+        let shed = handle.stats().counters.get(ServerCounter::ConnectionsShed);
         let shed_rate = report.probes_shed as f64 / report.probes_total as f64;
         println!(
             "cancel latency: mean {mean_us} us, max {max_us} us over {} cancels",
@@ -1066,9 +1070,15 @@ fn main() {
 
     let (cancelled, deadline_exceeded, shed) = match &local {
         Some(handle) => (
-            handle.stats().commands_cancelled_count(),
-            handle.stats().commands_deadline_exceeded_count(),
-            handle.stats().connections_shed_count(),
+            handle
+                .stats()
+                .counters
+                .get(ServerCounter::CommandsCancelled),
+            handle
+                .stats()
+                .counters
+                .get(ServerCounter::CommandsDeadlineExceeded),
+            handle.stats().counters.get(ServerCounter::ConnectionsShed),
         ),
         None => (0, 0, 0),
     };

@@ -5,7 +5,9 @@
 //! router's own listener and speaks the existing line protocol
 //! transparently — clients `session new` / `session attach` / run
 //! shell commands against the router exactly as they would against a
-//! single daemon.
+//! single daemon. Client connections run the backend's own loop
+//! ([`iwb_server::server::serve_lines`]), and `stats` renders
+//! [`RouterCounter`]s in the backend's format.
 //!
 //! Design pillars:
 //!
@@ -21,9 +23,9 @@
 //!   `quarantine_after` consecutive failures quarantine a backend;
 //!   `readmit_after` consecutive successes re-admit it.
 //! * **One failover path: floor-checked promotion.** When the owner
-//!   dies (or `migrate <id>` asks), the router releases the session on
-//!   the old owner (best effort — a crashed backend cannot answer),
-//!   then walks the old owner's replication successors — the healthy
+//!   cannot be reached (or `migrate <id>` asks), the router releases
+//!   the session on the old owner (best effort — a crashed backend
+//!   cannot answer), then walks the old owner's replication successors — the healthy
 //!   slots after it in the session's rendezvous order, cyclically, the
 //!   order `--repl-peers` streams replicas along — asking each to
 //!   `repl promote <id> <seq>` with the last seq it saw acknowledged
@@ -32,9 +34,12 @@
 //!   and *refuses* with `STALE-REPLICA` when that evidence is provably
 //!   behind the floor. The router surfaces the refusal rather than
 //!   serving silently-wrong state; a route changes owner only after a
-//!   successful promotion. An attach that misses the route table has
-//!   no floor, so it promotes a session live nowhere only once every
-//!   backend has answered: one that cannot may be the live owner.
+//!   successful promotion. An owner that sheds (`RETRY-AFTER`) is
+//!   alive, so it is retried with backoff, never failed over: a
+//!   promotion beside it would leave it a live copy. An attach that
+//!   misses the route table has no floor, so it promotes a session
+//!   live nowhere only once every backend has answered: one that
+//!   cannot may be the live owner.
 //! * **Planned draining.** `migrate --all <backend>` walks every
 //!   session routed to one backend through the release → promote
 //!   handshake, rate-limited by [`RouterConfig::drain_interval`]. The
@@ -59,11 +64,12 @@ use iwb_core::RetryableError;
 use iwb_pool::{ProbeSchedule, ThreadPool};
 use iwb_rng::StdRng;
 use iwb_server::client::{Backoff, Client, Response};
-use iwb_server::server::{read_protocol_line, write_response, LineRead};
+use iwb_server::server::{serve_lines, Reply, MAX_HEREDOC_BYTES, MAX_LINE_BYTES};
+use iwb_server::stats::{render, Counter, Counters};
 use iwb_store::fault::{FaultPlan, MIGRATION_STALL, PROBE_TIMEOUT, PROMOTE_STALE, SPLIT_ROUTING};
 use iwb_store::rendezvous;
 use std::collections::HashMap;
-use std::io::{self, BufReader, BufWriter, Write};
+use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -116,10 +122,6 @@ pub struct RouterConfig {
     pub drain_interval: Duration,
     /// Idle time after which a silent client connection is dropped.
     pub read_timeout: Duration,
-    /// Protocol line bound (mirrors the backend's).
-    pub max_line_bytes: usize,
-    /// Heredoc body bound (mirrors the backend's).
-    pub max_heredoc_bytes: usize,
     /// Deterministic fleet-level fault injection (`backend-crash`,
     /// `probe-timeout`, `split-routing`, `migration-stall`).
     pub faults: FaultPlan,
@@ -146,10 +148,75 @@ impl Default for RouterConfig {
             },
             drain_interval: Duration::from_millis(25),
             read_timeout: Duration::from_secs(30),
-            max_line_bytes: 64 * 1024,
-            max_heredoc_bytes: 4 * 1024 * 1024,
             faults: FaultPlan::none(),
         }
+    }
+}
+
+/// The router's counters.
+#[derive(Debug, Clone, Copy)]
+pub enum RouterCounter {
+    /// Client commands served.
+    Commands,
+    /// Health probes answered.
+    ProbesOk,
+    /// Health probes lost.
+    ProbesFailed,
+    /// Backends quarantined after consecutive probe failures.
+    Quarantines,
+    /// Quarantined backends re-admitted.
+    Readmissions,
+    /// Sessions failed over from an unreachable owner.
+    Failovers,
+    /// Successful `repl promote` requests.
+    Promotions,
+    /// Promotions refused as `STALE-REPLICA`.
+    StaleReplicaRefusals,
+    /// Planned `migrate` moves.
+    Migrations,
+    /// Sessions moved by `migrate --all`.
+    Drained,
+    /// Routes adopted from the backends' books at startup.
+    Rediscovered,
+    /// Commands refused `MOVED` while their route was locked.
+    MovedRefusals,
+    /// Redeliveries the backend acknowledged as `DUPLICATE`.
+    DuplicateAcks,
+    /// Stamped commands a backend refused as `SEQ-GAP`.
+    SeqGapRejections,
+    /// Commands diverted by the `split-routing` fault.
+    SplitDiverts,
+}
+
+impl Counter<15> for RouterCounter {
+    const TABLE: [(Self, &'static str, &'static str); 15] = [
+        (RouterCounter::Commands, "router", "commands"),
+        (RouterCounter::ProbesOk, "probes", "ok"),
+        (RouterCounter::ProbesFailed, "probes", "failed"),
+        (RouterCounter::Quarantines, "probes", "quarantines"),
+        (RouterCounter::Readmissions, "probes", "readmissions"),
+        (RouterCounter::Failovers, "routes", "failovers"),
+        (RouterCounter::Promotions, "routes", "promotions"),
+        (
+            RouterCounter::StaleReplicaRefusals,
+            "routes",
+            "stale_replica_refusals",
+        ),
+        (RouterCounter::Migrations, "routes", "migrations"),
+        (RouterCounter::Drained, "routes", "drained"),
+        (RouterCounter::Rediscovered, "routes", "rediscovered"),
+        (RouterCounter::MovedRefusals, "routes", "moved_refusals"),
+        (RouterCounter::DuplicateAcks, "sequence", "duplicate_acks"),
+        (
+            RouterCounter::SeqGapRejections,
+            "sequence",
+            "seq_gap_rejections",
+        ),
+        (RouterCounter::SplitDiverts, "sequence", "split_diverts"),
+    ];
+
+    fn index(self) -> usize {
+        self as usize
     }
 }
 
@@ -157,71 +224,33 @@ impl Default for RouterConfig {
 /// chaos tests.
 #[derive(Debug, Default)]
 pub struct RouterStats {
-    probes_ok: AtomicU64,
-    probes_failed: AtomicU64,
-    quarantines: AtomicU64,
-    readmissions: AtomicU64,
-    failovers: AtomicU64,
-    migrations: AtomicU64,
-    promotions: AtomicU64,
-    stale_replica_refusals: AtomicU64,
-    drained: AtomicU64,
-    rediscovered: AtomicU64,
-    duplicate_acks: AtomicU64,
-    seq_gap_rejections: AtomicU64,
-    split_diverts: AtomicU64,
-    moved_refusals: AtomicU64,
-    commands: AtomicU64,
-}
-
-macro_rules! counter {
-    ($field:ident, $getter:ident) => {
-        /// The counter's current value.
-        pub fn $getter(&self) -> u64 {
-            self.$field.load(Ordering::Relaxed)
-        }
-    };
+    /// Every router counter, indexed by [`RouterCounter`].
+    pub counters: Counters<RouterCounter, 15>,
 }
 
 impl RouterStats {
-    counter!(probes_ok, probes_ok_count);
-    counter!(probes_failed, probes_failed_count);
-    counter!(quarantines, quarantines_count);
-    counter!(readmissions, readmissions_count);
-    counter!(failovers, failovers_count);
-    counter!(migrations, migrations_count);
-    counter!(promotions, promotions_count);
-    counter!(stale_replica_refusals, stale_replica_refusals_count);
-    counter!(drained, drained_count);
-    counter!(rediscovered, rediscovered_count);
-    counter!(duplicate_acks, duplicate_acks_count);
-    counter!(seq_gap_rejections, seq_gap_rejections_count);
-    counter!(split_diverts, split_diverts_count);
-    counter!(moved_refusals, moved_refusals_count);
-    counter!(commands, commands_count);
+    /// Sessions failed over so far.
+    pub fn failovers_count(&self) -> u64 {
+        self.counters.get(RouterCounter::Failovers)
+    }
 
-    fn render(&self) -> String {
-        format!(
-            "router commands={} probes ok={} failed={} quarantines={} readmissions={}\n\
-             router failovers={} migrations={} duplicate_acks={} seq_gap_rejections={} \
-             split_diverts={} moved_refusals={}\n\
-             router promotions={} stale_replica_refusals={} drained={} rediscovered={}",
-            self.commands.load(Ordering::Relaxed),
-            self.probes_ok.load(Ordering::Relaxed),
-            self.probes_failed.load(Ordering::Relaxed),
-            self.quarantines.load(Ordering::Relaxed),
-            self.readmissions.load(Ordering::Relaxed),
-            self.failovers.load(Ordering::Relaxed),
-            self.migrations.load(Ordering::Relaxed),
-            self.duplicate_acks.load(Ordering::Relaxed),
-            self.seq_gap_rejections.load(Ordering::Relaxed),
-            self.split_diverts.load(Ordering::Relaxed),
-            self.moved_refusals.load(Ordering::Relaxed),
-            self.promotions.load(Ordering::Relaxed),
-            self.stale_replica_refusals.load(Ordering::Relaxed),
-            self.drained.load(Ordering::Relaxed),
-            self.rediscovered.load(Ordering::Relaxed),
-        )
+    /// Successful promotions so far.
+    pub fn promotions_count(&self) -> u64 {
+        self.counters.get(RouterCounter::Promotions)
+    }
+
+    /// `STALE-REPLICA` refusals so far.
+    pub fn stale_replica_refusals_count(&self) -> u64 {
+        self.counters.get(RouterCounter::StaleReplicaRefusals)
+    }
+
+    /// `DUPLICATE` acknowledgements so far.
+    pub fn duplicate_acks_count(&self) -> u64 {
+        self.counters.get(RouterCounter::DuplicateAcks)
+    }
+
+    fn add(&self, counter: RouterCounter) {
+        self.counters.add(counter, 1);
     }
 }
 
@@ -405,20 +434,20 @@ impl Fleet {
     fn record_probe(&self, index: usize, ok: bool, config: &RouterConfig, stats: &RouterStats) {
         let b = &self.backends[index];
         if ok {
-            stats.probes_ok.fetch_add(1, Ordering::Relaxed);
+            stats.add(RouterCounter::ProbesOk);
             b.consecutive_fails.store(0, Ordering::SeqCst);
             let oks = b.consecutive_oks.fetch_add(1, Ordering::SeqCst) + 1;
             if !b.healthy.load(Ordering::SeqCst) && oks >= config.readmit_after {
                 b.healthy.store(true, Ordering::SeqCst);
-                stats.readmissions.fetch_add(1, Ordering::Relaxed);
+                stats.add(RouterCounter::Readmissions);
             }
         } else {
-            stats.probes_failed.fetch_add(1, Ordering::Relaxed);
+            stats.add(RouterCounter::ProbesFailed);
             b.consecutive_oks.store(0, Ordering::SeqCst);
             let fails = b.consecutive_fails.fetch_add(1, Ordering::SeqCst) + 1;
             if b.healthy.load(Ordering::SeqCst) && fails >= config.quarantine_after.max(1) {
                 b.healthy.store(false, Ordering::SeqCst);
-                stats.quarantines.fetch_add(1, Ordering::Relaxed);
+                stats.add(RouterCounter::Quarantines);
             }
         }
     }
@@ -555,10 +584,6 @@ pub fn serve(config: RouterConfig) -> io::Result<RouterHandle> {
             while !shutdown.load(Ordering::SeqCst) {
                 match listener.accept() {
                     Ok((stream, _peer)) => {
-                        let _ = stream.set_read_timeout(Some(
-                            Duration::from_millis(100).min(config.read_timeout),
-                        ));
-                        let _ = stream.set_nodelay(true);
                         let shutdown = Arc::clone(&shutdown);
                         let stats = Arc::clone(&stats);
                         let fleet = Arc::clone(&fleet);
@@ -572,7 +597,20 @@ pub fn serve(config: RouterConfig) -> io::Result<RouterHandle> {
                                 attached: None,
                                 upstream: None,
                             };
-                            conn.serve(stream);
+                            // Heredoc bodies are gathered before dispatch
+                            // and replayed upstream as one unit, so a retry
+                            // after failover resends the complete command.
+                            let _ = serve_lines(
+                                stream,
+                                &shutdown,
+                                config.read_timeout,
+                                MAX_LINE_BYTES,
+                                MAX_HEREDOC_BYTES,
+                                |command, heredoc| {
+                                    stats.add(RouterCounter::Commands);
+                                    Some(conn.dispatch(command, heredoc))
+                                },
+                            );
                         });
                         if !queued {
                             break;
@@ -639,7 +677,7 @@ fn rediscover(fleet: &Fleet, stats: &RouterStats) {
                 }
                 if let Some((id, seq)) = ownership_row(line) {
                     if fleet.pin_if_better(&id, b, seq) {
-                        stats.rediscovered.fetch_add(1, Ordering::Relaxed);
+                        stats.add(RouterCounter::Rediscovered);
                     }
                 }
             }
@@ -731,108 +769,22 @@ enum FailoverOutcome {
     NoBackend,
 }
 
+/// How a backend answered `session attach <id>`.
+enum Attach {
+    /// Attached: the connection and the backend's `seq=` watermark.
+    Live(Client, Option<u64>),
+    /// The backend answered that the session is not live there.
+    NotLive,
+    /// The backend is up but shed the attach with a retryable refusal
+    /// (its reply body): the session may well be live there.
+    Shed(String),
+    /// Unreachable, or refused for any other reason.
+    Failed(String),
+}
+
 impl ClientConn<'_> {
-    fn serve(&mut self, stream: TcpStream) {
-        let result = (|| -> io::Result<()> {
-            let write_half = stream.try_clone()?;
-            let mut reader = BufReader::new(stream);
-            let mut writer = BufWriter::new(write_half);
-            loop {
-                let line = match read_protocol_line(
-                    &mut reader,
-                    self.shutdown,
-                    self.config.read_timeout,
-                    self.config.max_line_bytes,
-                )? {
-                    LineRead::Line(line) => line,
-                    LineRead::Closed => break,
-                    LineRead::OverLimit => {
-                        write_response(
-                            &mut writer,
-                            false,
-                            &format!(
-                                "protocol error: line exceeds {} bytes; closing connection",
-                                self.config.max_line_bytes
-                            ),
-                        )?;
-                        break;
-                    }
-                };
-                let command = line.trim().to_owned();
-                if command.is_empty() || command.starts_with('#') {
-                    write_response(&mut writer, true, "")?;
-                    continue;
-                }
-                // Heredoc bodies are gathered router-side and replayed
-                // upstream as one unit, so a retry after failover
-                // resends the complete command.
-                let (command, heredoc) = match iwb_core::shell::heredoc_start(&command) {
-                    Some(cmd) => {
-                        let cmd = cmd.to_owned();
-                        let mut body = String::new();
-                        let mut dead = false;
-                        let mut too_large = false;
-                        loop {
-                            match read_protocol_line(
-                                &mut reader,
-                                self.shutdown,
-                                self.config.read_timeout,
-                                self.config.max_line_bytes,
-                            )? {
-                                LineRead::Line(l) if l.trim() == iwb_core::shell::HEREDOC_END => {
-                                    break
-                                }
-                                LineRead::Line(l) => {
-                                    if body.len() + l.len() + 1 > self.config.max_heredoc_bytes {
-                                        too_large = true;
-                                        break;
-                                    }
-                                    body.push_str(&l);
-                                    body.push('\n');
-                                }
-                                LineRead::Closed => {
-                                    dead = true;
-                                    break;
-                                }
-                                LineRead::OverLimit => {
-                                    too_large = true;
-                                    break;
-                                }
-                            }
-                        }
-                        if dead {
-                            break;
-                        }
-                        if too_large {
-                            write_response(
-                                &mut writer,
-                                false,
-                                &format!(
-                                    "protocol error: heredoc exceeds {} bytes; closing connection",
-                                    self.config.max_heredoc_bytes
-                                ),
-                            )?;
-                            break;
-                        }
-                        (cmd, Some(body))
-                    }
-                    None => (command, None),
-                };
-
-                self.stats.commands.fetch_add(1, Ordering::Relaxed);
-                let (ok, body, close) = self.dispatch(&command, heredoc.as_deref());
-                write_response(&mut writer, ok, &body)?;
-                if close {
-                    break;
-                }
-            }
-            Ok(())
-        })();
-        let _ = result;
-    }
-
-    /// Route one command; returns `(ok, body, close_connection)`.
-    fn dispatch(&mut self, command: &str, heredoc: Option<&str>) -> (bool, String, bool) {
+    /// Route one command.
+    fn dispatch(&mut self, command: &str, heredoc: Option<&str>) -> Reply {
         let words: Vec<&str> = command.split_whitespace().collect();
         match words.as_slice() {
             ["session", "new"] => self.place_new(None),
@@ -841,13 +793,13 @@ impl ClientConn<'_> {
             ["session", "detach"] => match self.attached.take() {
                 Some(id) => {
                     self.upstream = None;
-                    (true, format!("session {id} detached"), false)
+                    Reply::ok(format!("session {id} detached"))
                 }
-                None => (false, "no session attached".to_owned(), false),
+                None => Reply::err("no session attached"),
             },
             ["session", "current"] => match self.attached.as_ref() {
-                Some(id) => (true, format!("session {id}"), false),
-                None => (true, "none".to_owned(), false),
+                Some(id) => Reply::ok(format!("session {id}")),
+                None => Reply::ok("none"),
             },
             ["session", "close"] | ["session", "close", _] => {
                 let id = match words.get(2).copied().map(str::to_owned) {
@@ -855,11 +807,7 @@ impl ClientConn<'_> {
                     None => match self.attached.clone() {
                         Some(id) => id,
                         None => {
-                            return (
-                                false,
-                                "no session attached; name one: session close <id>".to_owned(),
-                                false,
-                            )
+                            return Reply::err("no session attached; name one: session close <id>")
                         }
                     },
                 };
@@ -867,64 +815,64 @@ impl ClientConn<'_> {
             }
             ["session", "list"] => self.aggregate("session list"),
             ["migrate", "--all", sel] => self.drain_backend(sel),
-            ["migrate"] | ["migrate", "--all"] => (
-                false,
-                "usage: migrate <session> | migrate --all <backend>".to_owned(),
-                false,
-            ),
+            ["migrate"] | ["migrate", "--all"] => {
+                Reply::err("usage: migrate <session> | migrate --all <backend>")
+            }
             ["migrate", id] => self.migrate(id),
             ["cancel", id] => match self.fleet.routed_backend(id) {
                 Some(b) => match self.admin_request(b, &format!("cancel {id}")) {
-                    Ok(resp) => (resp.ok, resp.body, false),
-                    Err(e) => (false, format!("backend unreachable: {e}"), false),
+                    Ok(resp) => resp.into(),
+                    Err(e) => Reply::err(format!("backend unreachable: {e}")),
                 },
-                None => (false, format!("no session {id:?}"), false),
+                None => Reply::err(format!("no session {id:?}")),
             },
             ["probe"] => {
                 let healthy = (0..self.fleet.len())
                     .filter(|&b| self.fleet.backend_healthy(b))
                     .count();
-                (
+                Reply::new(
                     healthy > 0,
                     format!(
                         "ready backends={healthy}/{} routes={}",
                         self.fleet.len(),
                         self.fleet.route_count()
                     ),
-                    false,
                 )
             }
-            ["ping"] => (true, "pong".to_owned(), false),
+            ["ping"] => Reply::ok("pong"),
             ["stats"] => {
-                let mut body = self.stats.render();
-                for (i, b) in self.fleet.backends.iter().enumerate() {
-                    body.push_str(&format!(
-                        "\nbackend {i} addr={} healthy={}",
-                        b.addr,
-                        b.healthy.load(Ordering::SeqCst)
-                    ));
-                }
-                (true, body, false)
+                let scopes: Vec<String> = (0..self.fleet.len())
+                    .map(|i| format!("backend.{i}"))
+                    .collect();
+                let backends = self
+                    .fleet
+                    .backends
+                    .iter()
+                    .zip(&scopes)
+                    .flat_map(|(b, scope)| {
+                        [
+                            (scope.as_str(), "addr", b.addr.clone()),
+                            (
+                                scope.as_str(),
+                                "healthy",
+                                b.healthy.load(Ordering::SeqCst).to_string(),
+                            ),
+                        ]
+                    });
+                Reply::ok(render(self.stats.counters.fields().chain(backends)))
             }
             ["shutdown"] => {
                 self.shutdown.store(true, Ordering::SeqCst);
-                (
-                    true,
-                    "router shutting down (backends keep running)".to_owned(),
-                    true,
-                )
+                Reply::ok("router shutting down (backends keep running)").closing()
             }
-            ["quit"] => (true, "bye".to_owned(), true),
-            _ => {
-                let (ok, body) = self.forward_shell(command, heredoc);
-                (ok, body, false)
-            }
+            ["quit"] => Reply::ok("bye").closing(),
+            _ => self.forward_shell(command, heredoc),
         }
     }
 
     /// Place a new session on its rendezvous-ranked owner, walking the
     /// ranking (and retrying with backoff) past shedding backends.
-    fn place_new(&mut self, requested: Option<&str>) -> (bool, String, bool) {
+    fn place_new(&mut self, requested: Option<&str>) -> Reply {
         let id = match requested {
             Some(id) => id.to_owned(),
             // Router-minted ids (`r1`, `r2`, …) keep anonymous
@@ -933,7 +881,7 @@ impl ClientConn<'_> {
             None => format!("r{}", self.fleet.minted.fetch_add(1, Ordering::Relaxed) + 1),
         };
         if self.fleet.route(&id).is_some() {
-            return (false, format!("session id {id:?} already routed"), false);
+            return Reply::err(format!("session id {id:?} already routed"));
         }
         let mut rng = StdRng::seed_from_u64(self.config.retry.seed);
         let mut last = "RETRY-AFTER 100ms: no healthy backend".to_owned();
@@ -945,14 +893,14 @@ impl ClientConn<'_> {
                             self.fleet.pin(&id, b, 0);
                             self.attached = Some(id.clone());
                             self.upstream = Some(Upstream { backend: b, client });
-                            return (true, format!("session {id} created (attached)"), false);
+                            return Reply::ok(format!("session {id} created (attached)"));
                         }
                         Ok(resp) => {
                             match RetryableError::parse(&resp.body) {
                                 // Shed: fall through to the next-ranked
                                 // healthy backend.
                                 Some(e) if e.is_retryable() => last = resp.body,
-                                _ => return (false, resp.body, false),
+                                _ => return resp.into(),
                             }
                         }
                         Err(e) => last = format!("backend {b} unreachable: {e}"),
@@ -964,64 +912,62 @@ impl ClientConn<'_> {
                 thread::sleep(self.config.retry.delay(attempt, &mut rng));
             }
         }
-        (false, last, false)
+        Reply::err(last)
     }
 
-    /// Attach to an existing session: the route table wins; a route
-    /// miss asks every backend whether the session is live there, and a
-    /// session live nowhere is promoted (`repl promote <id> 0`) on the
-    /// first ranked backend holding evidence for it.
-    fn attach(&mut self, id: &str) -> (bool, String, bool) {
+    /// Attach to an existing session. On a route hit, an owner that
+    /// sheds the attach is retried with backoff, and one that cannot
+    /// be reached or no longer holds the session is failed over. A
+    /// route miss asks every backend whether the session is live there,
+    /// and a session live nowhere is promoted (`repl promote <id> 0`)
+    /// on the first ranked backend holding evidence for it.
+    fn attach(&mut self, id: &str) -> Reply {
         if let Some(entry) = self.fleet.route(id) {
             let Some(mut st) = lock_route(&entry, ROUTE_LOCK_TIMEOUT) else {
-                self.stats.moved_refusals.fetch_add(1, Ordering::Relaxed);
-                return (
-                    false,
+                self.stats.add(RouterCounter::MovedRefusals);
+                return Reply::err(
                     RetryableError::Moved {
                         session: id.to_owned(),
                         detail: "session migrating; retry".to_owned(),
                     }
                     .to_string(),
-                    false,
                 );
             };
-            let (client, seq) = match self.dial_attached(st.backend, id) {
-                Ok(dialed) => dialed,
-                Err(_) => {
-                    // Owner unreachable: fail the session over now, at
-                    // attach time, then land on the successor.
-                    match self.failover(id, &mut st) {
-                        FailoverOutcome::Flipped => {}
-                        FailoverOutcome::Stale(body) => return (false, body, false),
-                        FailoverOutcome::NoBackend => {
-                            return (
-                                false,
-                                format!("RETRY-AFTER 250ms: no healthy backend holds session {id}"),
-                                false,
-                            )
+            let mut rng = StdRng::seed_from_u64(self.config.retry.seed ^ 0xa77);
+            let mut last = format!("RETRY-AFTER 250ms: no backend attached session {id}");
+            for attempt in 0..self.config.retry.attempts.max(1) {
+                match self.dial_attached(st.backend, id) {
+                    Attach::Live(client, seq) => {
+                        if let Some(n) = seq {
+                            st.seq = n;
                         }
+                        return self.adopt_upstream(id, st.backend, client, st.seq);
                     }
-                    match self.dial_attached(st.backend, id) {
-                        Ok(dialed) => dialed,
-                        Err(e) => return (false, format!("backend unreachable: {e}"), false),
+                    Attach::Shed(body) => {
+                        self.back_off(attempt, &mut rng, &body);
+                        last = body;
                     }
+                    Attach::NotLive | Attach::Failed(_) => match self.failover(id, &mut st) {
+                        FailoverOutcome::Flipped => {}
+                        FailoverOutcome::Stale(body) => return Reply::err(body),
+                        FailoverOutcome::NoBackend => {
+                            return Reply::err(format!(
+                                "RETRY-AFTER 250ms: no healthy backend holds session {id}"
+                            ))
+                        }
+                    },
                 }
-            };
-            if let Some(n) = seq {
-                st.seq = n;
             }
-            return self.adopt_upstream(id, st.backend, client, st.seq);
+            return Reply::err(last);
         }
         // Route miss. Floor 0 proves nothing, so a promotion is safe
         // only once every backend has answered: one that cannot (down,
         // quarantined, shedding) may be the live owner, and promoting a
         // replica elsewhere would fork the session's history.
         let unanswered = || {
-            (
-                false,
-                format!("RETRY-AFTER 250ms: a backend that may hold session {id} did not answer"),
-                false,
-            )
+            Reply::err(format!(
+                "RETRY-AFTER 250ms: a backend that may hold session {id} did not answer"
+            ))
         };
         let ranked = rendezvous::rank(id, self.fleet.len());
         let mut all_answered = true;
@@ -1031,13 +977,13 @@ impl ClientConn<'_> {
                 continue;
             }
             match self.dial_attached(b, id) {
-                Ok((client, seq)) => {
+                Attach::Live(client, seq) => {
                     let seq = seq.unwrap_or(0);
                     self.fleet.pin(id, b, seq);
                     return self.adopt_upstream(id, b, client, seq);
                 }
-                Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-                Err(_) => all_answered = false,
+                Attach::NotLive => {}
+                Attach::Shed(_) | Attach::Failed(_) => all_answered = false,
             }
         }
         if !all_answered {
@@ -1048,56 +994,53 @@ impl ClientConn<'_> {
                 PromoteOutcome::Promoted(seq) => {
                     self.fleet.pin(id, b, seq);
                     return match self.dial_attached(b, id) {
-                        Ok((client, attach_seq)) => {
+                        Attach::Live(client, attach_seq) => {
                             self.adopt_upstream(id, b, client, attach_seq.unwrap_or(seq))
                         }
-                        Err(e) => (false, format!("backend unreachable: {e}"), false),
+                        Attach::NotLive => Reply::err(format!("no session {id:?}")),
+                        Attach::Shed(why) | Attach::Failed(why) => {
+                            Reply::err(format!("backend unreachable: {why}"))
+                        }
                     };
                 }
-                PromoteOutcome::Stale(body) => return (false, body, false),
+                PromoteOutcome::Stale(body) => return Reply::err(body),
                 PromoteOutcome::Absent => {}
                 PromoteOutcome::Unavailable => return unanswered(),
             }
         }
-        (false, format!("no session {id:?}"), false)
+        Reply::err(format!("no session {id:?}"))
     }
 
     /// Make `client`, attached to `id` on `backend`, this connection's
     /// upstream.
-    fn adopt_upstream(
-        &mut self,
-        id: &str,
-        backend: usize,
-        client: Client,
-        seq: u64,
-    ) -> (bool, String, bool) {
+    fn adopt_upstream(&mut self, id: &str, backend: usize, client: Client, seq: u64) -> Reply {
         self.upstream = Some(Upstream { backend, client });
         self.attached = Some(id.to_owned());
-        (true, format!("session {id} attached seq={seq}"), false)
+        Reply::ok(format!("session {id} attached seq={seq}"))
     }
 
-    fn close_session(&mut self, id: &str) -> (bool, String, bool) {
+    fn close_session(&mut self, id: &str) -> Reply {
         if self.attached.as_deref() == Some(id) {
             self.attached = None;
             self.upstream = None;
         }
         let Some(b) = self.fleet.routed_backend(id) else {
-            return (false, format!("no session {id:?}"), false);
+            return Reply::err(format!("no session {id:?}"));
         };
         match self.admin_request(b, &format!("session close {id}")) {
             Ok(resp) => {
                 if resp.ok {
                     self.fleet.unpin(id);
                 }
-                (resp.ok, resp.body, false)
+                resp.into()
             }
-            Err(e) => (false, format!("backend unreachable: {e}"), false),
+            Err(e) => Reply::err(format!("backend unreachable: {e}")),
         }
     }
 
     /// Fan an admin command out to every healthy backend and join the
     /// reply bodies.
-    fn aggregate(&mut self, command: &str) -> (bool, String, bool) {
+    fn aggregate(&mut self, command: &str) -> Reply {
         let mut lines = Vec::new();
         for b in 0..self.fleet.len() {
             if !self.fleet.backend_healthy(b) {
@@ -1109,7 +1052,7 @@ impl ClientConn<'_> {
                 }
             }
         }
-        (true, lines.join("\n"), false)
+        Reply::ok(lines.join("\n"))
     }
 
     /// Planned migration: hold the route lock across the whole
@@ -1117,16 +1060,12 @@ impl ClientConn<'_> {
     /// commands and attaches on this session time out on the lock and
     /// answer `MOVED` — retryable, and correct both before and after
     /// the flip.
-    fn migrate(&mut self, id: &str) -> (bool, String, bool) {
+    fn migrate(&mut self, id: &str) -> Reply {
         let Some(entry) = self.fleet.route(id) else {
-            return (false, format!("no session {id:?}"), false);
+            return Reply::err(format!("no session {id:?}"));
         };
         let Some(mut st) = lock_route(&entry, MIGRATE_LOCK_TIMEOUT) else {
-            return (
-                false,
-                format!("session {id} is busy; migration not started"),
-                false,
-            );
+            return Reply::err(format!("session {id} is busy; migration not started"));
         };
         let old = st.backend;
         let release = self.admin_request(old, &format!("session release {id}"));
@@ -1147,15 +1086,11 @@ impl ClientConn<'_> {
         let outcome = self.promote_walk(id, floor, &mut st);
         if let FailoverOutcome::Flipped = outcome {
             self.upstream = None;
-            self.stats.migrations.fetch_add(1, Ordering::Relaxed);
-            return (
-                true,
-                format!(
-                    "session {id} migrated backend {old} -> {} seq={}",
-                    st.backend, st.seq
-                ),
-                false,
-            );
+            self.stats.add(RouterCounter::Migrations);
+            return Reply::ok(format!(
+                "session {id} migrated backend {old} -> {} seq={}",
+                st.backend, st.seq
+            ));
         }
         // No successor took it: promote it back on the old owner, from
         // its own journal, so the session stays live where the route
@@ -1164,12 +1099,10 @@ impl ClientConn<'_> {
             let _ = self.promote_on(old, id, floor);
         }
         match outcome {
-            FailoverOutcome::Stale(body) => (false, body, false),
-            _ => (
-                false,
-                format!("no healthy successor for session {id}; migration aborted"),
-                false,
-            ),
+            FailoverOutcome::Stale(body) => Reply::err(body),
+            _ => Reply::err(format!(
+                "no healthy successor for session {id}; migration aborted"
+            )),
         }
     }
 
@@ -1180,13 +1113,11 @@ impl ClientConn<'_> {
     /// that already left the backend (an earlier interrupted drain, or
     /// a concurrent failover) are skipped, so re-issuing the command
     /// after a router crash continues where the last walk stopped.
-    fn drain_backend(&mut self, sel: &str) -> (bool, String, bool) {
+    fn drain_backend(&mut self, sel: &str) -> Reply {
         let Some(from) = self.resolve_backend(sel) else {
-            return (
-                false,
-                format!("no backend {sel:?} (give an index or a configured address)"),
-                false,
-            );
+            return Reply::err(format!(
+                "no backend {sel:?} (give an index or a configured address)"
+            ));
         };
         let ids = self.fleet.routed_to(from);
         let total = ids.len();
@@ -1198,12 +1129,12 @@ impl ClientConn<'_> {
                 skipped += 1;
                 continue;
             }
-            let (ok, body, _) = self.migrate(id);
-            if ok {
+            let reply = self.migrate(id);
+            if reply.ok {
                 moved += 1;
-                self.stats.drained.fetch_add(1, Ordering::Relaxed);
+                self.stats.add(RouterCounter::Drained);
             } else {
-                failures.push(format!("{id}: {body}"));
+                failures.push(format!("{id}: {}", reply.body));
             }
             if i + 1 < total {
                 thread::sleep(self.config.drain_interval);
@@ -1216,7 +1147,7 @@ impl ClientConn<'_> {
         for f in &failures {
             body.push_str(&format!("\nfailed {f}"));
         }
-        (failures.is_empty(), body, false)
+        Reply::new(failures.is_empty(), body)
     }
 
     /// A backend named by index (`migrate --all 1`) or by its
@@ -1229,20 +1160,20 @@ impl ClientConn<'_> {
     }
 
     /// Forward one shell command to the session's owner, stamping
-    /// mutating commands with the route's sequence number and failing
-    /// over (release → promote → flip → retry the *same* stamp) when
-    /// the owner dies mid-flight.
-    fn forward_shell(&mut self, command: &str, heredoc: Option<&str>) -> (bool, String) {
+    /// mutating commands with the route's sequence number. An owner
+    /// that sheds is retried with backoff; one that cannot be reached
+    /// is failed over (release → promote → flip) and the *same* stamp
+    /// is retried on the new owner.
+    fn forward_shell(&mut self, command: &str, heredoc: Option<&str>) -> Reply {
         let Some(id) = self.attached.clone() else {
-            return (false, "no session attached (use: session new)".to_owned());
+            return Reply::err("no session attached (use: session new)");
         };
         let Some(entry) = self.fleet.route(&id) else {
-            return (false, format!("no session {id:?}"));
+            return Reply::err(format!("no session {id:?}"));
         };
         let Some(mut st) = lock_route(&entry, ROUTE_LOCK_TIMEOUT) else {
-            self.stats.moved_refusals.fetch_add(1, Ordering::Relaxed);
-            return (
-                false,
+            self.stats.add(RouterCounter::MovedRefusals);
+            return Reply::err(
                 RetryableError::Moved {
                     session: id,
                     detail: "session migrating; retry".to_owned(),
@@ -1261,14 +1192,14 @@ impl ClientConn<'_> {
         }
 
         let mut rng = StdRng::seed_from_u64(self.config.retry.seed ^ 0x5117);
-        let mut last = (false, "no healthy backend".to_owned());
+        let mut last = Reply::err("no healthy backend");
         for attempt in 0..self.config.retry.attempts.max(1) {
             if self.upstream.as_ref().map(|u| u.backend) != Some(st.backend) {
                 self.upstream = None;
             }
             if self.upstream.is_none() {
                 match self.dial_attached(st.backend, &id) {
-                    Ok((client, seq)) => {
+                    Attach::Live(client, seq) => {
                         if let (Some(n), None) = (seq, stamp) {
                             st.seq = n;
                         }
@@ -1277,17 +1208,19 @@ impl ClientConn<'_> {
                             client,
                         });
                     }
-                    Err(_) => {
+                    Attach::Shed(body) => {
+                        self.back_off(attempt, &mut rng, &body);
+                        last = Reply::err(body);
+                        continue;
+                    }
+                    Attach::NotLive | Attach::Failed(_) => {
                         match self.failover(&id, &mut st) {
                             FailoverOutcome::Flipped => {}
-                            FailoverOutcome::Stale(body) => return (false, body),
+                            FailoverOutcome::Stale(body) => return Reply::err(body),
                             FailoverOutcome::NoBackend => {
-                                return (
-                                    false,
-                                    format!(
-                                        "RETRY-AFTER 250ms: no healthy backend for session {id}"
-                                    ),
-                                )
+                                return Reply::err(format!(
+                                    "RETRY-AFTER 250ms: no healthy backend for session {id}"
+                                ))
                             }
                         }
                         continue;
@@ -1308,53 +1241,54 @@ impl ClientConn<'_> {
                     if resp.ok {
                         if let Some(s) = stamp {
                             if resp.body.starts_with("DUPLICATE") {
-                                self.stats.duplicate_acks.fetch_add(1, Ordering::Relaxed);
+                                self.stats.add(RouterCounter::DuplicateAcks);
                                 st.seq = st.seq.max(s + 1);
                             } else {
                                 st.seq = s + 1;
                             }
                         }
-                        return (true, resp.body);
+                        return resp.into();
                     }
                     match RetryableError::parse(&resp.body) {
-                        Some(e @ RetryableError::RetryAfter { .. }) => {
-                            last = (false, resp.body.clone());
-                            let hint = Duration::from_millis(e.retry_after_ms().unwrap_or(0));
-                            thread::sleep(self.config.retry.delay(attempt, &mut rng).max(hint));
+                        Some(RetryableError::RetryAfter { .. }) => {
+                            self.back_off(attempt, &mut rng, &resp.body);
+                            last = resp.into();
                         }
                         Some(RetryableError::SeqGap { expected, .. }) => {
                             // The pinned owner is *behind* our stamp:
                             // our watermark was wrong (e.g. a stale
                             // route). Trust the backend and resync.
-                            self.stats
-                                .seq_gap_rejections
-                                .fetch_add(1, Ordering::Relaxed);
+                            self.stats.add(RouterCounter::SeqGapRejections);
                             st.seq = expected;
-                            return (false, resp.body);
+                            return resp.into();
                         }
-                        _ => return (false, resp.body),
+                        _ => return resp.into(),
                     }
                 }
-                Err(_) => {
-                    // Mid-flight death: the ack (if any) is lost, but
-                    // the journal record (if reached) survives in the
-                    // successor's replica. Fail over and retry the same
-                    // stamped command.
-                    self.upstream = None;
-                    match self.failover(&id, &mut st) {
-                        FailoverOutcome::Flipped => {}
-                        FailoverOutcome::Stale(body) => return (false, body),
-                        FailoverOutcome::NoBackend => {
-                            return (
-                                false,
-                                format!("RETRY-AFTER 250ms: no healthy backend for session {id}"),
-                            )
-                        }
-                    }
-                }
+                // The connection broke mid-flight: the ack (if any) is
+                // lost, but the journal record (if reached) survives on
+                // the owner and in its successor's replica. Re-dial: a
+                // live owner answers the same stamped command again, an
+                // unreachable one is failed over first.
+                Err(_) => self.upstream = None,
             }
         }
         last
+    }
+
+    /// Sleep before retry `attempt` of a backend that shed a request:
+    /// the jittered backoff, floored at the refusal's own `RETRY-AFTER`
+    /// hint.
+    fn back_off(&self, attempt: u32, rng: &mut StdRng, refusal: &str) {
+        let hint = RetryableError::parse(refusal)
+            .and_then(|e| e.retry_after_ms())
+            .unwrap_or(0);
+        thread::sleep(
+            self.config
+                .retry
+                .delay(attempt, rng)
+                .max(Duration::from_millis(hint)),
+        );
     }
 
     /// Ask backend `b` to promote `id`, refusing below `floor` — the
@@ -1370,13 +1304,11 @@ impl ClientConn<'_> {
         };
         match self.admin_request(b, &format!("repl promote {id} {floor}")) {
             Ok(resp) if resp.ok => {
-                self.stats.promotions.fetch_add(1, Ordering::Relaxed);
+                self.stats.add(RouterCounter::Promotions);
                 PromoteOutcome::Promoted(seq_in(&resp.body).unwrap_or(floor))
             }
             Ok(resp) if resp.body.starts_with("STALE-REPLICA") => {
-                self.stats
-                    .stale_replica_refusals
-                    .fetch_add(1, Ordering::Relaxed);
+                self.stats.add(RouterCounter::StaleReplicaRefusals);
                 PromoteOutcome::Stale(resp.body)
             }
             Ok(resp) if NOTHING_TO_PROMOTE.iter().any(|p| resp.body.starts_with(p)) => {
@@ -1393,7 +1325,7 @@ impl ClientConn<'_> {
     fn failover(&self, id: &str, st: &mut RouteState) -> FailoverOutcome {
         let dead = st.backend;
         self.fleet.mark_down(dead);
-        self.stats.failovers.fetch_add(1, Ordering::Relaxed);
+        self.stats.add(RouterCounter::Failovers);
         let _ = self.admin_request(dead, &format!("session release {id}"));
         if let Some(ms) = self.config.faults.fires(MIGRATION_STALL) {
             thread::sleep(Duration::from_millis(ms.max(50)));
@@ -1446,7 +1378,7 @@ impl ClientConn<'_> {
         else {
             return;
         };
-        self.stats.split_diverts.fetch_add(1, Ordering::Relaxed);
+        self.stats.add(RouterCounter::SplitDiverts);
         let Ok(mut client) = self.dial(other) else {
             return;
         };
@@ -1463,11 +1395,9 @@ impl ClientConn<'_> {
         };
         if let Ok(resp) = result {
             if resp.body.starts_with("SEQ-GAP") {
-                self.stats
-                    .seq_gap_rejections
-                    .fetch_add(1, Ordering::Relaxed);
+                self.stats.add(RouterCounter::SeqGapRejections);
             } else if resp.body.starts_with("DUPLICATE") {
-                self.stats.duplicate_acks.fetch_add(1, Ordering::Relaxed);
+                self.stats.add(RouterCounter::DuplicateAcks);
             }
         }
     }
@@ -1476,26 +1406,25 @@ impl ClientConn<'_> {
         Client::connect(self.fleet.backends[backend].sock)
     }
 
-    /// Dial a backend and attach `id`; returns the client and the
-    /// backend's reported sequence watermark. The error kind is
-    /// `NotFound` only when the backend answered that `id` is not live
-    /// there; a shed or any other refusal proves nothing about it.
-    fn dial_attached(&self, backend: usize, id: &str) -> io::Result<(Client, Option<u64>)> {
-        let mut client = self.dial(backend)?;
-        let resp = client.request(&format!("session attach {id}"))?;
-        if !resp.ok {
-            let kind = if resp.body.starts_with("no session ") {
-                io::ErrorKind::NotFound
-            } else {
-                io::ErrorKind::Other
-            };
-            return Err(io::Error::new(
-                kind,
-                format!("attach {id} on backend {backend}: {}", resp.body),
-            ));
+    /// Dial a backend and ask it to attach `id`.
+    fn dial_attached(&self, backend: usize, id: &str) -> Attach {
+        let mut client = match self.dial(backend) {
+            Ok(client) => client,
+            Err(e) => return Attach::Failed(format!("backend {backend}: {e}")),
+        };
+        let resp = match client.request(&format!("session attach {id}")) {
+            Ok(resp) => resp,
+            Err(e) => return Attach::Failed(format!("backend {backend}: {e}")),
+        };
+        if resp.ok {
+            Attach::Live(client, seq_in(&resp.body))
+        } else if resp.body.starts_with("no session ") {
+            Attach::NotLive
+        } else if RetryableError::parse(&resp.body).is_some_and(|e| e.is_retryable()) {
+            Attach::Shed(resp.body)
+        } else {
+            Attach::Failed(format!("attach {id} on backend {backend}: {}", resp.body))
         }
-        let seq = seq_in(&resp.body);
-        Ok((client, seq))
     }
 
     /// One short-lived admin request (release/promote/close/cancel) on

@@ -26,6 +26,8 @@
 //! * a router with no route for a session promotes it only when every
 //!   backend answered that it is live nowhere — a shedding or down
 //!   backend may be the owner, so the attach is told to retry;
+//! * an owner that sheds (`RETRY-AFTER`) is retried, never failed over:
+//!   only an owner that cannot be reached loses the session;
 //! * failover asks the dead owner's replication successor first, so a
 //!   backend restarted on an empty store is not asked ahead of the
 //!   replica;
@@ -36,7 +38,7 @@
 use iwb_eval::domains::{generate_case, DomainKnobs, FINANCE};
 use iwb_eval::replay::{run_replay, ClientTransport, OracleConfig, ReplayOutcome, ShellTransport};
 use iwb_eval::EvalCase;
-use iwb_router::router::{serve as serve_router, RouterConfig, RouterHandle};
+use iwb_router::router::{serve as serve_router, RouterConfig, RouterCounter, RouterHandle};
 use iwb_server::client::{Backoff, Client};
 use iwb_server::repl::ReplConfig;
 use iwb_server::server::{serve, ServerConfig, ServerHandle};
@@ -468,9 +470,9 @@ fn split_routing_is_rejected_by_the_sequence_guard() {
     let resp = c.request("match a b").unwrap();
     assert!(resp.ok, "pinned owner must still apply it: {}", resp.body);
 
-    assert_eq!(router.stats().split_diverts_count(), 1);
+    assert_eq!(router.stats().counters.get(RouterCounter::SplitDiverts), 1);
     assert!(
-        router.stats().seq_gap_rejections_count() >= 1,
+        router.stats().counters.get(RouterCounter::SeqGapRejections) >= 1,
         "the stale copy must refuse the diverted command with SEQ-GAP"
     );
 
@@ -514,7 +516,7 @@ fn probe_timeouts_quarantine_then_readmit_a_backend() {
     wait_until("quarantine", Duration::from_secs(5), || {
         !router.fleet().backend_healthy(0)
     });
-    assert!(router.stats().quarantines_count() >= 1);
+    assert!(router.stats().counters.get(RouterCounter::Quarantines) >= 1);
 
     // While the whole fleet is quarantined, placement sheds with a
     // retryable error — the client is told to come back, not failed.
@@ -528,7 +530,7 @@ fn probe_timeouts_quarantine_then_readmit_a_backend() {
     wait_until("re-admission", Duration::from_secs(5), || {
         router.fleet().backend_healthy(0)
     });
-    assert!(router.stats().readmissions_count() >= 1);
+    assert!(router.stats().counters.get(RouterCounter::Readmissions) >= 1);
     c.session_new(Some("q1")).unwrap();
 
     stop(router, backends);
@@ -572,7 +574,7 @@ fn planned_migration_stalls_answer_moved_and_reconnect_follows() {
         "expected a MOVED refusal mid-migration, got: {}",
         resp.body
     );
-    assert!(router.stats().moved_refusals_count() >= 1);
+    assert!(router.stats().counters.get(RouterCounter::MovedRefusals) >= 1);
 
     // Reconnect follows the hint with backoff until the migration
     // lands, then re-attaches idempotently.
@@ -588,7 +590,7 @@ fn planned_migration_stalls_answer_moved_and_reconnect_follows() {
     let resp = migration.join().unwrap();
     assert!(resp.ok, "migration must land: {}", resp.body);
     assert!(resp.body.contains("migrated"), "{}", resp.body);
-    assert_eq!(router.stats().migrations_count(), 1);
+    assert_eq!(router.stats().counters.get(RouterCounter::Migrations), 1);
     assert_eq!(
         router.fleet().routed_backend("mig"),
         Some(1 - owner),
@@ -842,6 +844,70 @@ fn a_route_miss_never_promotes_past_a_backend_that_cannot_answer() {
 }
 
 #[test]
+fn a_shedding_owner_is_retried_not_failed_over() {
+    let peers = reserve_addrs(2);
+    let id = "busy";
+    let owner = rendezvous::rank(id, 2)[0];
+    // The owner placed the session and stays alive, but sheds every
+    // attach and release from then on: failing it over would leave it
+    // a live copy beside the promoted one.
+    let owner_fake = FakeBackend::spawn(&peers[owner], |line| {
+        probe_ok(line).unwrap_or_else(|| match line.strip_prefix("session new ") {
+            Some(id) => format!("ok 1\nsession {id} created (attached)\n"),
+            None => "err 1\nRETRY-AFTER 100ms: shedding\n".to_owned(),
+        })
+    });
+    // The successor would promote and serve anything it is asked to.
+    let successor = FakeBackend::spawn(&peers[1 - owner], |line| {
+        probe_ok(line).unwrap_or_else(|| {
+            if let Some(rest) = line.strip_prefix("repl promote ") {
+                let id = rest.split(' ').next().unwrap_or_default();
+                format!("ok 1\nsession {id} promoted seq=0\n")
+            } else if let Some(id) = line.strip_prefix("session attach ") {
+                format!("ok 1\nsession {id} attached seq=0\n")
+            } else {
+                "ok 1\nserved by the successor\n".to_owned()
+            }
+        })
+    });
+    let router = spawn_router(&peers, RouterConfig::default());
+    let mut c = Client::connect(router.addr()).unwrap();
+    c.session_new(Some(id)).unwrap();
+    assert_eq!(router.fleet().routed_backend(id), Some(owner));
+    let is_retryable =
+        |body: &str| iwb_core::RetryableError::parse(body).is_some_and(|e| e.is_retryable());
+
+    // A route hit whose owner sheds the attach.
+    let mut other = Client::connect(router.addr()).unwrap();
+    let resp = other.request(&format!("session attach {id}")).unwrap();
+    assert!(!resp.ok && is_retryable(&resp.body), "{}", resp.body);
+    // A command whose upstream connection broke (the fake drops it
+    // once idle) re-dials the owner, which sheds it too.
+    let resp = c.request("show coverage").unwrap();
+    assert!(!resp.ok && is_retryable(&resp.body), "{}", resp.body);
+
+    assert_eq!(router.stats().failovers_count(), 0);
+    assert_eq!(router.stats().promotions_count(), 0);
+    assert_eq!(router.fleet().routed_backend(id), Some(owner));
+    router.shutdown();
+    router.join();
+    let attaches = owner_fake
+        .stop()
+        .iter()
+        .filter(|l| l.starts_with("session attach "))
+        .count();
+    assert!(
+        attaches > 2,
+        "the owner must be retried: {attaches} attach(es)"
+    );
+    let lines = successor.stop();
+    assert!(
+        !lines.iter().any(|l| l.starts_with("repl promote ")),
+        "the successor must never be asked to promote: {lines:?}"
+    );
+}
+
+#[test]
 fn a_route_miss_promotes_a_session_live_nowhere_once_every_backend_answers() {
     iwb_server::quiet_injected_panics();
     let (peers, _stores, backends) = spawn_fleet("miss", 2, |_| FaultPlan::none());
@@ -981,7 +1047,7 @@ fn drain_then_router_restart_rediscovers_placement_without_redraining() {
         "{}",
         resp.body
     );
-    assert_eq!(router.stats().drained_count(), 2);
+    assert_eq!(router.stats().counters.get(RouterCounter::Drained), 2);
     for id in &on_zero {
         assert_ne!(
             router.fleet().routed_backend(id),
@@ -1005,7 +1071,7 @@ fn drain_then_router_restart_rediscovers_placement_without_redraining() {
         },
     );
     assert!(
-        restarted.stats().rediscovered_count() >= 3,
+        restarted.stats().counters.get(RouterCounter::Rediscovered) >= 3,
         "restart must pin the live sessions it finds"
     );
     for id in &on_zero {

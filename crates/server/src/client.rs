@@ -415,7 +415,7 @@ mod tests {
         assert!(schema.contains("[contains-entity] A"), "{schema}");
 
         let stats = c.stats().unwrap();
-        assert!(stats.contains("cmd load count=1"), "{stats}");
+        assert!(stats.contains("cmd.load count=1"), "{stats}");
 
         let err = c.request("frobnicate").unwrap();
         assert!(!err.ok);

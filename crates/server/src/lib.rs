@@ -13,11 +13,13 @@
 //!   create/attach/close, an idle-eviction sweep, a cap on live
 //!   sessions, panic isolation (`catch_unwind` inside the shell lock)
 //!   and per-session quarantine after repeated faults;
-//! * [`server`] — the daemon: an acceptor feeding a worker thread pool
-//!   over an mpsc channel, per-connection read timeouts and byte
-//!   bounds, per-session locking (sessions run in parallel, commands
-//!   within a session stay serialized), and graceful drain on
-//!   shutdown;
+//! * [`server`] — the daemon: an acceptor feeding a worker thread pool,
+//!   per-session locking (sessions run in parallel, commands within a
+//!   session stay serialized), and graceful drain on shutdown; plus the
+//!   line-protocol core `workbench-router` runs too —
+//!   [`server::serve_lines`], the one connection loop (bounded line
+//!   reads, idle timeouts, heredocs, framing), and the [`server::Reply`]
+//!   both dispatchers return;
 //! * [`journal`] — append-only per-session command journals (fsync on
 //!   commit, periodic compaction) and the crash-recovery replay behind
 //!   `workbenchd --recover`;
@@ -27,9 +29,10 @@
 //!   its peers, and promotes from them when the router moves a session
 //!   (`repl promote`) — refusing with `STALE-REPLICA` when the replica
 //!   is provably behind the last acked client mutation;
-//! * [`stats`] — per-command counters and fixed-bucket latency
-//!   histograms plus the robustness error-budget counters, exposed
-//!   through the `stats` protocol command;
+//! * [`stats`] — the counter registry both binaries declare their
+//!   counters with ([`stats::Counters`], indexed by a per-binary enum),
+//!   fixed-bucket latency histograms, and [`stats::render`], the one
+//!   `stats` format: every line is `<scope> key=value …`;
 //! * [`client`] — a small blocking client used by the `bench_server`
 //!   load generator and the integration tests, with exponential
 //!   backoff + jitter reconnects that safely re-attach their session.
@@ -54,7 +57,7 @@
 //! repl promote <id> <min-seq> rebuild from the best local evidence, or
 //!                       refuse with STALE-REPLICA if provably behind
 //! cancel <id>           interrupt the command in flight in a session
-//! stats                 server counters + latency percentiles
+//! stats                 counters + latency percentiles, `<scope> key=value …` lines
 //! ping                  liveness probe
 //! probe                 health probe (used by `workbench-router`)
 //! shutdown              begin graceful shutdown (drains in-flight)

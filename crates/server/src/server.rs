@@ -19,6 +19,11 @@
 //! (`max_line_bytes` / `max_heredoc_bytes`), so a malicious client
 //! cannot balloon worker memory.
 //!
+//! [`serve_lines`] is the one connection loop of the line protocol:
+//! `workbench-router` serves its clients with it too, at the backend's
+//! default bounds, so both binaries frame requests identically. Each
+//! binary's dispatcher answers a [`Reply`].
+//!
 //! Overload and runaway commands are bounded too: the acceptor sheds
 //! connections past `max_pending` with a `RETRY-AFTER` protocol error
 //! (admission control), every shell command runs under the configured
@@ -26,10 +31,11 @@
 //! in flight on another connection — both aborts are cooperative, so
 //! session state stays exactly as before the command.
 
+use crate::client::Response;
 use crate::journal::{JournalConfig, JournalRecord};
 use crate::repl::ReplConfig;
 use crate::session::{ExecOutcome, RecoveryReport, SessionRegistry, StoreConfig};
-use crate::stats::{CommandClass, ServerStats};
+use crate::stats::{CommandClass, ServerCounter, ServerStats};
 use iwb_core::shell::{heredoc_start, HEREDOC_END};
 use iwb_pool::ThreadPool;
 use iwb_store::fault::FaultPlan;
@@ -54,6 +60,12 @@ const SWEEP_TICK: Duration = Duration::from_millis(250);
 /// Retry hint (milliseconds) carried by the `RETRY-AFTER` load-shed
 /// error a client receives when the pending-connection bound is hit.
 const RETRY_AFTER_HINT_MS: u64 = 100;
+
+/// Default bound on one protocol line, in bytes.
+pub const MAX_LINE_BYTES: usize = 64 * 1024;
+
+/// Default bound on one heredoc body, in bytes.
+pub const MAX_HEREDOC_BYTES: usize = 4 * 1024 * 1024;
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -123,8 +135,8 @@ impl Default for ServerConfig {
             session_idle_timeout: Duration::from_secs(300),
             read_timeout: Duration::from_secs(30),
             quarantine_after: 3,
-            max_line_bytes: 64 * 1024,
-            max_heredoc_bytes: 4 * 1024 * 1024,
+            max_line_bytes: MAX_LINE_BYTES,
+            max_heredoc_bytes: MAX_HEREDOC_BYTES,
             journal_dir: None,
             store_dir: None,
             snapshot_every: 64,
@@ -291,24 +303,18 @@ pub fn serve(config: ServerConfig) -> io::Result<ServerHandle> {
         let stats = Arc::clone(&stats);
         let registry = Arc::clone(&registry);
         let config = config.clone();
-        // The socket poll tick must not exceed the connection idle
-        // budget, or a `read_timeout` shorter than one tick would
-        // never be enforced.
-        let tick = POLL_TICK.min(config.read_timeout.max(Duration::from_millis(1)));
         let pending = Arc::new(AtomicUsize::new(0));
         threads.push(thread::spawn(move || {
             while !shutdown.load(Ordering::SeqCst) {
                 match listener.accept() {
                     Ok((stream, _peer)) => {
-                        let _ = stream.set_read_timeout(Some(tick));
-                        let _ = stream.set_nodelay(true);
                         // Admission control: at the pending bound the
                         // connection is shed with a structured
                         // RETRY-AFTER error instead of queueing
                         // unboundedly behind a saturated pool.
                         let live = pending.load(Ordering::SeqCst);
                         if config.max_pending > 0 && live >= config.max_pending {
-                            stats.connection_shed();
+                            stats.counters.add(ServerCounter::ConnectionsShed, 1);
                             let mut writer = BufWriter::new(stream);
                             let _ = write_response(
                                 &mut writer,
@@ -356,7 +362,9 @@ pub fn serve(config: ServerConfig) -> io::Result<ServerHandle> {
                 thread::sleep(SWEEP_TICK);
                 let evicted = registry.evict_idle();
                 if !evicted.is_empty() {
-                    stats.sessions_evicted(evicted.len() as u64);
+                    stats
+                        .counters
+                        .add(ServerCounter::SessionsEvicted, evicted.len() as u64);
                 }
             }
         }));
@@ -374,9 +382,140 @@ pub fn serve(config: ServerConfig) -> io::Result<ServerHandle> {
     })
 }
 
-/// One bounded protocol read. Public so the fleet router (`iwb-router`)
-/// speaks the identical framing without reimplementing it.
-pub enum LineRead {
+/// One command's reply, framed on the wire as `ok <n>` / `err <n>`
+/// plus `n` body lines.
+#[derive(Debug)]
+pub struct Reply {
+    /// `ok` (vs `err`).
+    pub ok: bool,
+    /// The body; one wire line per line.
+    pub body: String,
+    /// Close the connection once the reply is written.
+    pub close: bool,
+}
+
+impl Reply {
+    /// An `ok` (`ok == true`) or `err` reply.
+    pub fn new(ok: bool, body: impl Into<String>) -> Reply {
+        Reply {
+            ok,
+            body: body.into(),
+            close: false,
+        }
+    }
+
+    /// An `ok` reply.
+    pub fn ok(body: impl Into<String>) -> Reply {
+        Reply::new(true, body)
+    }
+
+    /// An `err` reply.
+    pub fn err(body: impl Into<String>) -> Reply {
+        Reply::new(false, body)
+    }
+
+    /// This reply, closing the connection after it is written.
+    pub fn closing(self) -> Reply {
+        Reply {
+            close: true,
+            ..self
+        }
+    }
+}
+
+/// A backend's reply, relayed as is.
+impl From<Response> for Reply {
+    fn from(resp: Response) -> Reply {
+        Reply::new(resp.ok, resp.body)
+    }
+}
+
+/// Serve one connection's line protocol until the peer leaves, its
+/// idle budget runs out, shutdown finds it idle, or a reply closes it —
+/// the one loop `workbenchd` and `workbench-router` share. Blank and
+/// `#` lines answer an empty `ok`; a heredoc body is gathered before
+/// its command runs; a line past `max_line_bytes` or a body past
+/// `max_heredoc_bytes` gets one protocol error and the connection
+/// closes (it cannot be resynchronized). `handle` runs each command
+/// and returns its reply, or `None` to close without one.
+pub fn serve_lines(
+    stream: TcpStream,
+    shutdown: &AtomicBool,
+    read_timeout: Duration,
+    max_line_bytes: usize,
+    max_heredoc_bytes: usize,
+    mut handle: impl FnMut(&str, Option<&str>) -> Option<Reply>,
+) -> io::Result<()> {
+    // The socket poll tick must not exceed the idle budget, or a
+    // `read_timeout` shorter than one tick would never be enforced.
+    stream.set_read_timeout(Some(
+        POLL_TICK.min(read_timeout.max(Duration::from_millis(1))),
+    ))?;
+    stream.set_nodelay(true)?;
+    let mut writer = BufWriter::new(stream.try_clone()?);
+    let mut reader = BufReader::new(stream);
+    let mut read_line = || read_protocol_line(&mut reader, shutdown, read_timeout, max_line_bytes);
+    loop {
+        let line = match read_line()? {
+            LineRead::Line(line) => line,
+            LineRead::Closed => return Ok(()),
+            LineRead::OverLimit => {
+                return write_response(
+                    &mut writer,
+                    false,
+                    &format!(
+                        "protocol error: line exceeds {max_line_bytes} bytes; closing connection"
+                    ),
+                )
+            }
+        };
+        let command = line.trim();
+        if command.is_empty() || command.starts_with('#') {
+            write_response(&mut writer, true, "")?;
+            continue;
+        }
+        let (command, heredoc) = match heredoc_start(command) {
+            None => (command, None),
+            Some(command) => {
+                let mut body = String::new();
+                loop {
+                    match read_line()? {
+                        LineRead::Line(l) if l.trim() == HEREDOC_END => break,
+                        LineRead::Line(l) if body.len() + l.len() < max_heredoc_bytes => {
+                            body.push_str(&l);
+                            body.push('\n');
+                        }
+                        // The connection died mid-heredoc: the command
+                        // never ran, so no partial state and nothing
+                        // journaled.
+                        LineRead::Closed => return Ok(()),
+                        LineRead::Line(_) | LineRead::OverLimit => {
+                            return write_response(
+                                &mut writer,
+                                false,
+                                &format!(
+                                    "protocol error: heredoc exceeds {max_heredoc_bytes} bytes; \
+                                     closing connection"
+                                ),
+                            )
+                        }
+                    }
+                }
+                (command, Some(body))
+            }
+        };
+        let Some(reply) = handle(command, heredoc.as_deref()) else {
+            return Ok(());
+        };
+        write_response(&mut writer, reply.ok, &reply.body)?;
+        if reply.close {
+            return Ok(());
+        }
+    }
+}
+
+/// One bounded protocol read.
+enum LineRead {
     /// A complete line (CR/LF stripped).
     Line(String),
     /// Peer closed, idle budget exhausted, or shutdown while idle.
@@ -391,7 +530,7 @@ pub enum LineRead {
 /// ran out, or shutdown was requested while the line buffer was empty
 /// (drain semantics: bytes already received still form a served
 /// request).
-pub fn read_protocol_line(
+fn read_protocol_line(
     reader: &mut BufReader<TcpStream>,
     shutdown: &AtomicBool,
     idle_budget: Duration,
@@ -458,7 +597,7 @@ pub fn read_protocol_line(
 }
 
 /// Write one `ok <n>`/`err <n>` framed response.
-pub fn write_response(writer: &mut BufWriter<TcpStream>, ok: bool, body: &str) -> io::Result<()> {
+fn write_response(writer: &mut BufWriter<TcpStream>, ok: bool, body: &str) -> io::Result<()> {
     let lines: Vec<&str> = if body.is_empty() {
         Vec::new()
     } else {
@@ -480,7 +619,8 @@ fn serve_connection(
     killed: &Arc<AtomicBool>,
     config: &ServerConfig,
 ) {
-    stats.connection_opened();
+    stats.counters.add(ServerCounter::ConnectionsTotal, 1);
+    stats.counters.add(ServerCounter::ConnectionsLive, 1);
     let ctx = DispatchCtx {
         registry,
         stats,
@@ -489,122 +629,25 @@ fn serve_connection(
         quarantine_after: config.quarantine_after,
         default_deadline: config.default_deadline,
     };
-    let result = (|| -> io::Result<()> {
-        let write_half = stream.try_clone()?;
-        let mut reader = BufReader::new(stream);
-        let mut writer = BufWriter::new(write_half);
-        let mut attached: Option<Arc<crate::session::Session>> = None;
-
-        loop {
-            let line = match read_protocol_line(
-                &mut reader,
-                shutdown,
-                config.read_timeout,
-                config.max_line_bytes,
-            )? {
-                LineRead::Line(line) => line,
-                LineRead::Closed => break,
-                LineRead::OverLimit => {
-                    write_response(
-                        &mut writer,
-                        false,
-                        &format!(
-                            "protocol error: line exceeds {} bytes; closing connection",
-                            config.max_line_bytes
-                        ),
-                    )?;
-                    break;
-                }
-            };
-            let command = line.trim().to_owned();
-            if command.is_empty() || command.starts_with('#') {
-                write_response(&mut writer, true, "")?;
-                continue;
-            }
-
-            // Heredoc: gather the body (bounded) before touching any
-            // session.
-            enum Gathered {
-                Body(Option<String>),
-                ConnectionDead,
-                TooLarge,
-            }
-            let heredoc = if let Some(cmd) = heredoc_start(&command) {
-                let cmd = cmd.to_owned();
-                let mut body = String::new();
-                let gathered = loop {
-                    match read_protocol_line(
-                        &mut reader,
-                        shutdown,
-                        config.read_timeout,
-                        config.max_line_bytes,
-                    )? {
-                        LineRead::Line(l) if l.trim() == HEREDOC_END => {
-                            break Gathered::Body(Some(body))
-                        }
-                        LineRead::Line(l) => {
-                            if body.len() + l.len() + 1 > config.max_heredoc_bytes {
-                                break Gathered::TooLarge;
-                            }
-                            body.push_str(&l);
-                            body.push('\n');
-                        }
-                        LineRead::Closed => break Gathered::ConnectionDead,
-                        LineRead::OverLimit => break Gathered::TooLarge,
-                    }
-                };
-                match gathered {
-                    Gathered::Body(body) => Some((cmd, body)),
-                    // Connection died mid-heredoc: the command never
-                    // ran, so no partial state and nothing journaled.
-                    Gathered::ConnectionDead => break,
-                    Gathered::TooLarge => {
-                        write_response(
-                            &mut writer,
-                            false,
-                            &format!(
-                                "protocol error: heredoc exceeds {} bytes; closing connection",
-                                config.max_heredoc_bytes
-                            ),
-                        )?;
-                        break;
-                    }
-                }
-            } else {
-                None
-            };
-            let (command, heredoc_body) = match heredoc {
-                Some((cmd, body)) => (cmd, body),
-                None => (command, None),
-            };
-
-            let class = CommandClass::of(&command);
+    let mut attached = None;
+    let _ = serve_lines(
+        stream,
+        shutdown,
+        config.read_timeout,
+        config.max_line_bytes,
+        config.max_heredoc_bytes,
+        |command, heredoc| {
             let start = Instant::now();
-            let (ok, body, action) =
-                dispatch(&ctx, &command, heredoc_body.as_deref(), &mut attached);
-            stats.record_command(class, start.elapsed(), ok);
+            let reply = dispatch(&ctx, command, heredoc, &mut attached);
+            stats.record_command(CommandClass::of(command), start.elapsed(), reply.ok);
             // A hard kill ([`ServerHandle::kill`]) lands *between*
             // dispatch and the response write: the command may have
             // executed and journaled, but the ack is lost — the
             // crash-ambiguity window fleet failover must survive.
-            if killed.load(Ordering::SeqCst) {
-                break;
-            }
-            write_response(&mut writer, ok, &body)?;
-            match action {
-                Action::Continue => {}
-                Action::CloseConnection => break,
-            }
-        }
-        Ok(())
-    })();
-    let _ = result;
-    stats.connection_closed();
-}
-
-enum Action {
-    Continue,
-    CloseConnection,
+            (!killed.load(Ordering::SeqCst)).then_some(reply)
+        },
+    );
+    stats.counters.sub(ServerCounter::ConnectionsLive, 1);
 }
 
 /// Everything a command dispatch needs besides the command itself.
@@ -628,13 +671,13 @@ fn strip_words<'a>(mut raw: &'a str, words: &[&str]) -> Option<&'a str> {
     Some(raw.trim_start())
 }
 
-/// Execute one protocol command; returns `(ok, body, action)`.
+/// Execute one protocol command.
 fn dispatch(
     ctx: &DispatchCtx<'_>,
     command: &str,
     heredoc: Option<&str>,
     attached: &mut Option<Arc<crate::session::Session>>,
-) -> (bool, String, Action) {
+) -> Reply {
     let DispatchCtx {
         registry, stats, ..
     } = ctx;
@@ -647,20 +690,10 @@ fn dispatch(
             Some((n, tail)) if !tail.trim().is_empty() => match n.parse::<u64>() {
                 Ok(n) => (tail.trim_start(), Some(n)),
                 Err(_) => {
-                    return (
-                        false,
-                        "protocol error: bad sequence prefix (use: @N <command>)".to_owned(),
-                        Action::Continue,
-                    )
+                    return Reply::err("protocol error: bad sequence prefix (use: @N <command>)")
                 }
             },
-            _ => {
-                return (
-                    false,
-                    "protocol error: bad sequence prefix (use: @N <command>)".to_owned(),
-                    Action::Continue,
-                )
-            }
+            _ => return Reply::err("protocol error: bad sequence prefix (use: @N <command>)"),
         },
         None => (command, None),
     };
@@ -670,12 +703,12 @@ fn dispatch(
             let requested = words.get(2).copied();
             match registry.create(requested) {
                 Ok(session) => {
-                    stats.session_created();
+                    stats.counters.add(ServerCounter::SessionsCreated, 1);
                     let body = format!("session {} created (attached)", session.id());
                     *attached = Some(session);
-                    (true, body, Action::Continue)
+                    Reply::ok(body)
                 }
-                Err(e) => (false, e.to_string(), Action::Continue),
+                Err(e) => Reply::err(e.to_string()),
             }
         }
         ["session", "attach", id] => match registry.get(id) {
@@ -689,40 +722,30 @@ fn dispatch(
                     format!("session {} attached", session.id())
                 };
                 *attached = Some(session);
-                (true, body, Action::Continue)
+                Reply::ok(body)
             }
-            None => (false, format!("no session {id:?}"), Action::Continue),
+            None => Reply::err(format!("no session {id:?}")),
         },
         ["session", "detach"] => match attached.take() {
-            Some(session) => (
-                true,
-                format!("session {} detached", session.id()),
-                Action::Continue,
-            ),
-            None => (false, "no session attached".to_owned(), Action::Continue),
+            Some(session) => Reply::ok(format!("session {} detached", session.id())),
+            None => Reply::err("no session attached"),
         },
         ["session", "close"] | ["session", "close", _] => {
             let id = match words.get(2).copied() {
                 Some(id) => id.to_owned(),
                 None => match attached.as_ref() {
                     Some(s) => s.id().to_owned(),
-                    None => {
-                        return (
-                            false,
-                            "no session attached; name one: session close <id>".to_owned(),
-                            Action::Continue,
-                        )
-                    }
+                    None => return Reply::err("no session attached; name one: session close <id>"),
                 },
             };
             if attached.as_ref().is_some_and(|s| s.id() == id) {
                 *attached = None;
             }
             if registry.close(&id) {
-                stats.session_closed();
-                (true, format!("session {id} closed"), Action::Continue)
+                stats.counters.add(ServerCounter::SessionsClosed, 1);
+                Reply::ok(format!("session {id} closed"))
             } else {
-                (false, format!("no session {id:?}"), Action::Continue)
+                Reply::err(format!("no session {id:?}"))
             }
         }
         ["session", "list"] => {
@@ -753,11 +776,11 @@ fn dispatch(
                 })
                 .collect::<Vec<_>>()
                 .join("\n");
-            (true, body, Action::Continue)
+            Reply::ok(body)
         }
         ["session", "current"] => match attached.as_ref() {
-            Some(s) => (true, format!("session {}", s.id()), Action::Continue),
-            None => (true, "none".to_owned(), Action::Continue),
+            Some(s) => Reply::ok(format!("session {}", s.id())),
+            None => Reply::ok("none"),
         },
         // Fleet migration, releasing side: persist the session's final
         // snapshot, drain its replication stream, and drop it from the
@@ -768,37 +791,22 @@ fn dispatch(
                 *attached = None;
             }
             match registry.release(id) {
-                Ok(seq) => (
-                    true,
-                    format!("session {id} released seq={seq}"),
-                    Action::Continue,
-                ),
-                Err(e) => (false, e, Action::Continue),
+                Ok(seq) => Reply::ok(format!("session {id} released seq={seq}")),
+                Err(e) => Reply::err(e),
             }
         }
-        ["session", ..] => (
-            false,
+        ["session", ..] => Reply::err(
             "usage: session new [id] | attach <id> | detach | close [id] | list | current \
-             | release <id>"
-                .to_owned(),
-            Action::Continue,
+             | release <id>",
         ),
         // Replication handshake, backend → backend: how far does the
         // sink's standby journal reach? The source streams from there.
         ["repl", "subscribe", id, source_len] => match source_len.parse::<u64>() {
             Ok(len) => match registry.repl_subscribe(id, len) {
-                Ok(have) => (
-                    true,
-                    format!("repl subscribed {id} have={have}"),
-                    Action::Continue,
-                ),
-                Err(e) => (false, e, Action::Continue),
+                Ok(have) => Reply::ok(format!("repl subscribed {id} have={have}")),
+                Err(e) => Reply::err(e),
             },
-            Err(_) => (
-                false,
-                "usage: repl subscribe <session> <source-len>".to_owned(),
-                Action::Continue,
-            ),
+            Err(_) => Reply::err("usage: repl subscribe <session> <source-len>"),
         },
         // One streamed journal record at logical index <seq>. The
         // embedded command is the raw remainder of the line (plus the
@@ -813,26 +821,18 @@ fn dispatch(
                     heredoc: heredoc.map(str::to_owned),
                 };
                 match registry.repl_append(id, seq_no, record, ctx.faults) {
-                    Ok(body) => (true, body, Action::Continue),
-                    Err(e) => (false, e, Action::Continue),
+                    Ok(body) => Reply::ok(body),
+                    Err(e) => Reply::err(e),
                 }
             }
-            Err(_) => (
-                false,
-                "usage: repl append <session> <seq> <command>".to_owned(),
-                Action::Continue,
-            ),
+            Err(_) => Reply::err("usage: repl append <session> <seq> <command>"),
         },
         // Per-session replication lag (source rows) and standby journal
         // lengths (replica rows) — the router's promotion safety check
         // and the bench's lag percentiles both read this.
         ["repl", "status"] => match registry.repl_status() {
-            Some(body) => (true, body, Action::Continue),
-            None => (
-                false,
-                "replication disabled (start workbenchd with --repl-peers)".to_owned(),
-                Action::Continue,
-            ),
+            Some(body) => Reply::ok(body),
+            None => Reply::err("replication disabled (start workbenchd with --repl-peers)"),
         },
         // Every fleet ownership change: rebuild <session> from the best
         // local evidence (own journal/snapshot or the standby replica),
@@ -840,122 +840,77 @@ fn dispatch(
         // behind the router's last acked seq.
         ["repl", "promote", id, min_seq] => match min_seq.parse::<u64>() {
             Ok(min) => match registry.promote(id, min, stats) {
-                Ok(seq) => (
-                    true,
-                    format!("session {id} promoted seq={seq}"),
-                    Action::Continue,
-                ),
-                Err(e) => (false, e, Action::Continue),
+                Ok(seq) => Reply::ok(format!("session {id} promoted seq={seq}")),
+                Err(e) => Reply::err(e),
             },
-            Err(_) => (
-                false,
-                "usage: repl promote <session> <min-seq>".to_owned(),
-                Action::Continue,
-            ),
+            Err(_) => Reply::err("usage: repl promote <session> <min-seq>"),
         },
-        ["repl", ..] => (
-            false,
+        ["repl", ..] => Reply::err(
             "usage: repl subscribe <session> <source-len> | append <session> <seq> <command> \
-             | status | promote <session> <min-seq>"
-                .to_owned(),
-            Action::Continue,
+             | status | promote <session> <min-seq>",
         ),
         ["cancel", id] => match registry.get(id) {
             Some(session) => {
                 if session.cancel() {
-                    (
-                        true,
-                        format!("session {id}: cancel requested"),
-                        Action::Continue,
-                    )
+                    Reply::ok(format!("session {id}: cancel requested"))
                 } else {
-                    (
-                        false,
-                        format!("session {id} has no command in flight"),
-                        Action::Continue,
-                    )
+                    Reply::err(format!("session {id} has no command in flight"))
                 }
             }
-            None => (false, format!("no session {id:?}"), Action::Continue),
+            None => Reply::err(format!("no session {id:?}")),
         },
-        ["cancel"] => (
-            false,
-            "usage: cancel <session>".to_owned(),
-            Action::Continue,
-        ),
-        ["stats"] => (true, stats.render(registry.len()), Action::Continue),
-        ["ping"] => (true, "pong".to_owned(), Action::Continue),
+        ["cancel"] => Reply::err("usage: cancel <session>"),
+        ["stats"] => Reply::ok(stats.render(registry.len(), registry.store_stats())),
+        ["ping"] => Reply::ok("pong"),
         // Health probe for the fleet router: cheap, allocation-light,
         // and distinct from `ping` so probe traffic is classified (and
         // fault-injected) separately from client liveness checks.
-        ["probe"] => (
-            true,
-            format!("ready sessions={}", registry.len()),
-            Action::Continue,
-        ),
+        ["probe"] => Reply::ok(format!("ready sessions={}", registry.len())),
         ["shutdown"] => {
             ctx.shutdown.store(true, Ordering::SeqCst);
-            (
-                true,
-                "shutting down (draining in-flight requests)".to_owned(),
-                Action::CloseConnection,
-            )
+            Reply::ok("shutting down (draining in-flight requests)").closing()
         }
-        ["quit"] => (true, "bye".to_owned(), Action::CloseConnection),
-        _ => {
-            match attached.as_ref() {
-                Some(session) => {
-                    let outcome = session.execute_sequenced(
-                        command,
-                        heredoc,
-                        ctx.faults,
-                        ctx.quarantine_after,
-                        stats,
-                        ctx.default_deadline,
-                        seq,
-                    );
-                    match outcome {
-                        ExecOutcome::Output(output) => (true, output, Action::Continue),
-                        ExecOutcome::ToolError(e) => (false, e, Action::Continue),
-                        ExecOutcome::Interrupted(why) => {
-                            (false, format!("command aborted: {why}"), Action::Continue)
-                        }
-                        ExecOutcome::Panicked {
-                            message,
-                            quarantined,
-                        } => {
-                            let id = session.id();
-                            let note = if quarantined {
-                                format!("; session {id} quarantined (close it with: session close {id})")
-                            } else {
-                                String::new()
-                            };
-                            (
-                                false,
-                                format!("command panicked: {message}{note}"),
-                                Action::Continue,
+        ["quit"] => Reply::ok("bye").closing(),
+        _ => match attached.as_ref() {
+            Some(session) => {
+                let outcome = session.execute_sequenced(
+                    command,
+                    heredoc,
+                    ctx.faults,
+                    ctx.quarantine_after,
+                    stats,
+                    ctx.default_deadline,
+                    seq,
+                );
+                match outcome {
+                    ExecOutcome::Output(output) => Reply::ok(output),
+                    ExecOutcome::ToolError(e) => Reply::err(e),
+                    ExecOutcome::Interrupted(why) => Reply::err(format!("command aborted: {why}")),
+                    ExecOutcome::Panicked {
+                        message,
+                        quarantined,
+                    } => {
+                        let id = session.id();
+                        let note = if quarantined {
+                            format!(
+                                "; session {id} quarantined (close it with: session close {id})"
                             )
-                        }
-                        ExecOutcome::Quarantined => {
-                            let id = session.id();
-                            (
-                                false,
-                                format!(
-                                    "session {id} is quarantined after repeated faults \
+                        } else {
+                            String::new()
+                        };
+                        Reply::err(format!("command panicked: {message}{note}"))
+                    }
+                    ExecOutcome::Quarantined => {
+                        let id = session.id();
+                        Reply::err(format!(
+                            "session {id} is quarantined after repeated faults \
                                  (close it with: session close {id})"
-                                ),
-                                Action::Continue,
-                            )
-                        }
+                        ))
                     }
                 }
-                None => (
-                    false,
-                    "no session attached (use: session new)".to_owned(),
-                    Action::Continue,
-                ),
             }
-        }
+            None => Reply::err("no session attached (use: session new)"),
+        },
     }
 }
 
@@ -994,8 +949,8 @@ mod tests {
             command: &str,
             heredoc: Option<&str>,
             attached: &mut Option<Arc<crate::session::Session>>,
-        ) -> (bool, String, Action) {
-            dispatch(
+        ) -> (bool, String, bool) {
+            let reply = dispatch(
                 &DispatchCtx {
                     registry: &self.registry,
                     stats: &self.stats,
@@ -1007,7 +962,8 @@ mod tests {
                 command,
                 heredoc,
                 attached,
-            )
+            );
+            (reply.ok, reply.body, reply.close)
         }
     }
 
@@ -1055,10 +1011,10 @@ mod tests {
     fn shutdown_command_sets_the_flag_and_closes() {
         let ctx = Ctx::new();
         let mut attached = None;
-        let (ok, _, action) = ctx.dispatch("shutdown", None, &mut attached);
+        let (ok, _, close) = ctx.dispatch("shutdown", None, &mut attached);
         assert!(ok);
         assert!(ctx.shutdown.load(Ordering::SeqCst));
-        assert!(matches!(action, Action::CloseConnection));
+        assert!(close);
     }
 
     #[test]
@@ -1073,7 +1029,7 @@ mod tests {
         // The session survives the contained panic.
         let (ok, _, _) = ctx.dispatch("show coverage", None, &mut attached);
         assert!(ok);
-        assert_eq!(ctx.stats.panics_caught_count(), 1);
+        assert_eq!(ctx.stats.counters.get(ServerCounter::PanicsCaught), 1);
     }
 
     #[test]

@@ -37,7 +37,7 @@
 
 use crate::journal::{Journal, JournalConfig, JournalRecord, LoadedJournal};
 use crate::repl::{stale_replica, ReplConfig, ReplicaStore, Replicator};
-use crate::stats::ServerStats;
+use crate::stats::{Counter, Counters, ServerCounter, ServerStats};
 use iwb_core::persist::{self, SessionState};
 use iwb_core::shell::Shell;
 use iwb_core::tool::ToolError;
@@ -110,32 +110,33 @@ impl StoreConfig {
     }
 }
 
-/// Counters for the snapshot lifecycle (the commit-then-verify
-/// handshake), shared by every session of a registry.
-#[derive(Debug, Default)]
-pub struct StoreStats {
-    committed: AtomicU64,
-    verify_failed: AtomicU64,
-    truncated: AtomicU64,
-}
-
-impl StoreStats {
+/// The snapshot lifecycle's counters (the commit-then-verify
+/// handshake).
+#[derive(Debug, Clone, Copy)]
+pub enum StoreCounter {
     /// Snapshots committed *and* verified by read-back.
-    pub fn snapshots_committed(&self) -> u64 {
-        self.committed.load(Ordering::Relaxed)
-    }
-
+    Committed,
     /// Snapshot commits that failed verification (torn, bit-flipped,
     /// stale, or an I/O error); the journal was kept self-sufficient.
-    pub fn snapshots_failed(&self) -> u64 {
-        self.verify_failed.load(Ordering::Relaxed)
-    }
-
+    VerifyFailed,
     /// Journal truncations performed after a verified snapshot.
-    pub fn journals_truncated(&self) -> u64 {
-        self.truncated.load(Ordering::Relaxed)
+    Truncated,
+}
+
+impl Counter<3> for StoreCounter {
+    const TABLE: [(Self, &'static str, &'static str); 3] = [
+        (StoreCounter::Committed, "store", "snapshots_committed"),
+        (StoreCounter::VerifyFailed, "store", "snapshots_failed"),
+        (StoreCounter::Truncated, "store", "journals_truncated"),
+    ];
+
+    fn index(self) -> usize {
+        self as usize
     }
 }
+
+/// Snapshot-lifecycle counters, shared by every session of a registry.
+pub type StoreStats = Counters<StoreCounter, 3>;
 
 /// Per-session handle on the snapshot store: the file handle itself,
 /// the shared background worker snapshots run on, and the cadence.
@@ -164,14 +165,14 @@ fn commit_verify_truncate(
         && matches!(store.load(), Ok(Some(loaded)) if loaded.watermark == snapshot.watermark);
     let mut guard = recover(journal.lock());
     if verified {
-        stats.committed.fetch_add(1, Ordering::Relaxed);
+        stats.add(StoreCounter::Committed, 1);
         if let Some(journal) = guard.as_mut() {
             if journal.truncate_to(snapshot.watermark).is_ok() {
-                stats.truncated.fetch_add(1, Ordering::Relaxed);
+                stats.add(StoreCounter::Truncated, 1);
             }
         }
     } else {
-        stats.verify_failed.fetch_add(1, Ordering::Relaxed);
+        stats.add(StoreCounter::VerifyFailed, 1);
         if let Some(journal) = guard.as_mut() {
             let _ = journal.rebase(0);
         }
@@ -315,13 +316,20 @@ impl Session {
         let stall = faults.fires(SHARD_STALL).filter(|&ms| ms > 0);
         let inject_error = faults.fires(EXEC_ERROR).is_some();
         let inject_panic = faults.fires(EXEC_PANIC).is_some();
-        for _ in 0..(usize::from(slow.is_some())
-            + usize::from(hang.is_some())
-            + usize::from(stall.is_some())
-            + usize::from(inject_error)
-            + usize::from(inject_panic))
-        {
-            stats.fault_injected();
+        let fired = [
+            slow.is_some(),
+            hang.is_some(),
+            stall.is_some(),
+            inject_error,
+            inject_panic,
+        ]
+        .into_iter()
+        .filter(|&f| f)
+        .count();
+        if fired > 0 {
+            stats
+                .counters
+                .add(ServerCounter::FaultsInjected, fired as u64);
         }
         if inject_error {
             return ExecOutcome::ToolError(format!("injected fault: tool failure ({EXEC_ERROR})"));
@@ -385,11 +393,11 @@ impl Session {
             }
             Ok(Ok(Err(e))) => ExecOutcome::ToolError(e.to_string()),
             Ok(Err(payload)) => {
-                stats.panic_caught();
+                stats.counters.add(ServerCounter::PanicsCaught, 1);
                 let n = self.consecutive_panics.fetch_add(1, Ordering::SeqCst) + 1;
                 let quarantined = quarantine_after > 0 && n >= quarantine_after;
                 if quarantined && !self.quarantined.swap(true, Ordering::SeqCst) {
-                    stats.session_quarantined();
+                    stats.counters.add(ServerCounter::SessionsQuarantined, 1);
                 }
                 ExecOutcome::Panicked {
                     message: panic_message(payload.as_ref()),
@@ -435,16 +443,16 @@ impl Session {
                 };
                 match journal.append(record, faults) {
                     Ok(torn) => {
-                        stats.journal_record();
+                        stats.counters.add(ServerCounter::JournalRecords, 1);
                         if torn {
-                            stats.journal_torn();
+                            stats.counters.add(ServerCounter::JournalTorn, 1);
                         }
                         snapshot_due = self.store.as_ref().is_some_and(|ctx| {
                             ctx.snapshot_every > 0
                                 && (journal.len() as u64).is_multiple_of(ctx.snapshot_every)
                         });
                     }
-                    Err(_) => stats.journal_error(),
+                    Err(_) => stats.counters.add(ServerCounter::JournalErrors, 1),
                 }
             }
         }
@@ -579,10 +587,11 @@ fn wait_out_hang(ms: u64, budget: &Budget) -> Result<(), Interrupt> {
 
 /// Bump the matching error-budget counter for an interrupted command.
 fn record_interrupt(stats: &ServerStats, why: Interrupt) {
-    match why {
-        Interrupt::Cancelled => stats.command_cancelled(),
-        Interrupt::DeadlineExceeded => stats.command_deadline_exceeded(),
-    }
+    let counter = match why {
+        Interrupt::Cancelled => ServerCounter::CommandsCancelled,
+        Interrupt::DeadlineExceeded => ServerCounter::CommandsDeadlineExceeded,
+    };
+    stats.counters.add(counter, 1);
 }
 
 /// Render a panic payload (`&str` / `String` payloads; anything else
@@ -1202,7 +1211,7 @@ impl SessionRegistry {
         // keep appending to the same history.
         match Journal::adopt(config, id, records, base) {
             Ok(journal) => *recover(session.journal.lock()) = Some(journal),
-            Err(_) => stats.journal_error(),
+            Err(_) => stats.counters.add(ServerCounter::JournalErrors, 1),
         }
         report.sessions += 1;
     }
@@ -1512,7 +1521,10 @@ mod tests {
             "reap took {:?}, budget was 50ms",
             started.elapsed()
         );
-        assert_eq!(stats.commands_deadline_exceeded_count(), 1);
+        assert_eq!(
+            stats.counters.get(ServerCounter::CommandsDeadlineExceeded),
+            1
+        );
         // The session survives and the aborted command left no trace:
         // a restart replays an empty journal.
         let export = match s.execute_command("export", None, &FaultPlan::none(), 3, &stats, None) {
@@ -1730,8 +1742,8 @@ mod tests {
         let before = export_of(&s, &stats);
         reg.drain_snapshots();
         assert!(SessionStore::new(&dir, "warm").path().exists());
-        assert!(reg.store_stats().snapshots_committed() >= 1);
-        assert!(reg.store_stats().journals_truncated() >= 1);
+        assert!(reg.store_stats().get(StoreCounter::Committed) >= 1);
+        assert!(reg.store_stats().get(StoreCounter::Truncated) >= 1);
         drop(reg); // simulated crash: snapshot + journal survive
 
         let fresh = store_registry(&dir, 1);
@@ -1859,7 +1871,7 @@ mod tests {
             let before = export_of(&s, &stats);
             reg.drain_snapshots();
             assert!(
-                reg.store_stats().snapshots_failed() >= 1,
+                reg.store_stats().get(StoreCounter::VerifyFailed) >= 1,
                 "{spec}: corruption must fail verification"
             );
             drop(reg);
@@ -1902,7 +1914,7 @@ mod tests {
         );
         assert!(matches!(out, ExecOutcome::Output(_)), "{out:?}");
         reg.drain_snapshots();
-        assert_eq!(reg.store_stats().journals_truncated(), 1);
+        assert_eq!(reg.store_stats().get(StoreCounter::Truncated), 1);
 
         let out = exec(
             &s,
@@ -1913,7 +1925,7 @@ mod tests {
         );
         assert!(matches!(out, ExecOutcome::Output(_)), "{out:?}");
         reg.drain_snapshots();
-        assert_eq!(reg.store_stats().snapshots_failed(), 1);
+        assert_eq!(reg.store_stats().get(StoreCounter::VerifyFailed), 1);
         let before = export_of(&s, &stats);
         drop(reg); // crash with a corrupt snapshot on disk
 

@@ -1,12 +1,21 @@
-//! Server-side observability: per-command counters and fixed-bucket
-//! latency histograms, rendered by the `stats` protocol command.
+//! Observability for both binaries: the counter registry, fixed-bucket
+//! latency histograms, and the one `stats` body format `workbenchd` and
+//! `workbench-router` answer with.
 //!
-//! Everything is lock-free (`AtomicU64` arrays): workers record into
-//! the histograms on every command without contending with each other
-//! or with the render path. Buckets are powers of two in microseconds,
-//! so percentiles are upper bounds — accurate to a factor of two,
-//! which is what capacity planning needs and costs nothing to keep.
+//! Everything is lock-free (`AtomicU64` arrays): workers record on every
+//! command without contending with each other or with the render path.
+//! A counter is a variant of a per-binary enum indexing a fixed array
+//! ([`Counters`]); its name comes from the enum's table, so the command
+//! path never looks a name up. Histogram buckets are powers of two in
+//! microseconds, so percentiles are upper bounds — accurate to a factor
+//! of two, which is what capacity planning needs and costs nothing to
+//! keep.
+//!
+//! Every `stats` body line is `<scope> key=value …` ([`render`]): one
+//! scope word, then only `key=value` tokens, so a program reads any
+//! value as `<scope>.<key>`.
 
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
@@ -83,6 +92,85 @@ impl Histogram {
     }
 }
 
+/// A counter enum with `N` variants: each variant owns one slot of a
+/// [`Counters`] and names the `stats` field the slot renders as.
+pub trait Counter<const N: usize>: Copy + 'static {
+    /// `(counter, scope, key)` for every variant, in discriminant order
+    /// (the render order): the counter renders as `key=<value>` on its
+    /// scope's line.
+    const TABLE: [(Self, &'static str, &'static str); N];
+
+    /// The variant's slot: its discriminant.
+    fn index(self) -> usize;
+}
+
+/// One `AtomicU64` per variant of `K`. Values only ever grow, except a
+/// gauge (such as live connections), which also [`Counters::sub`]s.
+#[derive(Debug)]
+pub struct Counters<K: Counter<N>, const N: usize> {
+    slots: [AtomicU64; N],
+    keys: PhantomData<K>,
+}
+
+impl<K: Counter<N>, const N: usize> Default for Counters<K, N> {
+    fn default() -> Self {
+        debug_assert!(
+            K::TABLE
+                .iter()
+                .enumerate()
+                .all(|(i, row)| row.0.index() == i),
+            "a counter table must list its variants in discriminant order"
+        );
+        Counters {
+            slots: std::array::from_fn(|_| AtomicU64::new(0)),
+            keys: PhantomData,
+        }
+    }
+}
+
+impl<K: Counter<N>, const N: usize> Counters<K, N> {
+    /// Add `n` to a counter.
+    pub fn add(&self, key: K, n: u64) {
+        self.slots[key.index()].fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Subtract `n` from a gauge.
+    pub fn sub(&self, key: K, n: u64) {
+        self.slots[key.index()].fetch_sub(n, Ordering::Relaxed);
+    }
+
+    /// A counter's current value.
+    pub fn get(&self, key: K) -> u64 {
+        self.slots[key.index()].load(Ordering::Relaxed)
+    }
+
+    /// Every counter as a [`render`] field, in table order.
+    pub fn fields<'a>(&'a self) -> impl Iterator<Item = (&'a str, &'a str, String)> + 'a {
+        K::TABLE
+            .into_iter()
+            .map(|(key, scope, name)| (scope, name, self.get(key).to_string()))
+    }
+}
+
+/// Render a `stats` body — the one format both binaries answer `stats`
+/// with. `fields` are `(scope, key, value)` in order; consecutive
+/// fields of one scope share a line, `<scope> key=value …`.
+pub fn render<'a>(fields: impl IntoIterator<Item = (&'a str, &'a str, String)>) -> String {
+    let mut out = String::new();
+    let mut line_scope = None;
+    for (scope, key, value) in fields {
+        if line_scope != Some(scope) {
+            if line_scope.is_some() {
+                out.push('\n');
+            }
+            out.push_str(scope);
+            line_scope = Some(scope);
+        }
+        out.push_str(&format!(" {key}={value}"));
+    }
+    out
+}
+
 /// The protocol command families tracked separately.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CommandClass {
@@ -110,20 +198,27 @@ pub enum CommandClass {
     Other,
 }
 
-/// All classes, in render order.
-const ALL_CLASSES: [CommandClass; 11] = [
-    CommandClass::Load,
-    CommandClass::Match,
-    CommandClass::Decide,
-    CommandClass::Map,
-    CommandClass::Generate,
-    CommandClass::Show,
-    CommandClass::Query,
-    CommandClass::Export,
-    CommandClass::Session,
-    CommandClass::Admin,
-    CommandClass::Other,
-];
+/// Each class counts its errors; its `stats` line (the scope) also
+/// carries its latency histogram.
+impl Counter<11> for CommandClass {
+    const TABLE: [(Self, &'static str, &'static str); 11] = [
+        (CommandClass::Load, "cmd.load", "errors"),
+        (CommandClass::Match, "cmd.match", "errors"),
+        (CommandClass::Decide, "cmd.decide", "errors"),
+        (CommandClass::Map, "cmd.map", "errors"),
+        (CommandClass::Generate, "cmd.generate", "errors"),
+        (CommandClass::Show, "cmd.show", "errors"),
+        (CommandClass::Query, "cmd.query", "errors"),
+        (CommandClass::Export, "cmd.export", "errors"),
+        (CommandClass::Session, "cmd.session", "errors"),
+        (CommandClass::Admin, "cmd.admin", "errors"),
+        (CommandClass::Other, "cmd.other", "errors"),
+    ];
+
+    fn index(self) -> usize {
+        self as usize
+    }
+}
 
 impl CommandClass {
     /// Classify a command line by its first word (skipping a leading
@@ -149,83 +244,95 @@ impl CommandClass {
             _ => CommandClass::Other,
         }
     }
+}
 
-    fn name(self) -> &'static str {
-        match self {
-            CommandClass::Load => "load",
-            CommandClass::Match => "match",
-            CommandClass::Decide => "decide",
-            CommandClass::Map => "map",
-            CommandClass::Generate => "generate",
-            CommandClass::Show => "show",
-            CommandClass::Query => "query",
-            CommandClass::Export => "export",
-            CommandClass::Session => "session",
-            CommandClass::Admin => "admin",
-            CommandClass::Other => "other",
-        }
-    }
+/// The backend's counters.
+#[derive(Debug, Clone, Copy)]
+pub enum ServerCounter {
+    /// Sessions created by `session new`.
+    SessionsCreated,
+    /// Sessions evicted for idleness.
+    SessionsEvicted,
+    /// Sessions closed by request.
+    SessionsClosed,
+    /// Connections being served (a gauge).
+    ConnectionsLive,
+    /// Connections accepted.
+    ConnectionsTotal,
+    /// Configured faults that fired (see [`iwb_store::fault::FaultPlan`]).
+    FaultsInjected,
+    /// Command panics contained.
+    PanicsCaught,
+    /// Sessions that crossed the consecutive-panic threshold.
+    SessionsQuarantined,
+    /// Commands cancelled mid-flight (`cancel <session>`).
+    CommandsCancelled,
+    /// Commands reaped by their deadline.
+    CommandsDeadlineExceeded,
+    /// Connections shed by admission control (`RETRY-AFTER`).
+    ConnectionsShed,
+    /// Journal records committed.
+    JournalRecords,
+    /// Torn journal appends (fault injection) and torn tails healed.
+    JournalTorn,
+    /// Journal operations that failed with an I/O error.
+    JournalErrors,
+    /// Sessions rebuilt by recovery or promotion.
+    SessionsRecovered,
+    /// Journal records replayed by recovery or promotion.
+    CommandsReplayed,
+}
+
+impl Counter<16> for ServerCounter {
+    const TABLE: [(Self, &'static str, &'static str); 16] = [
+        (ServerCounter::SessionsCreated, "sessions", "created"),
+        (ServerCounter::SessionsEvicted, "sessions", "evicted"),
+        (ServerCounter::SessionsClosed, "sessions", "closed"),
+        (ServerCounter::ConnectionsLive, "connections", "live"),
+        (ServerCounter::ConnectionsTotal, "connections", "total"),
+        (ServerCounter::FaultsInjected, "faults", "injected"),
+        (ServerCounter::PanicsCaught, "faults", "panics_caught"),
+        (ServerCounter::SessionsQuarantined, "faults", "quarantined"),
+        (ServerCounter::CommandsCancelled, "budget", "cancelled"),
+        (
+            ServerCounter::CommandsDeadlineExceeded,
+            "budget",
+            "deadline_exceeded",
+        ),
+        (ServerCounter::ConnectionsShed, "budget", "shed"),
+        (ServerCounter::JournalRecords, "journal", "records"),
+        (ServerCounter::JournalTorn, "journal", "torn"),
+        (ServerCounter::JournalErrors, "journal", "errors"),
+        (
+            ServerCounter::SessionsRecovered,
+            "journal",
+            "recovered_sessions",
+        ),
+        (ServerCounter::CommandsReplayed, "journal", "replayed"),
+    ];
 
     fn index(self) -> usize {
-        ALL_CLASSES.iter().position(|&c| c == self).unwrap_or(10)
+        self as usize
     }
 }
 
-#[derive(Debug, Default)]
-struct ClassStats {
-    count: AtomicU64,
-    errors: AtomicU64,
-    hist: Histogram,
-}
-
-/// The server's counters, gauges and histograms.
+/// The backend's counters, gauges and per-class latency histograms.
 #[derive(Debug)]
 pub struct ServerStats {
     started: Instant,
-    connections_total: AtomicU64,
-    connections_live: AtomicU64,
-    sessions_created: AtomicU64,
-    sessions_closed: AtomicU64,
-    sessions_evicted: AtomicU64,
-    // Robustness / error-budget counters (see ISSUE: supervision +
-    // durability layer): how often the supervision machinery fired.
-    faults_injected: AtomicU64,
-    panics_caught: AtomicU64,
-    sessions_quarantined: AtomicU64,
-    // Request-lifecycle counters: commands reaped by their budget and
-    // connections shed by admission control.
-    commands_cancelled: AtomicU64,
-    commands_deadline_exceeded: AtomicU64,
-    connections_shed: AtomicU64,
-    journal_records: AtomicU64,
-    journal_torn: AtomicU64,
-    journal_errors: AtomicU64,
-    sessions_recovered: AtomicU64,
-    commands_replayed: AtomicU64,
-    per_class: [ClassStats; 11],
+    /// Every backend counter, indexed by [`ServerCounter`].
+    pub counters: Counters<ServerCounter, 16>,
+    errors: Counters<CommandClass, 11>,
+    latency: [Histogram; 11],
 }
 
 impl Default for ServerStats {
     fn default() -> Self {
         ServerStats {
             started: Instant::now(),
-            connections_total: AtomicU64::new(0),
-            connections_live: AtomicU64::new(0),
-            sessions_created: AtomicU64::new(0),
-            sessions_closed: AtomicU64::new(0),
-            sessions_evicted: AtomicU64::new(0),
-            faults_injected: AtomicU64::new(0),
-            panics_caught: AtomicU64::new(0),
-            sessions_quarantined: AtomicU64::new(0),
-            commands_cancelled: AtomicU64::new(0),
-            commands_deadline_exceeded: AtomicU64::new(0),
-            connections_shed: AtomicU64::new(0),
-            journal_records: AtomicU64::new(0),
-            journal_torn: AtomicU64::new(0),
-            journal_errors: AtomicU64::new(0),
-            sessions_recovered: AtomicU64::new(0),
-            commands_replayed: AtomicU64::new(0),
-            per_class: std::array::from_fn(|_| ClassStats::default()),
+            counters: Counters::default(),
+            errors: Counters::default(),
+            latency: std::array::from_fn(|_| Histogram::default()),
         }
     }
 }
@@ -238,199 +345,73 @@ impl ServerStats {
 
     /// Record one completed command.
     pub fn record_command(&self, class: CommandClass, latency: Duration, ok: bool) {
-        let c = &self.per_class[class.index()];
-        c.count.fetch_add(1, Ordering::Relaxed);
+        self.latency[class.index()].record(latency);
         if !ok {
-            c.errors.fetch_add(1, Ordering::Relaxed);
+            self.errors.add(class, 1);
         }
-        c.hist.record(latency);
     }
 
-    /// A connection was accepted.
-    pub fn connection_opened(&self) {
-        self.connections_total.fetch_add(1, Ordering::Relaxed);
-        self.connections_live.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A connection ended.
-    pub fn connection_closed(&self) {
-        self.connections_live.fetch_sub(1, Ordering::Relaxed);
-    }
-
-    /// A session was created.
-    pub fn session_created(&self) {
-        self.sessions_created.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A session was closed by request.
-    pub fn session_closed(&self) {
-        self.sessions_closed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Sessions were evicted for idleness.
-    pub fn sessions_evicted(&self, n: u64) {
-        self.sessions_evicted.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// A configured fault fired (see [`iwb_store::fault::FaultPlan`]).
-    pub fn fault_injected(&self) {
-        self.faults_injected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A command panicked and the panic was contained.
-    pub fn panic_caught(&self) {
-        self.panics_caught.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A session crossed the consecutive-panic threshold.
-    pub fn session_quarantined(&self) {
-        self.sessions_quarantined.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A command was cancelled mid-flight (`cancel <session>`).
-    pub fn command_cancelled(&self) {
-        self.commands_cancelled.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A command was reaped by its deadline.
-    pub fn command_deadline_exceeded(&self) {
-        self.commands_deadline_exceeded
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A connection was shed by admission control (`RETRY-AFTER`).
-    pub fn connection_shed(&self) {
-        self.connections_shed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Connections shed so far.
-    pub fn connections_shed_count(&self) -> u64 {
-        self.connections_shed.load(Ordering::Relaxed)
-    }
-
-    /// Commands cancelled so far.
-    pub fn commands_cancelled_count(&self) -> u64 {
-        self.commands_cancelled.load(Ordering::Relaxed)
-    }
-
-    /// Commands reaped by a deadline so far.
-    pub fn commands_deadline_exceeded_count(&self) -> u64 {
-        self.commands_deadline_exceeded.load(Ordering::Relaxed)
-    }
-
-    /// A journal record was committed.
-    pub fn journal_record(&self) {
-        self.journal_records.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A journal append was torn (fault injection).
-    pub fn journal_torn(&self) {
-        self.journal_torn.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A journal operation failed with an I/O error.
-    pub fn journal_error(&self) {
-        self.journal_errors.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Startup recovery completed with this report.
+    /// Startup recovery (or a promotion) completed with this report.
     pub fn recovery(&self, report: &crate::session::RecoveryReport) {
-        self.sessions_recovered
-            .fetch_add(report.sessions as u64, Ordering::Relaxed);
-        self.commands_replayed
-            .fetch_add(report.replayed as u64, Ordering::Relaxed);
-        self.journal_torn
-            .fetch_add(report.torn_tails as u64, Ordering::Relaxed);
+        self.counters
+            .add(ServerCounter::SessionsRecovered, report.sessions as u64);
+        self.counters
+            .add(ServerCounter::CommandsReplayed, report.replayed as u64);
+        self.counters
+            .add(ServerCounter::JournalTorn, report.torn_tails as u64);
     }
 
-    /// Panics contained so far.
-    pub fn panics_caught_count(&self) -> u64 {
-        self.panics_caught.load(Ordering::Relaxed)
-    }
-
-    /// Total commands across classes.
-    pub fn total_commands(&self) -> u64 {
-        self.per_class
-            .iter()
-            .map(|c| c.count.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Total errored commands across classes.
-    pub fn total_errors(&self) -> u64 {
-        self.per_class
-            .iter()
-            .map(|c| c.errors.load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Render the `stats` response body. `live_sessions` is the
-    /// registry's current gauge (the registry owns the map; stats only
-    /// counts flows).
-    pub fn render(&self, live_sessions: usize) -> String {
-        let mut out = String::new();
-        out.push_str(&format!("uptime_s={}\n", self.started.elapsed().as_secs()));
-        out.push_str(&format!(
-            "sessions live={} created={} evicted={} closed={}\n",
-            live_sessions,
-            self.sessions_created.load(Ordering::Relaxed),
-            self.sessions_evicted.load(Ordering::Relaxed),
-            self.sessions_closed.load(Ordering::Relaxed),
-        ));
-        out.push_str(&format!(
-            "connections live={} total={}\n",
-            self.connections_live.load(Ordering::Relaxed),
-            self.connections_total.load(Ordering::Relaxed),
-        ));
-        out.push_str(&format!(
-            "commands total={} errors={}\n",
-            self.total_commands(),
-            self.total_errors(),
-        ));
-        out.push_str(&format!(
-            "faults injected={} panics_caught={} quarantined={}\n",
-            self.faults_injected.load(Ordering::Relaxed),
-            self.panics_caught.load(Ordering::Relaxed),
-            self.sessions_quarantined.load(Ordering::Relaxed),
-        ));
-        out.push_str(&format!(
-            "budget cancelled={} deadline_exceeded={} shed={}\n",
-            self.commands_cancelled.load(Ordering::Relaxed),
-            self.commands_deadline_exceeded.load(Ordering::Relaxed),
-            self.connections_shed.load(Ordering::Relaxed),
-        ));
-        out.push_str(&format!(
-            "journal records={} torn={} errors={} recovered_sessions={} replayed={}\n",
-            self.journal_records.load(Ordering::Relaxed),
-            self.journal_torn.load(Ordering::Relaxed),
-            self.journal_errors.load(Ordering::Relaxed),
-            self.sessions_recovered.load(Ordering::Relaxed),
-            self.commands_replayed.load(Ordering::Relaxed),
-        ));
-        for class in ALL_CLASSES {
-            let c = &self.per_class[class.index()];
-            let n = c.count.load(Ordering::Relaxed);
-            if n == 0 {
-                continue;
-            }
-            out.push_str(&format!(
-                "cmd {} count={} errors={} mean_us={} p50_us={} p95_us={} p99_us={}\n",
-                class.name(),
-                n,
-                c.errors.load(Ordering::Relaxed),
-                c.hist.mean_us(),
-                c.hist.percentile_us(0.50),
-                c.hist.percentile_us(0.95),
-                c.hist.percentile_us(0.99),
-            ));
-        }
-        out
+    /// Render the `stats` body. `live_sessions` is the registry's
+    /// current gauge and `store` its snapshot counters (the registry
+    /// owns both; these stats only count flows).
+    pub fn render(&self, live_sessions: usize, store: &crate::session::StoreStats) -> String {
+        let total: u64 = self.latency.iter().map(Histogram::count).sum();
+        let errors: u64 = CommandClass::TABLE
+            .into_iter()
+            .map(|(class, ..)| self.errors.get(class))
+            .sum();
+        let head = [
+            (
+                "server",
+                "uptime_s",
+                self.started.elapsed().as_secs().to_string(),
+            ),
+            // Leads the `sessions` counters' line.
+            ("sessions", "live", live_sessions.to_string()),
+        ];
+        let commands = [
+            ("commands", "total", total.to_string()),
+            ("commands", "errors", errors.to_string()),
+        ];
+        let classes = CommandClass::TABLE
+            .into_iter()
+            .filter(|&(class, ..)| self.latency[class.index()].count() > 0)
+            .flat_map(|(class, scope, _)| {
+                let h = &self.latency[class.index()];
+                [
+                    ("count", h.count()),
+                    ("errors", self.errors.get(class)),
+                    ("mean_us", h.mean_us()),
+                    ("p50_us", h.percentile_us(0.50)),
+                    ("p95_us", h.percentile_us(0.95)),
+                    ("p99_us", h.percentile_us(0.99)),
+                ]
+                .map(|(key, value)| (scope, key, value.to_string()))
+            });
+        render(
+            head.into_iter()
+                .chain(self.counters.fields())
+                .chain(store.fields())
+                .chain(commands)
+                .chain(classes),
+        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::session::StoreStats;
 
     #[test]
     fn bucket_indexing_is_monotone_and_capped() {
@@ -480,37 +461,48 @@ mod tests {
     }
 
     #[test]
+    fn render_groups_consecutive_fields_of_a_scope_on_one_line() {
+        let fields = [
+            ("a", "x", "1".to_owned()),
+            ("a", "y", "2".to_owned()),
+            ("b.c", "z", "3".to_owned()),
+        ];
+        assert_eq!(render(fields), "a x=1 y=2\nb.c z=3");
+        assert_eq!(render([]), "");
+    }
+
+    #[test]
     fn render_includes_gauges_and_only_used_classes() {
         let s = ServerStats::new();
         s.record_command(CommandClass::Load, Duration::from_micros(120), true);
         s.record_command(CommandClass::Load, Duration::from_micros(80), false);
-        s.connection_opened();
-        s.session_created();
-        let text = s.render(3);
-        assert!(text.contains("sessions live=3 created=1"));
-        assert!(text.contains("connections live=1 total=1"));
-        assert!(text.contains("commands total=2 errors=1"));
-        assert!(text.contains("cmd load count=2 errors=1"));
-        assert!(!text.contains("cmd match"), "{text}");
+        s.counters.add(ServerCounter::ConnectionsTotal, 1);
+        s.counters.add(ServerCounter::ConnectionsLive, 1);
+        s.counters.add(ServerCounter::SessionsCreated, 1);
+        let text = s.render(3, &StoreStats::default());
+        assert!(text.contains("sessions live=3 created=1"), "{text}");
+        assert!(text.contains("connections live=1 total=1"), "{text}");
+        assert!(text.contains("commands total=2 errors=1"), "{text}");
+        assert!(text.contains("cmd.load count=2 errors=1"), "{text}");
+        assert!(!text.contains("cmd.match"), "{text}");
     }
 
     #[test]
     fn render_exposes_the_error_budget_counters() {
         let s = ServerStats::new();
-        s.fault_injected();
-        s.panic_caught();
-        s.panic_caught();
-        s.session_quarantined();
-        s.journal_record();
-        s.journal_torn();
-        s.journal_error();
+        s.counters.add(ServerCounter::FaultsInjected, 1);
+        s.counters.add(ServerCounter::PanicsCaught, 2);
+        s.counters.add(ServerCounter::SessionsQuarantined, 1);
+        s.counters.add(ServerCounter::JournalRecords, 1);
+        s.counters.add(ServerCounter::JournalTorn, 1);
+        s.counters.add(ServerCounter::JournalErrors, 1);
         s.recovery(&crate::session::RecoveryReport {
             sessions: 2,
             replayed: 7,
             torn_tails: 1,
             ..Default::default()
         });
-        let text = s.render(0);
+        let text = s.render(0, &StoreStats::default());
         assert!(
             text.contains("faults injected=1 panics_caught=2 quarantined=1"),
             "{text}"
@@ -523,6 +515,6 @@ mod tests {
             text.contains("journal records=1 torn=2 errors=1 recovered_sessions=2 replayed=7"),
             "{text}"
         );
-        assert_eq!(s.panics_caught_count(), 2);
+        assert_eq!(s.counters.get(ServerCounter::PanicsCaught), 2);
     }
 }

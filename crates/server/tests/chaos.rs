@@ -21,6 +21,7 @@
 
 use iwb_server::client::{Backoff, Client};
 use iwb_server::server::{serve, ServerConfig, ServerHandle};
+use iwb_server::stats::ServerCounter;
 use iwb_store::fault::{FaultSpec, EXEC_HANG, EXEC_PANIC, JOURNAL_TORN, SHARD_STALL};
 use std::io::Write;
 use std::net::TcpStream;
@@ -282,7 +283,10 @@ fn connections_past_the_pending_bound_are_shed_with_retry_after() {
     let reply = shed.request("ping").unwrap();
     assert!(!reply.ok, "expected load shed, got: {}", reply.body);
     assert!(reply.body.starts_with("RETRY-AFTER "), "{}", reply.body);
-    assert_eq!(handle.stats().connections_shed_count(), 1);
+    assert_eq!(
+        handle.stats().counters.get(ServerCounter::ConnectionsShed),
+        1
+    );
 
     // Honoring the hint works: once the first connection closes, a
     // retry is admitted (retries racing the slot release may be shed
@@ -307,7 +311,7 @@ fn connections_past_the_pending_bound_are_shed_with_retry_after() {
         );
         std::thread::sleep(Duration::from_millis(50));
     };
-    let shed_total = handle.stats().connections_shed_count();
+    let shed_total = handle.stats().counters.get(ServerCounter::ConnectionsShed);
     assert!(shed_total >= 1);
     assert!(stats.contains(&format!("shed={shed_total}")), "{stats}");
 

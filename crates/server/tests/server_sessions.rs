@@ -108,8 +108,8 @@ fn concurrent_sessions_are_isolated_and_shutdown_is_clean() {
         stats.contains(&format!("created={SESSIONS}")),
         "stats should count {SESSIONS} sessions:\n{stats}"
     );
-    assert!(stats.contains("cmd load count=8"), "{stats}");
-    assert!(stats.contains("cmd match count=4"), "{stats}");
+    assert!(stats.contains("cmd.load count=8"), "{stats}");
+    assert!(stats.contains("cmd.match count=4"), "{stats}");
 
     // Graceful shutdown: the daemon drains and every thread joins.
     assert!(admin.shutdown().expect("shutdown request").ok);

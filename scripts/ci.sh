@@ -17,6 +17,10 @@ cargo fmt --check
 echo "== cargo clippy --offline --workspace --all-targets -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "== iwb_bench compiles (a package outside the workspace that imports iwb-server and iwb-router)"
+cargo check --offline --locked --all-targets --manifest-path iwb_bench/Cargo.toml \
+    --target-dir target/iwb_bench
+
 echo "== chaos smoke (fault-injection integration tests, fixed seeds)"
 cargo test -q --offline -p iwb-server --test chaos
 
@@ -79,7 +83,7 @@ grep -q '"incremental_identical": true' target/BENCH_store_quick.json
 echo "== router unit suite (re-discovery rows, successor-first promotion walk)"
 cargo test -q --offline -p iwb-router --lib
 
-echo "== fleet chaos suite (kill mid-command + mid-curation, split routing, probe quarantine, migration, stale-replica refusal, promotion floor, route-miss promotion only when every backend answers, successor-first walk, drain + re-discovery)"
+echo "== fleet chaos suite (kill mid-command + mid-curation, split routing, probe quarantine, migration, stale-replica refusal, promotion floor, route-miss promotion only when every backend answers, shedding owner retried not failed over, successor-first walk, drain + re-discovery)"
 cargo test -q --offline -p iwb-router --test fleet_chaos
 
 echo "== sequence-guard + migration handshake suite (duplicate acks, gaps, release/promote)"

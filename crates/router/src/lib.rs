@@ -18,9 +18,11 @@
 //!   per-session sequence stamping for exactly-once mutation
 //!   semantics.
 //!
-//! The router runs `iwb-server`'s line-protocol core: its connection
-//! loop (`iwb_server::server::serve_lines`, at the backend's default
-//! bounds), its counter registry and its `stats` format.
+//! The router runs `iwb-server`'s line-protocol core: its blocking
+//! accept loop (`iwb_server::server::accept_loop`, woken by a shutdown
+//! request), its connection loop (`iwb_server::server::serve_lines`, at
+//! the backend's default bounds), its counter registry and its `stats`
+//! format.
 //!
 //! The `workbench-router` binary wraps [`router::serve`] with flag
 //! parsing mirroring `workbenchd`'s.

@@ -5,8 +5,10 @@
 //! router's own listener and speaks the existing line protocol
 //! transparently — clients `session new` / `session attach` / run
 //! shell commands against the router exactly as they would against a
-//! single daemon. Client connections run the backend's own loop
-//! ([`iwb_server::server::serve_lines`]), and `stats` renders
+//! single daemon. Client connections are accepted and served by the
+//! backend's own loops ([`iwb_server::server::accept_loop`], which
+//! blocks in `accept` until a connection or a shutdown request wakes
+//! it, and [`iwb_server::server::serve_lines`]), and `stats` renders
 //! [`RouterCounter`]s in the backend's format.
 //!
 //! Design pillars:
@@ -64,7 +66,9 @@ use iwb_core::RetryableError;
 use iwb_pool::{ProbeSchedule, ThreadPool};
 use iwb_rng::StdRng;
 use iwb_server::client::{Backoff, Client, Response};
-use iwb_server::server::{serve_lines, Reply, MAX_HEREDOC_BYTES, MAX_LINE_BYTES};
+use iwb_server::server::{
+    accept_loop, serve_lines, Reply, Shutdown, MAX_HEREDOC_BYTES, MAX_LINE_BYTES,
+};
 use iwb_server::stats::{render, Counter, Counters};
 use iwb_store::fault::{FaultPlan, MIGRATION_STALL, PROBE_TIMEOUT, PROMOTE_STALE, SPLIT_ROUTING};
 use iwb_store::rendezvous;
@@ -75,9 +79,6 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
-
-/// Acceptor poll interval while no connection is pending.
-const ACCEPT_TICK: Duration = Duration::from_millis(25);
 
 /// Prober wake granularity (shutdown latency bound).
 const PROBE_TICK: Duration = Duration::from_millis(20);
@@ -475,7 +476,7 @@ fn lock_route(entry: &RouteEntry, budget: Duration) -> Option<MutexGuard<'_, Rou
 /// A handle to a running router.
 pub struct RouterHandle {
     addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
+    shutdown: Shutdown,
     threads: Vec<JoinHandle<()>>,
     pool: Arc<ThreadPool>,
     stats: Arc<RouterStats>,
@@ -500,10 +501,12 @@ impl RouterHandle {
 
     /// Begin shutdown; use [`RouterHandle::join`] to wait.
     pub fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.shutdown.request();
     }
 
-    /// Wait for the acceptor, prober, and workers to exit.
+    /// Wait for a shutdown request ([`RouterHandle::shutdown`] or the
+    /// `shutdown` protocol command) and for the acceptor, prober, and
+    /// workers to exit.
     pub fn join(self) {
         for t in self.threads {
             let _ = t.join();
@@ -513,16 +516,16 @@ impl RouterHandle {
 }
 
 /// Start the router; returns once its listener is bound and the
-/// prober and acceptor threads are running.
+/// prober and acceptor ([`accept_loop`], with no admission bound)
+/// threads are running.
 pub fn serve(config: RouterConfig) -> io::Result<RouterHandle> {
     if config.backends.is_empty() {
         return Err(io::Error::other("router needs at least one backend"));
     }
     let listener = TcpListener::bind(&config.addr)?;
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
 
-    let shutdown = Arc::new(AtomicBool::new(false));
+    let shutdown = Shutdown::new(addr);
     let stats = Arc::new(RouterStats::default());
     let fleet = Arc::new(Fleet::new(&config.backends)?);
     // Restart re-discovery: before serving, adopt the placement the
@@ -537,7 +540,7 @@ pub fn serve(config: RouterConfig) -> io::Result<RouterHandle> {
     // delay, not `now + delay`), so the probe *order* across backends
     // is a pure function of the seed — chaos runs replay identically.
     {
-        let shutdown = Arc::clone(&shutdown);
+        let shutdown = shutdown.clone();
         let stats = Arc::clone(&stats);
         let fleet = Arc::clone(&fleet);
         let config = config.clone();
@@ -554,7 +557,7 @@ pub fn serve(config: RouterConfig) -> io::Result<RouterHandle> {
             let start = Instant::now();
             let mut next: Vec<Instant> =
                 schedules.iter_mut().map(|s| start + s.stagger()).collect();
-            while !shutdown.load(Ordering::SeqCst) {
+            while !shutdown.requested() {
                 let (idx, due) = next
                     .iter()
                     .copied()
@@ -573,53 +576,40 @@ pub fn serve(config: RouterConfig) -> io::Result<RouterHandle> {
         }));
     }
 
-    // Acceptor: one pool job per client connection.
+    // Acceptor: one pool job per client connection. Heredoc bodies are
+    // gathered before dispatch and replayed upstream as one unit, so a
+    // retry after failover resends the complete command.
     {
-        let shutdown = Arc::clone(&shutdown);
-        let pool = Arc::clone(&pool);
-        let stats = Arc::clone(&stats);
-        let fleet = Arc::clone(&fleet);
-        let config = config.clone();
-        threads.push(thread::spawn(move || {
-            while !shutdown.load(Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        let shutdown = Arc::clone(&shutdown);
-                        let stats = Arc::clone(&stats);
-                        let fleet = Arc::clone(&fleet);
-                        let config = config.clone();
-                        let queued = pool.execute(move || {
-                            let mut conn = ClientConn {
-                                fleet: &fleet,
-                                stats: &stats,
-                                config: &config,
-                                shutdown: &shutdown,
-                                attached: None,
-                                upstream: None,
-                            };
-                            // Heredoc bodies are gathered before dispatch
-                            // and replayed upstream as one unit, so a retry
-                            // after failover resends the complete command.
-                            let _ = serve_lines(
-                                stream,
-                                &shutdown,
-                                config.read_timeout,
-                                MAX_LINE_BYTES,
-                                MAX_HEREDOC_BYTES,
-                                |command, heredoc| {
-                                    stats.add(RouterCounter::Commands);
-                                    Some(conn.dispatch(command, heredoc))
-                                },
-                            );
-                        });
-                        if !queued {
-                            break;
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(ACCEPT_TICK),
-                    Err(_) => thread::sleep(ACCEPT_TICK),
-                }
+        let serve = {
+            let shutdown = shutdown.clone();
+            let stats = Arc::clone(&stats);
+            let fleet = Arc::clone(&fleet);
+            move |stream| {
+                let mut conn = ClientConn {
+                    fleet: &fleet,
+                    stats: &stats,
+                    config: &config,
+                    shutdown: &shutdown,
+                    attached: None,
+                    upstream: None,
+                };
+                let _ = serve_lines(
+                    stream,
+                    &shutdown,
+                    config.read_timeout,
+                    MAX_LINE_BYTES,
+                    MAX_HEREDOC_BYTES,
+                    |command, heredoc| {
+                        stats.add(RouterCounter::Commands);
+                        Some(conn.dispatch(command, heredoc))
+                    },
+                );
             }
+        };
+        let shutdown = shutdown.clone();
+        let pool = Arc::clone(&pool);
+        threads.push(thread::spawn(move || {
+            accept_loop(listener, &shutdown, &pool, 0, || {}, serve);
         }));
     }
 
@@ -722,7 +712,7 @@ struct ClientConn<'a> {
     fleet: &'a Arc<Fleet>,
     stats: &'a Arc<RouterStats>,
     config: &'a RouterConfig,
-    shutdown: &'a Arc<AtomicBool>,
+    shutdown: &'a Shutdown,
     attached: Option<String>,
     upstream: Option<Upstream>,
 }
@@ -862,7 +852,7 @@ impl ClientConn<'_> {
                 Reply::ok(render(self.stats.counters.fields().chain(backends)))
             }
             ["shutdown"] => {
-                self.shutdown.store(true, Ordering::SeqCst);
+                self.shutdown.request();
                 Reply::ok("router shutting down (backends keep running)").closing()
             }
             ["quit"] => Reply::ok("bye").closing(),

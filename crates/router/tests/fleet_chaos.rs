@@ -28,6 +28,9 @@
 //!   backend may be the owner, so the attach is told to retry;
 //! * an owner that sheds (`RETRY-AFTER`) is retried, never failed over:
 //!   only an owner that cannot be reached loses the session;
+//! * a closed session is not promoted back: closing it drops the
+//!   successor's replica (`repl drop`), so a later attach finds it
+//!   nowhere;
 //! * failover asks the dead owner's replication successor first, so a
 //!   backend restarted on an empty store is not asked ahead of the
 //!   replica;
@@ -950,6 +953,30 @@ fn a_route_miss_promotes_a_session_live_nowhere_once_every_backend_answers() {
     );
 
     stop(fresh, backends);
+}
+
+#[test]
+fn a_closed_session_is_not_promoted_back() {
+    let (peers, _stores, backends) = spawn_fleet("closed", 2, |_| FaultPlan::none());
+    let successor = rendezvous::rank("cz", 2)[1];
+    let router = spawn_router(&peers, RouterConfig::default());
+    let mut c = Client::connect(router.addr()).unwrap();
+    c.session_new(Some("cz")).unwrap();
+    warm(&mut c);
+    let mut direct = Client::connect(peers[successor].as_str()).unwrap();
+    let status = direct.request("repl status").unwrap().expect_ok().unwrap();
+    assert!(status.contains("replica id=cz seq=3"), "{status}");
+
+    c.request("session close cz").unwrap().expect_ok().unwrap();
+    // The route is gone and the session is live nowhere, so the attach
+    // walks the promotion path: nothing may be left to promote.
+    let resp = c.request("session attach cz").unwrap();
+    assert_eq!((resp.ok, resp.body.as_str()), (false, "no session \"cz\""));
+    assert_eq!(router.stats().promotions_count(), 0);
+    let status = direct.request("repl status").unwrap().expect_ok().unwrap();
+    assert!(!status.contains("replica id=cz"), "{status}");
+
+    stop(router, backends);
 }
 
 #[test]

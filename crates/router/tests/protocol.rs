@@ -1,6 +1,8 @@
 //! The line protocol `workbenchd` and `workbench-router` share: a
 //! router frames every request exactly as a backend does, at the same
-//! bounds, and both answer `stats` in one parseable format.
+//! bounds, and both answer `stats` in one parseable format. Both
+//! binaries run one blocking accept loop: a fresh connection is served
+//! at once, and every way of stopping either binary wakes it.
 
 use iwb_router::router::{serve as serve_router, RouterConfig, RouterCounter};
 use iwb_server::client::Client;
@@ -10,7 +12,7 @@ use iwb_store::fault::{FaultSpec, EXEC_PANIC};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const SCHEMA: &str = "entity A { x : text }";
 
@@ -234,4 +236,113 @@ fn both_binaries_answer_stats_in_one_format() {
     assert_eq!(fields["backend.0.healthy"], "false");
     router.shutdown();
     router.join();
+}
+
+/// Open `n` fresh connections to `addr` one after another, each sending
+/// `ping`; the time until the last reply.
+fn ping_on_fresh_connections(addr: SocketAddr, n: usize) -> Duration {
+    let started = Instant::now();
+    for _ in 0..n {
+        let mut c = Client::connect(addr).unwrap();
+        assert_eq!(c.request("ping").unwrap().body, "pong");
+    }
+    started.elapsed()
+}
+
+#[test]
+fn opening_a_connection_costs_no_accept_tick() {
+    let backend = serve(ServerConfig::default()).unwrap();
+    let router = serve_router(RouterConfig {
+        backends: vec![backend.addr().to_string()],
+        ..RouterConfig::default()
+    })
+    .unwrap();
+    for (binary, addr) in [("backend", backend.addr()), ("router", router.addr())] {
+        let took = ping_on_fresh_connections(addr, 20);
+        assert!(
+            took < Duration::from_millis(100),
+            "{binary}: 20 fresh connections took {took:?}; an accept poll would add a tick to each"
+        );
+    }
+    router.shutdown();
+    router.join();
+    backend.shutdown();
+    backend.join();
+}
+
+/// Run `stop` and assert it returned within a second.
+fn within_a_second(what: &str, stop: impl FnOnce()) {
+    let started = Instant::now();
+    stop();
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(1), "{what} took {took:?}");
+}
+
+#[test]
+fn every_way_of_stopping_wakes_the_blocked_accept() {
+    let backend = serve(ServerConfig::default()).unwrap();
+    within_a_second("ServerHandle::shutdown then join", || {
+        backend.shutdown();
+        backend.join();
+    });
+
+    // A restart binds the killed backend's address at once.
+    let backend = serve(ServerConfig::default()).unwrap();
+    let addr = backend.addr();
+    let mut restarted = None;
+    within_a_second("kill then serve on the same address", || {
+        backend.kill();
+        assert!(
+            TcpStream::connect(addr).is_err(),
+            "a killed backend refuses dials"
+        );
+        restarted = Some(
+            serve(ServerConfig {
+                addr: addr.to_string(),
+                ..ServerConfig::default()
+            })
+            .expect("the killed backend's listener is closed"),
+        );
+    });
+    let backend = restarted.unwrap();
+
+    let router = serve_router(RouterConfig {
+        backends: vec![backend.addr().to_string()],
+        ..RouterConfig::default()
+    })
+    .unwrap();
+    within_a_second("the router's `shutdown` command then join", || {
+        let reply = Client::connect(router.addr()).unwrap().shutdown().unwrap();
+        assert!(reply.ok, "{}", reply.body);
+        router.join();
+    });
+    within_a_second("the backend's `shutdown` command then join", || {
+        let reply = Client::connect(backend.addr()).unwrap().shutdown().unwrap();
+        assert!(reply.ok, "{}", reply.body);
+        backend.join();
+    });
+
+    let backend = serve(ServerConfig::default()).unwrap();
+    let router = serve_router(RouterConfig {
+        backends: vec![backend.addr().to_string()],
+        ..RouterConfig::default()
+    })
+    .unwrap();
+    within_a_second("RouterHandle::shutdown then join", || {
+        router.shutdown();
+        router.join();
+    });
+    backend.shutdown();
+    backend.join();
+
+    // An unspecified bind address is woken through loopback.
+    let any = serve(ServerConfig {
+        addr: "0.0.0.0:0".to_owned(),
+        ..ServerConfig::default()
+    })
+    .unwrap();
+    within_a_second("shutdown then join of a backend bound to 0.0.0.0:0", || {
+        any.shutdown();
+        any.join();
+    });
 }

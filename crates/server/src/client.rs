@@ -3,6 +3,9 @@
 //! Used by the `bench_server` load generator, the integration tests,
 //! and scripts. One [`Client`] is one connection; requests are
 //! synchronous (write command, read the `ok/err <n>`-framed reply).
+//! Each request — a heredoc body included — goes out in one write, and
+//! a reply the server sent before closing (a load shed answers before
+//! the request is read) is returned even when that write then fails.
 //!
 //! For long-lived callers the client also knows how to survive a
 //! daemon restart: [`Client::connect_with_backoff`] retries the dial
@@ -289,21 +292,42 @@ impl Client {
                 "multi-line commands must use request_with_heredoc",
             ));
         }
-        writeln!(self.writer, "{command}")?;
-        self.writer.flush()?;
-        self.read_response()
+        self.send(format!("{command}\n").as_bytes())
     }
 
     /// Send a command with a heredoc body (the `<<EOF` marker is
     /// appended automatically; `body` need not end with a newline).
     pub fn request_with_heredoc(&mut self, command: &str, body: &str) -> io::Result<Response> {
-        writeln!(self.writer, "{command} <<EOF")?;
+        let mut request = String::with_capacity(command.len() + body.len() + 16);
+        request.push_str(command);
+        request.push_str(" <<EOF\n");
         for line in body.lines() {
-            writeln!(self.writer, "{line}")?;
+            request.push_str(line);
+            request.push('\n');
         }
-        writeln!(self.writer, "EOF")?;
-        self.writer.flush()?;
-        self.read_response()
+        request.push_str("EOF\n");
+        self.send(request.as_bytes())
+    }
+
+    /// Write one whole request with a single `write_all` and read the
+    /// reply. A server that sheds the connection answers and closes
+    /// before reading anything, so a write refused because the server
+    /// has gone still returns the reply it left behind.
+    fn send(&mut self, request: &[u8]) -> io::Result<Response> {
+        match self.writer.write_all(request) {
+            Ok(()) => self.read_response(),
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::BrokenPipe
+                        | io::ErrorKind::ConnectionReset
+                        | io::ErrorKind::ConnectionAborted
+                ) =>
+            {
+                self.read_response().map_err(|_| e)
+            }
+            Err(e) => Err(e),
+        }
     }
 
     /// `session new [id]`; returns the created session id and tracks
@@ -667,6 +691,27 @@ mod tests {
             "the session is not lost, only busy"
         );
         server.join().unwrap();
+    }
+
+    #[test]
+    fn a_reply_sent_before_the_server_closed_survives_the_write() {
+        // A shedding server: it answers and closes before the client
+        // sends anything.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (mut s, _) = listener.accept().unwrap();
+            s.write_all(b"err 1\nRETRY-AFTER 100ms: server at capacity (1 connections pending)\n")
+                .unwrap();
+        });
+        let mut c = Client::connect(addr).unwrap();
+        server.join().unwrap();
+        let reply = c.request("ping").expect("the shed reply, not BrokenPipe");
+        assert!(!reply.ok);
+        assert_eq!(
+            reply.body,
+            "RETRY-AFTER 100ms: server at capacity (1 connections pending)"
+        );
     }
 
     #[test]

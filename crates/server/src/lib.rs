@@ -17,9 +17,11 @@
 //!   per-session locking (sessions run in parallel, commands within a
 //!   session stay serialized), and graceful drain on shutdown; plus the
 //!   line-protocol core `workbench-router` runs too —
-//!   [`server::serve_lines`], the one connection loop (bounded line
-//!   reads, idle timeouts, heredocs, framing), and the [`server::Reply`]
-//!   both dispatchers return;
+//!   [`server::accept_loop`], the one accept loop (a blocking `accept`
+//!   with optional admission control, woken on shutdown by a
+//!   [`server::Shutdown`] request), [`server::serve_lines`], the one
+//!   connection loop (bounded line reads, idle timeouts, heredocs,
+//!   framing), and the [`server::Reply`] both dispatchers return;
 //! * [`journal`] — append-only per-session command journals (fsync on
 //!   commit, periodic compaction) and the crash-recovery replay behind
 //!   `workbenchd --recover`;
@@ -56,6 +58,7 @@
 //! repl status           per-session replication lag + standby journals
 //! repl promote <id> <min-seq> rebuild from the best local evidence, or
 //!                       refuse with STALE-REPLICA if provably behind
+//! repl drop <id>        delete a standby journal (its owner closed it)
 //! cancel <id>           interrupt the command in flight in a session
 //! stats                 counters + latency percentiles, `<scope> key=value …` lines
 //! ping                  liveness probe

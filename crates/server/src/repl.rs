@@ -37,6 +37,11 @@
 //!   the last seq the router saw acknowledged to a client — the
 //!   promotion is refused with `STALE-REPLICA`: a fleet never serves
 //!   silently-wrong state.
+//! * `repl drop <session>` — the owner closed the session: the sink
+//!   deletes its standby journal and answers `ok`, so no later
+//!   promotion can bring the closed session back. The owner sends it
+//!   on the session's open stream connection, best effort; a sink that
+//!   is down at close time keeps its copy.
 //!
 //! Shipping is synchronous with the commit (the record is offered to
 //! the successor before the client sees `ok`) but **best-effort**: a
@@ -131,9 +136,18 @@ impl Replicator {
             .map_or(0, |state| recover(state.lock()).acked)
     }
 
-    /// Forget the stream state for a closed session.
+    /// Forget a closed session: ask the successor to drop its replica
+    /// (`repl drop`) on the stream connection already open — best
+    /// effort, no new connection is dialled — then discard the stream
+    /// state.
     pub fn forget(&self, session: &str) {
-        recover(self.streams.lock()).remove(session);
+        let Some(state) = recover(self.streams.lock()).remove(session) else {
+            return;
+        };
+        let conn = recover(state.lock()).conn.take();
+        if let Some(mut conn) = conn {
+            let _ = conn.request(&format!("repl drop {session}"));
+        }
     }
 
     /// Ship every record the successor has not acknowledged yet. Called

@@ -1,14 +1,17 @@
 //! The TCP daemon: acceptor → worker pool.
 //!
-//! One acceptor thread submits connections to a shared
-//! [`iwb_pool::ThreadPool`] (the same pool abstraction the Harmony
-//! engine shards match runs over); each job serves one connection to
-//! completion. Per-session locking lives in [`crate::session`]:
-//! workers serving different sessions run fully in parallel, while two
-//! connections attached to the same session serialize on its shell
-//! lock. Sockets carry a short read timeout used as a poll tick, so a
-//! stalled client is dropped after `read_timeout` and every blocking
-//! point notices shutdown within a tick.
+//! One acceptor thread ([`accept_loop`]) blocks in `accept` and submits
+//! each connection to a shared [`iwb_pool::ThreadPool`] (the same pool
+//! abstraction the Harmony engine shards match runs over) the moment
+//! it arrives; each job serves one connection to completion. A blocked
+//! `accept` cannot see a flag, so a [`Shutdown`] request dials the
+//! listener once to wake it. Per-session locking lives in
+//! [`crate::session`]: workers serving different sessions run fully in
+//! parallel, while two connections attached to the same session
+//! serialize on its shell lock. Connection sockets carry a short read
+//! timeout used as a poll tick, so a stalled client is dropped after
+//! `read_timeout` and an idle connection notices shutdown within a
+//! tick.
 //!
 //! Supervision: shell commands run through
 //! [`crate::session::Session::execute_command`], which contains panics
@@ -19,10 +22,11 @@
 //! (`max_line_bytes` / `max_heredoc_bytes`), so a malicious client
 //! cannot balloon worker memory.
 //!
-//! [`serve_lines`] is the one connection loop of the line protocol:
-//! `workbench-router` serves its clients with it too, at the backend's
-//! default bounds, so both binaries frame requests identically. Each
-//! binary's dispatcher answers a [`Reply`].
+//! [`accept_loop`] and [`serve_lines`] are the one accept loop and the
+//! one connection loop of the line protocol: `workbench-router` serves
+//! its clients with them too, at the backend's default bounds, so both
+//! binaries accept and frame requests identically. Each binary's
+//! dispatcher answers a [`Reply`].
 //!
 //! Overload and runaway commands are bounded too: the acceptor sheds
 //! connections past `max_pending` with a `RETRY-AFTER` protocol error
@@ -40,7 +44,7 @@ use iwb_core::shell::{heredoc_start, HEREDOC_END};
 use iwb_pool::ThreadPool;
 use iwb_store::fault::FaultPlan;
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -51,8 +55,12 @@ use std::time::{Duration, Instant};
 /// this often to check the shutdown flag and the idle budget.
 const POLL_TICK: Duration = Duration::from_millis(100);
 
-/// Acceptor poll interval while no connection is pending.
-const ACCEPT_TICK: Duration = Duration::from_millis(25);
+/// Pause after a hard `accept` error (out of file descriptors, say), so
+/// the acceptor does not spin on it.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
+
+/// Budget for the dial that wakes a blocked `accept` on shutdown.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
 
 /// How often the housekeeper sweeps for idle sessions.
 const SWEEP_TICK: Duration = Duration::from_millis(250);
@@ -151,10 +159,52 @@ impl Default for ServerConfig {
     }
 }
 
+/// A shutdown request for one listener, shared by every thread serving
+/// it: the flag each loop checks, and the address that wakes the
+/// [`accept_loop`] blocked on that listener — a blocked `accept` cannot
+/// see the flag, so [`Shutdown::request`] dials the listener once.
+#[derive(Debug, Clone)]
+pub struct Shutdown {
+    flag: Arc<AtomicBool>,
+    wake: SocketAddr,
+}
+
+impl Shutdown {
+    /// A shutdown not yet requested, for the listener bound at `addr`
+    /// (an unspecified bind address is woken through loopback).
+    pub fn new(addr: SocketAddr) -> Shutdown {
+        let mut wake = addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        Shutdown {
+            flag: Arc::new(AtomicBool::new(false)),
+            wake,
+        }
+    }
+
+    /// Whether shutdown has been requested.
+    pub fn requested(&self) -> bool {
+        self.flag.load(Ordering::SeqCst)
+    }
+
+    /// Request shutdown, then dial the listener so a blocked `accept`
+    /// returns and sees the flag. The dial is best effort: when it
+    /// fails the listener is either closed already or has a backlog,
+    /// and the next accepted connection wakes the loop just the same.
+    pub fn request(&self) {
+        self.flag.store(true, Ordering::SeqCst);
+        let _ = TcpStream::connect_timeout(&self.wake, WAKE_TIMEOUT);
+    }
+}
+
 /// A handle to a running daemon.
 pub struct ServerHandle {
     addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
+    shutdown: Shutdown,
     killed: Arc<AtomicBool>,
     threads: Vec<JoinHandle<()>>,
     pool: Arc<ThreadPool>,
@@ -188,17 +238,18 @@ impl ServerHandle {
     /// Begin graceful shutdown: stop accepting, let in-flight commands
     /// finish. Returns immediately; use [`ServerHandle::join`] to wait.
     pub fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.shutdown.request();
     }
 
     /// Whether shutdown has been requested.
     pub fn is_shutting_down(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
+        self.shutdown.requested()
     }
 
-    /// Wait for every server thread to exit: first the acceptor and
-    /// housekeeper, then the worker pool (which drains any connections
-    /// still queued before its threads stop).
+    /// Wait for a shutdown request ([`ServerHandle::shutdown`] or the
+    /// `shutdown` protocol command) and for every server thread to exit:
+    /// first the acceptor and housekeeper, then the worker pool (which
+    /// drains any connections still queued before its threads stop).
     pub fn join(self) {
         for t in self.threads {
             let _ = t.join();
@@ -217,9 +268,11 @@ impl ServerHandle {
     /// sees the ack — exactly the ambiguity window a router must
     /// resolve through the per-session sequence guard (retrying the
     /// same `@N` command yields `DUPLICATE`, never a double execution).
+    /// The listener is closed when this returns: dials are refused, and
+    /// a restart can bind the address again.
     pub fn kill(self) {
         self.killed.store(true, Ordering::SeqCst);
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.shutdown.request();
         for t in self.threads {
             let _ = t.join();
         }
@@ -233,10 +286,9 @@ impl ServerHandle {
 /// requested) has replayed every journal, and the threads are running.
 pub fn serve(config: ServerConfig) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(&config.addr)?;
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
 
-    let shutdown = Arc::new(AtomicBool::new(false));
+    let shutdown = Shutdown::new(addr);
     let killed = Arc::new(AtomicBool::new(false));
     let stats = Arc::new(ServerStats::new());
     let mut registry = SessionRegistry::new(config.max_sessions, config.session_idle_timeout);
@@ -294,71 +346,33 @@ pub fn serve(config: ServerConfig) -> io::Result<ServerHandle> {
     let mut threads = Vec::new();
 
     // Acceptor: each accepted connection becomes one pool job served to
-    // completion (the pool's queue replaces the old hand-rolled
-    // channel-of-streams).
+    // completion, unless the admission bound sheds it.
     {
-        let shutdown = Arc::clone(&shutdown);
-        let killed = Arc::clone(&killed);
+        let serve = {
+            let shutdown = shutdown.clone();
+            let killed = Arc::clone(&killed);
+            let stats = Arc::clone(&stats);
+            let registry = Arc::clone(&registry);
+            let config = config.clone();
+            move |stream| serve_connection(stream, &registry, &stats, &shutdown, &killed, &config)
+        };
+        let shutdown = shutdown.clone();
         let pool = Arc::clone(&pool);
         let stats = Arc::clone(&stats);
-        let registry = Arc::clone(&registry);
-        let config = config.clone();
-        let pending = Arc::new(AtomicUsize::new(0));
+        let max_pending = config.max_pending;
         threads.push(thread::spawn(move || {
-            while !shutdown.load(Ordering::SeqCst) {
-                match listener.accept() {
-                    Ok((stream, _peer)) => {
-                        // Admission control: at the pending bound the
-                        // connection is shed with a structured
-                        // RETRY-AFTER error instead of queueing
-                        // unboundedly behind a saturated pool.
-                        let live = pending.load(Ordering::SeqCst);
-                        if config.max_pending > 0 && live >= config.max_pending {
-                            stats.counters.add(ServerCounter::ConnectionsShed, 1);
-                            let mut writer = BufWriter::new(stream);
-                            let _ = write_response(
-                                &mut writer,
-                                false,
-                                &format!(
-                                    "RETRY-AFTER {RETRY_AFTER_HINT_MS}ms: server at capacity \
-                                     ({live} connections pending)"
-                                ),
-                            );
-                            continue;
-                        }
-                        pending.fetch_add(1, Ordering::SeqCst);
-                        let pending = Arc::clone(&pending);
-                        let shutdown = Arc::clone(&shutdown);
-                        let killed = Arc::clone(&killed);
-                        let stats = Arc::clone(&stats);
-                        let registry = Arc::clone(&registry);
-                        let config = config.clone();
-                        let queued = pool.execute(move || {
-                            serve_connection(
-                                stream, &registry, &stats, &shutdown, &killed, &config,
-                            );
-                            pending.fetch_sub(1, Ordering::SeqCst);
-                        });
-                        if !queued {
-                            break; // pool closed under us: shutting down
-                        }
-                    }
-                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                        thread::sleep(ACCEPT_TICK);
-                    }
-                    Err(_) => thread::sleep(ACCEPT_TICK),
-                }
-            }
+            let shed = || stats.counters.add(ServerCounter::ConnectionsShed, 1);
+            accept_loop(listener, &shutdown, &pool, max_pending, shed, serve);
         }));
     }
 
     // Housekeeper: idle-session eviction.
     {
-        let shutdown = Arc::clone(&shutdown);
+        let shutdown = shutdown.clone();
         let registry = Arc::clone(&registry);
         let stats = Arc::clone(&stats);
         threads.push(thread::spawn(move || {
-            while !shutdown.load(Ordering::SeqCst) {
+            while !shutdown.requested() {
                 thread::sleep(SWEEP_TICK);
                 let evicted = registry.evict_idle();
                 if !evicted.is_empty() {
@@ -380,6 +394,65 @@ pub fn serve(config: ServerConfig) -> io::Result<ServerHandle> {
         registry,
         recovery,
     })
+}
+
+/// Accept connections on `listener` until `shutdown` is requested —
+/// the one accept loop `workbenchd` and `workbench-router` share. It
+/// blocks in `accept` (a [`Shutdown::request`] dials the listener to
+/// wake it), checks the flag after every accept, and hands each
+/// connection to `pool` as one job running `serve`. With
+/// `max_pending > 0` (admission control), a connection that arrives
+/// while that many are pending or being served is answered with a
+/// `RETRY-AFTER` protocol error and closed instead of queueing
+/// unboundedly behind a saturated pool; `shed` counts it. The listener
+/// closes when the loop returns.
+pub fn accept_loop(
+    listener: TcpListener,
+    shutdown: &Shutdown,
+    pool: &ThreadPool,
+    max_pending: usize,
+    shed: impl Fn(),
+    serve: impl Fn(TcpStream) + Send + Sync + 'static,
+) {
+    let serve = Arc::new(serve);
+    let pending = Arc::new(AtomicUsize::new(0));
+    loop {
+        let accepted = listener.accept();
+        if shutdown.requested() {
+            return;
+        }
+        let stream = match accepted {
+            Ok((stream, _peer)) => stream,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(_) => {
+                thread::sleep(ACCEPT_ERROR_BACKOFF);
+                continue;
+            }
+        };
+        let live = pending.load(Ordering::SeqCst);
+        if max_pending > 0 && live >= max_pending {
+            shed();
+            let _ = write_response(
+                &mut BufWriter::new(stream),
+                false,
+                &format!(
+                    "RETRY-AFTER {RETRY_AFTER_HINT_MS}ms: server at capacity \
+                     ({live} connections pending)"
+                ),
+            );
+            continue;
+        }
+        pending.fetch_add(1, Ordering::SeqCst);
+        let serve = Arc::clone(&serve);
+        let pending = Arc::clone(&pending);
+        let queued = pool.execute(move || {
+            serve(stream);
+            pending.fetch_sub(1, Ordering::SeqCst);
+        });
+        if !queued {
+            return; // pool closed under us: shutting down
+        }
+    }
 }
 
 /// One command's reply, framed on the wire as `ok <n>` / `err <n>`
@@ -440,7 +513,7 @@ impl From<Response> for Reply {
 /// and returns its reply, or `None` to close without one.
 pub fn serve_lines(
     stream: TcpStream,
-    shutdown: &AtomicBool,
+    shutdown: &Shutdown,
     read_timeout: Duration,
     max_line_bytes: usize,
     max_heredoc_bytes: usize,
@@ -532,7 +605,7 @@ enum LineRead {
 /// request).
 fn read_protocol_line(
     reader: &mut BufReader<TcpStream>,
-    shutdown: &AtomicBool,
+    shutdown: &Shutdown,
     idle_budget: Duration,
     max_line_bytes: usize,
 ) -> io::Result<LineRead> {
@@ -562,7 +635,7 @@ fn read_protocol_line(
                     io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
                 ) =>
             {
-                if shutdown.load(Ordering::SeqCst) && buf.is_empty() {
+                if shutdown.requested() && buf.is_empty() {
                     return Ok(LineRead::Closed);
                 }
                 if started.elapsed() >= idle_budget {
@@ -615,7 +688,7 @@ fn serve_connection(
     stream: TcpStream,
     registry: &Arc<SessionRegistry>,
     stats: &Arc<ServerStats>,
-    shutdown: &Arc<AtomicBool>,
+    shutdown: &Shutdown,
     killed: &Arc<AtomicBool>,
     config: &ServerConfig,
 ) {
@@ -654,7 +727,7 @@ fn serve_connection(
 struct DispatchCtx<'a> {
     registry: &'a Arc<SessionRegistry>,
     stats: &'a Arc<ServerStats>,
-    shutdown: &'a Arc<AtomicBool>,
+    shutdown: &'a Shutdown,
     faults: &'a FaultPlan,
     quarantine_after: u32,
     default_deadline: Option<Duration>,
@@ -845,9 +918,14 @@ fn dispatch(
             },
             Err(_) => Reply::err("usage: repl promote <session> <min-seq>"),
         },
+        // The owner closed <session>: delete its standby journal here.
+        ["repl", "drop", id] => match registry.repl_drop(id) {
+            Ok(()) => Reply::ok(format!("repl dropped {id}")),
+            Err(e) => Reply::err(e),
+        },
         ["repl", ..] => Reply::err(
             "usage: repl subscribe <session> <source-len> | append <session> <seq> <command> \
-             | status | promote <session> <min-seq>",
+             | status | promote <session> <min-seq> | drop <session>",
         ),
         ["cancel", id] => match registry.get(id) {
             Some(session) => {
@@ -867,7 +945,7 @@ fn dispatch(
         // fault-injected) separately from client liveness checks.
         ["probe"] => Reply::ok(format!("ready sessions={}", registry.len())),
         ["shutdown"] => {
-            ctx.shutdown.store(true, Ordering::SeqCst);
+            ctx.shutdown.request();
             Reply::ok("shutting down (draining in-flight requests)").closing()
         }
         ["quit"] => Reply::ok("bye").closing(),
@@ -922,7 +1000,9 @@ mod tests {
     struct Ctx {
         registry: Arc<SessionRegistry>,
         stats: Arc<ServerStats>,
-        shutdown: Arc<AtomicBool>,
+        /// The listener a `shutdown` command wakes.
+        listener: TcpListener,
+        shutdown: Shutdown,
         faults: FaultPlan,
     }
 
@@ -936,10 +1016,13 @@ mod tests {
         }
 
         fn with_registry(registry: SessionRegistry, faults: FaultPlan) -> Ctx {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let shutdown = Shutdown::new(listener.local_addr().unwrap());
             Ctx {
                 registry: Arc::new(registry),
                 stats: Arc::new(ServerStats::new()),
-                shutdown: Arc::new(AtomicBool::new(false)),
+                listener,
+                shutdown,
                 faults,
             }
         }
@@ -1013,8 +1096,10 @@ mod tests {
         let mut attached = None;
         let (ok, _, close) = ctx.dispatch("shutdown", None, &mut attached);
         assert!(ok);
-        assert!(ctx.shutdown.load(Ordering::SeqCst));
+        assert!(ctx.shutdown.requested());
         assert!(close);
+        // The request dialled the listener, so a blocked accept wakes.
+        ctx.listener.accept().expect("the wake-up dial is queued");
     }
 
     #[test]
@@ -1211,6 +1296,44 @@ mod tests {
     }
 
     #[test]
+    fn dispatch_repl_drop_deletes_the_standby_journal() {
+        let dir = std::env::temp_dir().join(format!(
+            "iwb-dispatch-drop-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut journal = JournalConfig::new(&dir);
+        journal.fsync = false;
+        let registry = SessionRegistry::new(8, Duration::from_secs(60))
+            .with_journal(journal)
+            .with_repl(crate::repl::ReplConfig {
+                peers: vec!["127.0.0.1:1".into(), "127.0.0.1:2".into()],
+                self_index: 0,
+            });
+        let ctx = Ctx::with_registry(registry, FaultPlan::none());
+        let mut attached = None;
+        ctx.dispatch("repl subscribe d1 1", None, &mut attached);
+        let (ok, body, _) = ctx.dispatch("repl append d1 0 match a a", None, &mut attached);
+        assert!(ok, "{body}");
+
+        let (ok, body, _) = ctx.dispatch("repl drop d1", None, &mut attached);
+        assert!(ok, "{body}");
+        assert_eq!(body, "repl dropped d1");
+        let (_, body, _) = ctx.dispatch("repl status", None, &mut attached);
+        assert!(!body.contains("replica id=d1"), "{body}");
+        // Nothing is left to promote, and a second drop is harmless.
+        let (ok, body, _) = ctx.dispatch("repl promote d1 0", None, &mut attached);
+        assert!(!ok);
+        assert!(body.contains("no persisted state"), "{body}");
+        assert!(ctx.dispatch("repl drop d1", None, &mut attached).0);
+        let (ok, body, _) = ctx.dispatch("repl drop ../x", None, &mut attached);
+        assert!(!ok);
+        assert!(body.contains("invalid session id"), "{body}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn dispatch_refuses_repl_commands_when_replication_is_off() {
         let ctx = Ctx::new();
         let mut attached = None;
@@ -1218,6 +1341,7 @@ mod tests {
             "repl subscribe s1 0",
             "repl append s1 0 load er a",
             "repl status",
+            "repl drop s1",
         ] {
             let (ok, body, _) = ctx.dispatch(command, None, &mut attached);
             assert!(!ok, "{command} must be refused");

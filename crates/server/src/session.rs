@@ -787,6 +787,16 @@ impl SessionRegistry {
         replicas.append(id, seq, record, faults)
     }
 
+    /// Drop `id`'s standby journal: its owner closed the session.
+    pub fn repl_drop(&self, id: &str) -> Result<(), String> {
+        if !valid_id(id) {
+            return Err(format!("invalid session id {id:?}"));
+        }
+        let replicas = self.replicas.as_ref().ok_or("replication disabled")?;
+        replicas.remove(id);
+        Ok(())
+    }
+
     /// The replication status body: fleet membership, one `source` row
     /// per live journaled session (its seq, how far the successor has
     /// acknowledged, and the lag between them), and one `replica` row
@@ -1232,9 +1242,9 @@ impl SessionRegistry {
                 session.discard_store();
                 session.discard_journal();
                 if let Some(replicator) = &self.replicator {
-                    // Drop the stream bookkeeping; the successor's now
-                    // obsolete replica is discarded by the divergence
-                    // check the next time the id is reused.
+                    // The successor drops its replica too, or a router
+                    // finding the session live nowhere would promote
+                    // the closed session back.
                     replicator.forget(id);
                 }
                 true

@@ -30,6 +30,13 @@ cargo test -q --offline -p iwb-server --test chaos -- \
     cancel_from_another_connection_interrupts_a_hung_command \
     connections_past_the_pending_bound_are_shed_with_retry_after
 
+echo "== blocking accept loop (fresh connections cost no accept tick, every stop path wakes accept, a shed reply survives the client's write)"
+cargo test -q --offline -p iwb-router --test protocol -- \
+    opening_a_connection_costs_no_accept_tick \
+    every_way_of_stopping_wakes_the_blocked_accept
+cargo test -q --offline -p iwb-server --lib -- \
+    client::tests::a_reply_sent_before_the_server_closed_survives_the_write
+
 echo "== loader adversarial corpus (malformed input never panics)"
 cargo test -q --offline -p iwb-loaders --test adversarial
 
@@ -83,7 +90,7 @@ grep -q '"incremental_identical": true' target/BENCH_store_quick.json
 echo "== router unit suite (re-discovery rows, successor-first promotion walk)"
 cargo test -q --offline -p iwb-router --lib
 
-echo "== fleet chaos suite (kill mid-command + mid-curation, split routing, probe quarantine, migration, stale-replica refusal, promotion floor, route-miss promotion only when every backend answers, shedding owner retried not failed over, successor-first walk, drain + re-discovery)"
+echo "== fleet chaos suite (kill mid-command + mid-curation, split routing, probe quarantine, migration, stale-replica refusal, promotion floor, route-miss promotion only when every backend answers, shedding owner retried not failed over, a closed session is not promoted back, successor-first walk, drain + re-discovery)"
 cargo test -q --offline -p iwb-router --test fleet_chaos
 
 echo "== sequence-guard + migration handshake suite (duplicate acks, gaps, release/promote)"

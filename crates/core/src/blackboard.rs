@@ -136,28 +136,50 @@ impl Blackboard {
         confidence: Confidence,
         user_defined: bool,
     ) -> bool {
-        let Some(matrix) = self.matrices.get_mut(&(source.clone(), target.clone())) else {
-            return false;
-        };
-        let written = if user_defined {
-            matrix.decide(row, col, confidence == Confidence::ACCEPT)
-        } else {
-            matrix.suggest(row, col, confidence)
-        };
-        if written {
-            self.provenance.record(
-                tool,
-                source.clone(),
-                target.clone(),
-                ProvenanceKind::CellSet {
-                    row,
-                    col,
-                    confidence: confidence.value(),
-                    user_defined,
-                },
-            );
-        }
+        let mut written = false;
+        let cell = [(row, col, confidence)];
+        self.set_cells(tool, source, target, user_defined, cell, |_, _, _| {
+            written = true
+        });
         written
+    }
+
+    /// [`Self::set_cell`] for many cells of one matrix, looked up once.
+    /// `written` is called for every cell that changed, in order. Does
+    /// nothing when the pair has no matrix.
+    pub fn set_cells(
+        &mut self,
+        tool: &str,
+        source: &SchemaId,
+        target: &SchemaId,
+        user_defined: bool,
+        cells: impl IntoIterator<Item = (ElementId, ElementId, Confidence)>,
+        mut written: impl FnMut(ElementId, ElementId, Confidence),
+    ) {
+        let Some(matrix) = self.matrices.get_mut(&(source.clone(), target.clone())) else {
+            return;
+        };
+        for (row, col, confidence) in cells {
+            let changed = if user_defined {
+                matrix.decide(row, col, confidence == Confidence::ACCEPT)
+            } else {
+                matrix.suggest(row, col, confidence)
+            };
+            if changed {
+                self.provenance.record(
+                    tool,
+                    source.clone(),
+                    target.clone(),
+                    ProvenanceKind::CellSet {
+                        row,
+                        col,
+                        confidence: confidence.value(),
+                        user_defined,
+                    },
+                );
+                written(row, col, confidence);
+            }
+        }
     }
 
     /// Set a column's code with provenance.

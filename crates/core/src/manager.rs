@@ -170,6 +170,7 @@ impl WorkbenchManager {
             .push(format!("  txn commit: {} event(s) buffered", pending.len()));
 
         // Propagation: deliver to subscribed tools; handlers may cascade.
+        let subscriptions: Vec<_> = self.tools.iter().map(|t| t.subscriptions()).collect();
         let mut all_events = Vec::new();
         let mut trace = Vec::new();
         let mut round = 0;
@@ -181,7 +182,7 @@ impl WorkbenchManager {
                 trace.push(format!("round {round}: {event}"));
                 let kind = event.kind();
                 for (i, tool) in self.tools.iter_mut().enumerate() {
-                    if i == emitter || !tool.subscriptions().contains(&kind) {
+                    if i == emitter || !subscriptions[i].contains(&kind) {
                         continue;
                     }
                     let mut cascade = Vec::new();

@@ -267,33 +267,34 @@ impl HarmonyTool {
                 .map_err(ToolError::from)?,
         };
         bb.ensure_matrix(source, target);
-        let mut written = 0usize;
-        let mut emitted = 0usize;
-        for &row in result.matrix.src_ids() {
-            if let Some(scope) = &scope {
-                if !scope.contains(&row) {
-                    continue;
-                }
+        let (mut written, mut emitted) = (0usize, 0usize);
+        let m = &result.matrix;
+        let cols = m.tgt_ids().len();
+        let cells = m
+            .src_ids()
+            .iter()
+            .enumerate()
+            .filter(|(_, row)| scope.as_ref().is_none_or(|scope| scope.contains(row)))
+            .flat_map(|(r, &row)| {
+                m.tgt_ids()
+                    .iter()
+                    .enumerate()
+                    .map(move |(c, &col)| (row, col, Confidence::raw(m.scores()[r * cols + c])))
+            })
+            .filter(|&(row, col, _)| !locked.contains_key(&(row, col)));
+        let threshold = self.event_threshold;
+        bb.set_cells(self.name(), source, target, false, cells, |row, col, c| {
+            written += 1;
+            if c.magnitude() >= threshold {
+                events.push(WorkbenchEvent::MappingCell {
+                    source: source.clone(),
+                    target: target.clone(),
+                    row,
+                    col,
+                });
+                emitted += 1;
             }
-            for &col in result.matrix.tgt_ids() {
-                let c = result.matrix.get(row, col);
-                if locked.contains_key(&(row, col)) {
-                    continue;
-                }
-                if bb.set_cell(self.name(), source, target, row, col, c, false) {
-                    written += 1;
-                    if c.magnitude() >= self.event_threshold {
-                        events.push(WorkbenchEvent::MappingCell {
-                            source: source.clone(),
-                            target: target.clone(),
-                            row,
-                            col,
-                        });
-                        emitted += 1;
-                    }
-                }
-            }
-        }
+        });
         self.runs
             .insert(key, (source.clone(), target.clone(), result.clone()));
         self.last_result

@@ -252,21 +252,25 @@ impl MatchContext {
         &self.target_features[&id]
     }
 
-    /// The shared text features of the source side, keyed by element
-    /// (for rebuilding a context with different samples attached).
-    pub(crate) fn src_text_map(&self) -> HashMap<ElementId, Arc<TextFeatures>> {
-        self.source_features
-            .iter()
-            .map(|(&id, f)| (id, Arc::clone(&f.text)))
-            .collect()
-    }
-
-    /// The shared text features of the target side, keyed by element.
-    pub(crate) fn tgt_text_map(&self) -> HashMap<ElementId, Arc<TextFeatures>> {
-        self.target_features
-            .iter()
-            .map(|(&id, f)| (id, Arc::clone(&f.text)))
-            .collect()
+    /// A context over the same schemas, thesaurus and text features,
+    /// built on `corpus` and without samples: value-identical to
+    /// [`MatchContext::build`] with that corpus, but neither schema is
+    /// tokenised again.
+    pub(crate) fn with_corpus(&self, corpus: Corpus) -> MatchContext {
+        let text = |features: &HashMap<ElementId, ElementFeatures>| {
+            features
+                .iter()
+                .map(|(&id, f)| (id, Arc::clone(&f.text)))
+                .collect()
+        };
+        MatchContext::from_parts(
+            Arc::clone(&self.source),
+            Arc::clone(&self.target),
+            Arc::clone(&self.thesaurus),
+            corpus,
+            text(&self.source_features),
+            text(&self.target_features),
+        )
     }
 
     /// The graph for a side.

@@ -26,6 +26,27 @@
 //! [`MatchContext`]s, keyed by schema content fingerprints and a corpus
 //! epoch that is bumped whenever learning, the thesaurus, or instance
 //! samples change. Cache hits are value-identical to fresh builds.
+//!
+//! # Staged re-runs
+//!
+//! Every run takes one staged path. The engine retains the last
+//! completed run and keys each stage's retained state on what that
+//! stage reads:
+//!
+//! * **Scoring.** A voter's matrix is reused until a schema (by content
+//!   fingerprint), the thesaurus or the instance samples change. A voter
+//!   whose [`MatchVoter::reads_learned_state`] is true is also re-scored
+//!   after every [`HarmonyEngine::learn`]; in the default suite that is
+//!   the documentation voter alone.
+//! * **Merging.** Every row is re-merged when any voter matrix was
+//!   re-scored or a merger weight changed; otherwise only the source
+//!   rows whose locked cells were added, removed or re-valued.
+//! * **Flooding** always re-runs from the merge.
+//!
+//! A rerun where nothing changed runs the full pipeline. Scoring and
+//! merging are cell-local and flooding is a deterministic function of
+//! the merge, so a staged run is bit-identical to a full one (asserted
+//! by `tests/determinism.rs`).
 
 use crate::cache::{fingerprint, CacheStats, FeatureCache};
 use crate::confidence::Confidence;
@@ -92,31 +113,52 @@ impl MatchResult {
     }
 }
 
-/// How the engine produced its most recent result (see
+/// How the engine produced its most recent completed result (see
 /// [`HarmonyEngine::last_run`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunReport {
-    /// True when the run spliced recomputed rows into retained state
-    /// instead of re-scoring the full cross product.
+    /// True when the run reused retained voter matrices or merged rows
+    /// instead of recomputing the full pipeline.
     pub incremental: bool,
     /// Source rows re-merged on an incremental run (0 on a full run).
     pub dirty_rows: usize,
 }
 
-/// State retained from the last completed run so the next run over the
-/// same `(source, target, epoch)` can recompute only the rows whose
-/// locked cells changed. Voter matrices are kept verbatim (voters are
-/// deterministic in the epoch, so they would reproduce them bit-for-bit
-/// anyway); `merged` is the *pre-flooding* merge output — merging is
-/// cell-local, so a locked-cell edit dirties exactly its source row,
-/// and flooding always re-runs from the spliced merge.
+/// Locked (user-decided) cells and their ±1 confidences.
+type Locked = HashMap<(ElementId, ElementId), Confidence>;
+
+/// State retained from the last completed run, each part keyed on what
+/// produced it (see the module docs):
+///
+/// * `per_voter` was scored over the schemas fingerprinted `src_fp` and
+///   `tgt_fp` at `inputs_epoch` (thesaurus and samples) and, for voters
+///   that read learned state, at `corpus_epoch`;
+/// * `merged` is the *pre-flooding* merge of those matrices under
+///   `merger` with `locked` passed through. Merging is cell-local, so a
+///   locked-cell edit dirties exactly its source row, and flooding
+///   always re-runs from the merge;
+/// * `ctx` is the context the matrices were last scored with. Its text
+///   features stay valid while the fingerprints and `inputs_epoch`
+///   hold, and [`HarmonyEngine::learn`] builds on them; its corpus may
+///   be older than the engine's.
 struct RetainedRun {
     src_fp: u64,
     tgt_fp: u64,
-    epoch: u64,
-    locked: HashMap<(ElementId, ElementId), Confidence>,
+    inputs_epoch: u64,
+    corpus_epoch: u64,
+    ctx: Arc<MatchContext>,
+    merger: VoteMerger,
+    locked: Locked,
     per_voter: Vec<(String, ScoreMatrix)>,
     merged: ScoreMatrix,
+}
+
+/// What a run recomputes; everything else comes from the retained run.
+struct Stages {
+    /// Indices of the voters to score, in voter order.
+    rescore: Vec<usize>,
+    /// Source rows (by index) to re-merge; `None` re-merges every row.
+    remerge: Option<Vec<usize>>,
 }
 
 /// The Harmony match engine.
@@ -162,6 +204,10 @@ pub struct HarmonyEngine {
     /// Bumped whenever state that feeds a [`MatchContext`] changes
     /// (learned boosts, thesaurus, samples); part of the cache key.
     corpus_epoch: u64,
+    /// Bumped when the thesaurus or the samples change, but not by
+    /// learning: the key of the voter matrices that read no learned
+    /// state.
+    inputs_epoch: u64,
     /// Lazily built worker pool, kept while the thread count is stable.
     pool: Option<ThreadPool>,
     /// Last completed run, kept for incremental re-matching.
@@ -199,6 +245,7 @@ impl HarmonyEngine {
             config: MatchConfig::default(),
             cache: FeatureCache::new(),
             corpus_epoch: 0,
+            inputs_epoch: 0,
             pool: None,
             retained: None,
             last_run: RunReport::default(),
@@ -215,6 +262,7 @@ impl HarmonyEngine {
         self.source_samples = source;
         self.target_samples = target;
         self.corpus_epoch += 1;
+        self.inputs_epoch += 1;
     }
 
     /// Replace the thesaurus (e.g. with a domain-specific one). Cached
@@ -223,16 +271,12 @@ impl HarmonyEngine {
         self.thesaurus = Arc::new(thesaurus);
         self.cache.clear();
         self.corpus_epoch += 1;
+        self.inputs_epoch += 1;
     }
 
     /// The merger (to inspect learned weights).
     pub fn merger(&self) -> &VoteMerger {
         &self.merger
-    }
-
-    /// Mutable merger access (to preset weights).
-    pub fn merger_mut(&mut self) -> &mut VoteMerger {
-        &mut self.merger
     }
 
     /// The flooding configuration.
@@ -264,8 +308,9 @@ impl HarmonyEngine {
         self.cache.stats()
     }
 
-    /// How the most recent [`HarmonyEngine::run_budgeted`] was produced
-    /// (full vs incremental, and how many rows were recomputed).
+    /// How the most recent completed [`HarmonyEngine::run_budgeted`]
+    /// was produced (full vs incremental, and how many rows were
+    /// re-merged).
     pub fn last_run(&self) -> RunReport {
         self.last_run
     }
@@ -369,14 +414,7 @@ impl HarmonyEngine {
             // Samples are attached post-build; contexts in the cache
             // stay sample-free, so clone-on-write here. The epoch bump
             // in `set_instance_samples` keeps keys honest either way.
-            MatchContext::from_parts(
-                Arc::new(source.clone()),
-                Arc::new(target.clone()),
-                thesaurus,
-                self.corpus_seed.clone(),
-                built.src_text_map(),
-                built.tgt_text_map(),
-            )
+            built.with_corpus(self.corpus_seed.clone())
         } else {
             MatchContext::build(source, target, &thesaurus, corpus)
         };
@@ -409,17 +447,20 @@ impl HarmonyEngine {
 
     /// [`HarmonyEngine::run`] under a cooperative [`Budget`].
     ///
+    /// Recomputes only the stages whose inputs changed since the
+    /// retained run and reuses the rest (see the module docs).
+    ///
     /// The budget is consulted between the pipeline stages (context
     /// build → voter scoring → merge → flooding), at every shard
     /// boundary inside the parallel stages, and before each flooding
     /// iteration (whose count is already bounded by the deterministic
     /// [`FloodingConfig::max_iterations`] budget). A cancelled or
     /// expired run returns a structured [`Interrupt`] and produces **no
-    /// partial result** — engine state (voters, merger, caches) is left
-    /// exactly as it was, so a later retry is byte-identical to a fresh
-    /// run. A run that completes is byte-identical to an unbudgeted
-    /// one: the budget only decides *whether* stages run, never *what*
-    /// they compute.
+    /// partial result** — engine state (voters, merger, caches, the
+    /// retained run) is left exactly as it was, so a later retry is
+    /// byte-identical to a fresh run. A run that completes is
+    /// byte-identical to an unbudgeted one: the budget only decides
+    /// *whether* stages run, never *what* they compute.
     ///
     /// [`MatchConfig::timeout_ms`] is interpreted by the caller (the
     /// workbench harmony tool tightens the budget with it); the engine
@@ -428,126 +469,92 @@ impl HarmonyEngine {
         &mut self,
         source: &SchemaGraph,
         target: &SchemaGraph,
-        locked: &HashMap<(ElementId, ElementId), Confidence>,
+        locked: &Locked,
         budget: &Budget,
     ) -> Result<MatchResult, Interrupt> {
         budget.check()?;
-        if let Some(result) = self.try_incremental(source, target, locked, budget)? {
-            return Ok(result);
-        }
-        self.last_run = RunReport::default();
-        let ctx = self.context(source, target);
-        budget.check()?;
-        let src_ids = Arc::new(matchable_ids(source));
-        let tgt_ids = Arc::new(matchable_ids(target));
-        let rows = src_ids.len();
-        let threads = self.effective_threads().min(rows.max(1));
-
-        // Stage 2 (Figure 1): every voter scores every matchable pair,
-        // row ranges sharded across the pool.
-        let names: Vec<String> = self.voters.iter().map(|v| v.name().to_owned()).collect();
-        let mut per_voter: Vec<(String, ScoreMatrix)> = names
-            .iter()
-            .map(|n| {
-                (
-                    n.clone(),
-                    ScoreMatrix::new((*src_ids).clone(), (*tgt_ids).clone()),
-                )
-            })
-            .collect();
-        if threads <= 1 {
-            let slabs = score_rows(&ctx, &self.voters, &src_ids, &tgt_ids, 0, rows);
-            for (vi, slab) in slabs.into_iter().enumerate() {
-                per_voter[vi].1.splice_rows(0, &slab);
+        let (src_fp, tgt_fp) = (fingerprint(source), fingerprint(target));
+        let stages = self.stages(src_fp, tgt_fp, locked);
+        let full = stages.rescore.len() == self.voters.len() && stages.remerge.is_none();
+        let (src_ids, tgt_ids, mut per_voter, mut matrix) = match self.retained.as_ref() {
+            Some(r) if !full => (
+                r.merged.src_ids().to_vec(),
+                r.merged.tgt_ids().to_vec(),
+                r.per_voter.clone(),
+                r.merged.clone(),
+            ),
+            _ => {
+                let (src_ids, tgt_ids) = (matchable_ids(source), matchable_ids(target));
+                let blank = || ScoreMatrix::new(src_ids.clone(), tgt_ids.clone());
+                let per_voter = self
+                    .voters
+                    .iter()
+                    .map(|v| (v.name().to_owned(), blank()))
+                    .collect();
+                let matrix = blank();
+                (src_ids, tgt_ids, per_voter, matrix)
             }
+        };
+        let (src_ids, tgt_ids) = (Arc::new(src_ids), Arc::new(tgt_ids));
+
+        // Stage 2 (Figure 1): the voters whose inputs changed score
+        // every matchable pair.
+        let ctx = if !full && stages.rescore.is_empty() {
+            None
         } else {
-            let shards = shard_ranges(rows, threads);
-            let voters = Arc::new(std::mem::take(&mut self.voters));
-            let (tx, rx) = mpsc::channel();
-            let jobs: Vec<Box<dyn FnOnce() + Send>> = shards
-                .iter()
-                .enumerate()
-                .map(|(i, &(lo, hi))| {
-                    let (ctx, voters) = (Arc::clone(&ctx), Arc::clone(&voters));
-                    let (src_ids, tgt_ids) = (Arc::clone(&src_ids), Arc::clone(&tgt_ids));
-                    let tx = tx.clone();
-                    Box::new(move || {
-                        let slabs = score_rows(&ctx, &voters, &src_ids, &tgt_ids, lo, hi);
-                        tx.send((i, slabs)).expect("score shard channel");
-                    }) as Box<dyn FnOnce() + Send>
-                })
-                .collect();
-            let outcome = self.pool(threads).run_all_budgeted(jobs, budget);
-            drop(tx);
-            let collected: Vec<_> = rx.into_iter().collect();
-            // Skipped shards dropped their closures (and voter clones),
-            // so ownership can be reclaimed whether the batch completed
-            // or was interrupted — the engine is reusable after aborts.
-            self.voters = Arc::try_unwrap(voters)
-                .ok()
-                .expect("all scoring jobs completed or were dropped");
-            outcome?;
-            for (i, slabs) in collected {
-                for (vi, slab) in slabs.into_iter().enumerate() {
-                    per_voter[vi].1.splice_rows(shards[i].0, &slab);
-                }
-            }
-        }
-        budget.check()?;
-
-        // Stage 3: merge (locked cells pass through unchanged).
-        let mut matrix = ScoreMatrix::new((*src_ids).clone(), (*tgt_ids).clone());
-        if threads <= 1 {
-            let slab = merge_rows(
-                &per_voter,
-                &self.merger,
-                locked,
+            let ctx = self.context(source, target);
+            budget.check()?;
+            self.score(
+                &ctx,
+                &stages.rescore,
                 &src_ids,
                 &tgt_ids,
-                0,
-                rows,
-            );
-            matrix.splice_rows(0, &slab);
-        } else {
-            let shards = shard_ranges(rows, threads);
-            let shared = Arc::new(per_voter);
-            let merger = Arc::new(self.merger.clone());
-            let locked_arc = Arc::new(locked.clone());
-            let (tx, rx) = mpsc::channel();
-            let jobs: Vec<Box<dyn FnOnce() + Send>> = shards
-                .iter()
-                .enumerate()
-                .map(|(i, &(lo, hi))| {
-                    let (shared, merger) = (Arc::clone(&shared), Arc::clone(&merger));
-                    let locked = Arc::clone(&locked_arc);
-                    let (src_ids, tgt_ids) = (Arc::clone(&src_ids), Arc::clone(&tgt_ids));
-                    let tx = tx.clone();
-                    Box::new(move || {
-                        let slab =
-                            merge_rows(&shared, &merger, &locked, &src_ids, &tgt_ids, lo, hi);
-                        tx.send((i, slab)).expect("merge shard channel");
-                    }) as Box<dyn FnOnce() + Send>
-                })
-                .collect();
-            let outcome = self.pool(threads).run_all_budgeted(jobs, budget);
-            drop(tx);
-            let collected: Vec<_> = rx.into_iter().collect();
-            per_voter = Arc::try_unwrap(shared)
-                .unwrap_or_else(|_| panic!("all merge jobs completed or were dropped"));
-            outcome?;
-            for (i, slab) in collected {
-                matrix.splice_rows(shards[i].0, &slab);
+                &mut per_voter,
+                budget,
+            )?;
+            budget.check()?;
+            Some(ctx)
+        };
+
+        // Stage 3: merge (locked cells pass through unchanged).
+        let dirty_rows = match &stages.remerge {
+            Some(rows) => {
+                for &row in rows {
+                    let slab = merge_rows(
+                        &per_voter,
+                        &self.merger,
+                        locked,
+                        &src_ids,
+                        &tgt_ids,
+                        row,
+                        row + 1,
+                    );
+                    matrix.splice_rows(row, &slab);
+                }
+                rows.len()
             }
-        }
+            None => {
+                self.merge_all(
+                    &mut per_voter,
+                    locked,
+                    &src_ids,
+                    &tgt_ids,
+                    &mut matrix,
+                    budget,
+                )?;
+                src_ids.len()
+            }
+        };
         budget.check()?;
 
         // Stage 4: similarity flooding, user cells pinned. The fixpoint
         // loop is bounded by the deterministic `max_iterations` budget
         // and re-checks the interruption budget before each iteration.
-        // The pre-flooding merge is what incremental re-match splices
-        // into, so snapshot it before flooding mutates the matrix.
+        // The next staged run splices into the pre-flooding merge, so
+        // snapshot it before flooding mutates the matrix.
         let merged = matrix.clone();
         let locked_set: HashSet<(ElementId, ElementId)> = locked.keys().copied().collect();
+        let threads = self.effective_threads().min(src_ids.len().max(1));
         let flooding_iterations = if threads <= 1 {
             flood_budgeted(
                 &mut matrix,
@@ -561,14 +568,29 @@ impl HarmonyEngine {
             self.flood_parallel(&mut matrix, source, target, &locked_set, threads, budget)?
         };
 
+        let ctx = match ctx {
+            Some(ctx) => ctx,
+            None => self.retained.take().expect("a staged run has one").ctx,
+        };
         self.retained = Some(RetainedRun {
-            src_fp: fingerprint(source),
-            tgt_fp: fingerprint(target),
-            epoch: self.corpus_epoch,
+            src_fp,
+            tgt_fp,
+            inputs_epoch: self.inputs_epoch,
+            corpus_epoch: self.corpus_epoch,
+            ctx,
+            merger: self.merger.clone(),
             locked: locked.clone(),
             per_voter: per_voter.clone(),
             merged,
         });
+        self.last_run = if full {
+            RunReport::default()
+        } else {
+            RunReport {
+                incremental: true,
+                dirty_rows,
+            }
+        };
         Ok(MatchResult {
             matrix,
             per_voter,
@@ -576,131 +598,174 @@ impl HarmonyEngine {
         })
     }
 
-    /// Serve a run from retained state when only locked cells changed.
-    ///
-    /// Applicable iff the schema fingerprints and the corpus epoch
-    /// match the retained run — any edit, learning step, thesaurus or
-    /// sample change falls back to the full pipeline. The locked-cell
-    /// diff (added, removed, or re-valued cells) dirties exactly the
-    /// affected source rows; those rows are re-merged with the *same*
-    /// cell-local kernel the full pipeline shards, spliced into the
-    /// retained pre-flooding merge, and flooding re-runs in full.
-    /// Because merging is cell-local and flooding is a deterministic
-    /// function of the merged matrix, the result is byte-identical to a
-    /// from-scratch run (asserted by `tests/determinism.rs`).
-    ///
-    /// On interruption the retained state is restored untouched, so an
-    /// aborted incremental run can be retried — or superseded by a full
-    /// run — with no drift.
-    fn try_incremental(
-        &mut self,
-        source: &SchemaGraph,
-        target: &SchemaGraph,
-        locked: &HashMap<(ElementId, ElementId), Confidence>,
-        budget: &Budget,
-    ) -> Result<Option<MatchResult>, Interrupt> {
-        let Some(retained) = self.retained.take() else {
-            return Ok(None);
+    /// Which stages a run over the fingerprinted pair recomputes, keyed
+    /// on what each stage reads (see the module docs).
+    fn stages(&self, src_fp: u64, tgt_fp: u64, locked: &Locked) -> Stages {
+        let full = Stages {
+            rescore: (0..self.voters.len()).collect(),
+            remerge: None,
         };
-        if retained.src_fp != fingerprint(source)
-            || retained.tgt_fp != fingerprint(target)
-            || retained.epoch != self.corpus_epoch
-        {
-            // Stale: the inputs changed, not just the locked cells.
-            return Ok(None);
+        let Some(r) = self.retained.as_ref() else {
+            return full;
+        };
+        if (r.src_fp, r.tgt_fp, r.inputs_epoch) != (src_fp, tgt_fp, self.inputs_epoch) {
+            return full;
         }
-
-        // Diff the locked maps; a row is dirty when any of its cells
-        // was added, removed, or re-valued since the retained run.
+        let learned = r.corpus_epoch != self.corpus_epoch;
+        let rescore: Vec<usize> = (0..self.voters.len())
+            .filter(|&i| learned && self.voters[i].reads_learned_state())
+            .collect();
+        if !rescore.is_empty() || r.merger != self.merger {
+            return Stages {
+                rescore,
+                remerge: None,
+            };
+        }
+        // Only locked cells can differ: a row is dirty when any of its
+        // cells was added, removed, or re-valued since the retained run.
         let mut dirty: HashSet<ElementId> = HashSet::new();
         for (&(s, t), &c) in locked {
-            if retained.locked.get(&(s, t)) != Some(&c) {
+            if r.locked.get(&(s, t)) != Some(&c) {
                 dirty.insert(s);
             }
         }
-        for &(s, t) in retained.locked.keys() {
+        for &(s, t) in r.locked.keys() {
             if !locked.contains_key(&(s, t)) {
                 dirty.insert(s);
             }
         }
         if dirty.is_empty() {
-            // Identical rerun: no row to splice. Fall through to the
-            // full pipeline, which serves its context from the cache —
-            // keeping cache accounting (and every other observable)
-            // exactly as before incremental re-matching existed. The
-            // full run rebuilds the retained state it consumed here.
-            return Ok(None);
+            // Identical rerun: the full pipeline, which serves its
+            // context from the cache — keeping cache accounting (and
+            // every other observable) exactly as before re-runs were
+            // staged.
+            return full;
         }
-
-        let src_ids = retained.merged.src_ids();
-        let tgt_ids = retained.merged.tgt_ids();
-        let mut merged = retained.merged.clone();
-        let mut dirty_rows = 0;
-        if !tgt_ids.is_empty() {
-            for (row, &s) in src_ids.iter().enumerate() {
-                if !dirty.contains(&s) {
-                    continue;
-                }
-                let slab = merge_rows(
-                    &retained.per_voter,
-                    &self.merger,
-                    locked,
-                    src_ids,
-                    tgt_ids,
-                    row,
-                    row + 1,
-                );
-                merged.splice_rows(row, &slab);
-                dirty_rows += 1;
-            }
+        let rows = r
+            .merged
+            .src_ids()
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| dirty.contains(s))
+            .map(|(row, _)| row)
+            .collect();
+        Stages {
+            rescore,
+            remerge: Some(rows),
         }
+    }
 
-        let locked_set: HashSet<(ElementId, ElementId)> = locked.keys().copied().collect();
-        let mut matrix = merged.clone();
-        let rows = matrix.src_ids().len();
+    /// Score the voters at indices `which` over every matchable pair
+    /// into their matrices in `per_voter`, row ranges sharded across
+    /// the pool.
+    fn score(
+        &mut self,
+        ctx: &Arc<MatchContext>,
+        which: &[usize],
+        src_ids: &Arc<Vec<ElementId>>,
+        tgt_ids: &Arc<Vec<ElementId>>,
+        per_voter: &mut [(String, ScoreMatrix)],
+        budget: &Budget,
+    ) -> Result<(), Interrupt> {
+        let rows = src_ids.len();
         let threads = self.effective_threads().min(rows.max(1));
-        let flooded = if threads <= 1 {
-            flood_budgeted(
-                &mut matrix,
-                source,
-                target,
-                &locked_set,
-                &self.flooding,
-                budget,
-            )
-        } else {
-            self.flood_parallel(&mut matrix, source, target, &locked_set, threads, budget)
-        };
-        let flooding_iterations = match flooded {
-            Ok(n) => n,
-            Err(interrupt) => {
-                self.retained = Some(retained);
-                return Err(interrupt);
+        if threads <= 1 {
+            let slabs = score_rows(ctx, &self.voters, which, src_ids, tgt_ids, 0, rows);
+            for (&vi, slab) in which.iter().zip(slabs) {
+                per_voter[vi].1.splice_rows(0, &slab);
             }
-        };
+            return Ok(());
+        }
+        let shards = shard_ranges(rows, threads);
+        let voters = Arc::new(std::mem::take(&mut self.voters));
+        let which_arc: Arc<[usize]> = which.into();
+        let (tx, rx) = mpsc::channel();
+        let jobs: Vec<Box<dyn FnOnce() + Send>> = shards
+            .iter()
+            .enumerate()
+            .map(|(i, &(lo, hi))| {
+                let (ctx, voters) = (Arc::clone(ctx), Arc::clone(&voters));
+                let which = Arc::clone(&which_arc);
+                let (src_ids, tgt_ids) = (Arc::clone(src_ids), Arc::clone(tgt_ids));
+                let tx = tx.clone();
+                Box::new(move || {
+                    let slabs = score_rows(&ctx, &voters, &which, &src_ids, &tgt_ids, lo, hi);
+                    tx.send((i, slabs)).expect("score shard channel");
+                }) as Box<dyn FnOnce() + Send>
+            })
+            .collect();
+        let outcome = self.pool(threads).run_all_budgeted(jobs, budget);
+        drop(tx);
+        let collected: Vec<_> = rx.into_iter().collect();
+        // Skipped shards dropped their closures (and voter clones),
+        // so ownership can be reclaimed whether the batch completed
+        // or was interrupted — the engine is reusable after aborts.
+        self.voters = Arc::try_unwrap(voters)
+            .ok()
+            .expect("all scoring jobs completed or were dropped");
+        outcome?;
+        for (i, slabs) in collected {
+            for (&vi, slab) in which.iter().zip(slabs) {
+                per_voter[vi].1.splice_rows(shards[i].0, &slab);
+            }
+        }
+        Ok(())
+    }
 
-        let result = MatchResult {
-            matrix,
-            per_voter: retained.per_voter.clone(),
-            flooding_iterations,
-        };
-        self.last_run = RunReport {
-            incremental: true,
-            dirty_rows,
-        };
-        self.retained = Some(RetainedRun {
-            locked: locked.clone(),
-            merged,
-            ..retained
-        });
-        Ok(Some(result))
+    /// Merge every row of `per_voter` into `matrix`, row ranges sharded
+    /// across the pool.
+    fn merge_all(
+        &mut self,
+        per_voter: &mut Vec<(String, ScoreMatrix)>,
+        locked: &Locked,
+        src_ids: &Arc<Vec<ElementId>>,
+        tgt_ids: &Arc<Vec<ElementId>>,
+        matrix: &mut ScoreMatrix,
+        budget: &Budget,
+    ) -> Result<(), Interrupt> {
+        let rows = src_ids.len();
+        let threads = self.effective_threads().min(rows.max(1));
+        if threads <= 1 {
+            let slab = merge_rows(per_voter, &self.merger, locked, src_ids, tgt_ids, 0, rows);
+            matrix.splice_rows(0, &slab);
+            return Ok(());
+        }
+        let shards = shard_ranges(rows, threads);
+        let shared = Arc::new(std::mem::take(per_voter));
+        let merger = Arc::new(self.merger.clone());
+        let locked_arc = Arc::new(locked.clone());
+        let (tx, rx) = mpsc::channel();
+        let jobs: Vec<Box<dyn FnOnce() + Send>> = shards
+            .iter()
+            .enumerate()
+            .map(|(i, &(lo, hi))| {
+                let (shared, merger) = (Arc::clone(&shared), Arc::clone(&merger));
+                let locked = Arc::clone(&locked_arc);
+                let (src_ids, tgt_ids) = (Arc::clone(src_ids), Arc::clone(tgt_ids));
+                let tx = tx.clone();
+                Box::new(move || {
+                    let slab = merge_rows(&shared, &merger, &locked, &src_ids, &tgt_ids, lo, hi);
+                    tx.send((i, slab)).expect("merge shard channel");
+                }) as Box<dyn FnOnce() + Send>
+            })
+            .collect();
+        let outcome = self.pool(threads).run_all_budgeted(jobs, budget);
+        drop(tx);
+        let collected: Vec<_> = rx.into_iter().collect();
+        *per_voter = Arc::try_unwrap(shared)
+            .unwrap_or_else(|_| panic!("all merge jobs completed or were dropped"));
+        outcome?;
+        for (i, slab) in collected {
+            matrix.splice_rows(shards[i].0, &slab);
+        }
+        Ok(())
     }
 
     /// The flooding fixpoint loop with each iteration's rows sharded
     /// across the pool. Mirrors [`flood`] exactly: same kernel, same
     /// snapshot, same convergence test. Takes the graphs directly (not
-    /// a built [`MatchContext`]) so the incremental path can flood a
-    /// spliced merge without building a context at all.
+    /// a built [`MatchContext`]) so a staged run that scores no voter
+    /// floods without building a context at all.
     fn flood_parallel(
         &mut self,
         matrix: &mut ScoreMatrix,
@@ -753,6 +818,18 @@ impl HarmonyEngine {
     /// Feed user decisions back into the engine (§4.3): each voter
     /// learns internally, and the merger re-weights voters against the
     /// result of the *previous* run.
+    ///
+    /// Voters learn on a context over the seed corpus. When the retained
+    /// run scored this pair under the current thesaurus and samples,
+    /// that context is built from the retained run's text features, so
+    /// neither schema is tokenised again; otherwise it is built from
+    /// scratch. Both are value-identical.
+    ///
+    /// The learned corpus becomes the next seed, and building a context
+    /// registers every element of both schemas in its corpus. So the
+    /// seed already counts each element once per learning step, and
+    /// every later context counts it once more: after k steps each
+    /// element counts k + 1 times in the document frequencies.
     pub fn learn(
         &mut self,
         source: &SchemaGraph,
@@ -763,14 +840,23 @@ impl HarmonyEngine {
         if feedback.is_empty() {
             return;
         }
-        let mut ctx =
-            MatchContext::build(source, target, &self.thesaurus, self.corpus_seed.clone());
+        let corpus = self.corpus_seed.clone();
+        let mut ctx = match self.retained.as_ref() {
+            Some(r)
+                if (r.src_fp, r.tgt_fp, r.inputs_epoch)
+                    == (fingerprint(source), fingerprint(target), self.inputs_epoch) =>
+            {
+                r.ctx.with_corpus(corpus)
+            }
+            _ => MatchContext::build(source, target, &self.thesaurus, corpus),
+        };
         for voter in &mut self.voters {
             voter.learn(&mut ctx, feedback);
         }
         // Persist term boosts learned by voters into the seed corpus;
         // the epoch bump invalidates cached contexts built on the old
-        // boosts.
+        // boosts and the retained matrices of voters that read learned
+        // state.
         self.corpus_seed = ctx.corpus;
         self.corpus_epoch += 1;
         let names: Vec<&str> = self.voters.iter().map(|v| v.name()).collect();
@@ -798,22 +884,24 @@ fn shard_ranges(rows: usize, shards: usize) -> Vec<(usize, usize)> {
     out
 }
 
-/// Stage-2 kernel: every voter's scores for source rows `lo..hi`,
-/// returned as one row-major slab per voter.
+/// Stage-2 kernel: the scores of the voters at indices `which` for
+/// source rows `lo..hi`, returned as one row-major slab per listed
+/// voter.
 fn score_rows(
     ctx: &MatchContext,
     voters: &[Box<dyn MatchVoter>],
+    which: &[usize],
     src_ids: &[ElementId],
     tgt_ids: &[ElementId],
     lo: usize,
     hi: usize,
 ) -> Vec<Vec<f64>> {
     let cells = (hi - lo) * tgt_ids.len();
-    let mut out: Vec<Vec<f64>> = voters.iter().map(|_| Vec::with_capacity(cells)).collect();
+    let mut out: Vec<Vec<f64>> = which.iter().map(|_| Vec::with_capacity(cells)).collect();
     for &s in &src_ids[lo..hi] {
         for &t in tgt_ids {
-            for (vi, voter) in voters.iter().enumerate() {
-                out[vi].push(voter.vote(ctx, s, t).value());
+            for (slab, &vi) in out.iter_mut().zip(which) {
+                slab.push(voters[vi].vote(ctx, s, t).value());
             }
         }
     }
@@ -825,7 +913,7 @@ fn score_rows(
 fn merge_rows(
     per_voter: &[(String, ScoreMatrix)],
     merger: &VoteMerger,
-    locked: &HashMap<(ElementId, ElementId), Confidence>,
+    locked: &Locked,
     src_ids: &[ElementId],
     tgt_ids: &[ElementId],
     lo: usize,

@@ -30,8 +30,9 @@ pub enum MergeStrategy {
 }
 
 /// Combines per-voter confidences into one score, with learned per-voter
-/// weights.
-#[derive(Debug, Clone)]
+/// weights. Equality compares the strategy, every weight and every
+/// bound: the engine re-merges every row when it changed.
+#[derive(Debug, Clone, PartialEq)]
 pub struct VoteMerger {
     strategy: MergeStrategy,
     weights: BTreeMap<String, f64>,

@@ -31,6 +31,22 @@ pub trait MatchVoter: Send + Sync {
     /// can learn from the user's choices and refine any internal
     /// parameters"). Default: no-op.
     fn learn(&mut self, _ctx: &mut MatchContext, _feedback: &[Feedback]) {}
+
+    /// Whether this voter's scores can change when the engine learns:
+    /// `vote` reads the learned corpus (term boosts, TF-IDF vectors) or
+    /// state that any voter's `learn` mutates.
+    ///
+    /// The engine keys each retained voter matrix on what the voter
+    /// reads. Every matrix is re-scored when a schema, the thesaurus or
+    /// the instance samples change; a matrix of a voter that answers
+    /// `true` is also re-scored after every learning step, while one
+    /// that answers `false` is reused across learning steps. Default
+    /// `true`, the answer that is always safe; override with `false`
+    /// only when `vote` reads nothing but the schemas, the text
+    /// features, the thesaurus and the samples.
+    fn reads_learned_state(&self) -> bool {
+        true
+    }
 }
 
 #[cfg(test)]

@@ -41,6 +41,10 @@ impl MatchVoter for AcronymVoter {
         "acronym"
     }
 
+    fn reads_learned_state(&self) -> bool {
+        false
+    }
+
     fn vote(&self, ctx: &MatchContext, src: ElementId, tgt: ElementId) -> Confidence {
         // Unfiltered tokens: stop words ("of" in pointOfContact) carry
         // letters of the initialism, so the preprocessed stream would

@@ -44,6 +44,10 @@ impl MatchVoter for DataTypeVoter {
         "datatype"
     }
 
+    fn reads_learned_state(&self) -> bool {
+        false
+    }
+
     fn vote(&self, ctx: &MatchContext, src: ElementId, tgt: ElementId) -> Confidence {
         let a = ctx.source().element(src);
         let b = ctx.target().element(tgt);

@@ -42,6 +42,10 @@ impl MatchVoter for InstanceVoter {
         "instance"
     }
 
+    fn reads_learned_state(&self) -> bool {
+        false
+    }
+
     fn vote(&self, ctx: &MatchContext, src: ElementId, tgt: ElementId) -> Confidence {
         let a: HashSet<&String> = ctx.src_samples(src).iter().collect();
         let b: HashSet<&String> = ctx.tgt_samples(tgt).iter().collect();

@@ -42,6 +42,10 @@ impl MatchVoter for KeyVoter {
         "key"
     }
 
+    fn reads_learned_state(&self) -> bool {
+        false
+    }
+
     fn vote(&self, ctx: &MatchContext, src: ElementId, tgt: ElementId) -> Confidence {
         if ctx.source().element(src).kind != ElementKind::Attribute
             || ctx.target().element(tgt).kind != ElementKind::Attribute

@@ -64,6 +64,10 @@ impl MatchVoter for NameVoter {
         "name"
     }
 
+    fn reads_learned_state(&self) -> bool {
+        false
+    }
+
     fn vote(&self, ctx: &MatchContext, src: ElementId, tgt: ElementId) -> Confidence {
         let a = &ctx.src(src).text;
         let b = &ctx.tgt(tgt).text;

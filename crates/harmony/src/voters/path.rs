@@ -36,6 +36,10 @@ impl MatchVoter for PathVoter {
         "path"
     }
 
+    fn reads_learned_state(&self) -> bool {
+        false
+    }
+
     fn vote(&self, ctx: &MatchContext, src: ElementId, tgt: ElementId) -> Confidence {
         let (Some((_, ps)), Some((_, pt))) = (ctx.source().parent(src), ctx.target().parent(tgt))
         else {

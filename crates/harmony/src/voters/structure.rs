@@ -51,6 +51,10 @@ impl MatchVoter for StructureVoter {
         "structure"
     }
 
+    fn reads_learned_state(&self) -> bool {
+        false
+    }
+
     fn vote(&self, ctx: &MatchContext, src: ElementId, tgt: ElementId) -> Confidence {
         let a = child_stems(ctx, ctx.source(), src, true);
         let b = child_stems(ctx, ctx.target(), tgt, false);

@@ -50,6 +50,10 @@ impl MatchVoter for ThesaurusVoter {
         "thesaurus"
     }
 
+    fn reads_learned_state(&self) -> bool {
+        false
+    }
+
     fn vote(&self, ctx: &MatchContext, src: ElementId, tgt: ElementId) -> Confidence {
         let a = &ctx.src(src).text;
         let b = &ctx.tgt(tgt).text;

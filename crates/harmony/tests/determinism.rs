@@ -2,18 +2,30 @@
 //! `HarmonyEngine::run` produces **byte-identical** results for every
 //! thread count and cache setting — the merged matrix, every per-voter
 //! matrix, and the flooding iteration count, compared through
-//! `f64::to_bits` so even last-bit rounding drift fails.
+//! `f64::to_bits` so even last-bit rounding drift fails. Staged re-runs
+//! (after a decision, after a learning step) are byte-identical to the
+//! full pipeline, and re-score only the voters whose inputs changed.
 //!
-//! Workloads are seeded registry pairs (generator → mild perturbation),
-//! so the suite is reproducible across runs and machines.
+//! Workloads are seeded registry pairs (generator → mild perturbation)
+//! and the `iwb-eval` domains, so the suite is reproducible across runs
+//! and machines.
 
+use iwb_eval::domains::{default_knobs, domains, generate_case, DomainKnobs};
+use iwb_harmony::voters::default_suite;
 use iwb_harmony::{
-    Budget, CancelToken, Confidence, Deadline, HarmonyEngine, Interrupt, MatchConfig, MatchResult,
-    ScoreMatrix,
+    cupid_like_engine, Budget, CancelToken, Confidence, Deadline, Feedback, FloodingConfig,
+    HarmonyEngine, Interrupt, MatchConfig, MatchContext, MatchResult, MatchVoter, ScoreMatrix,
+    VoteMerger,
 };
+use iwb_ling::Thesaurus;
+use iwb_model::{DataType, ElementId, Metamodel, SchemaBuilder};
 use iwb_registry::perturb::{perturb_schema, PerturbConfig};
 use iwb_registry::{generate_registry, GeneratorConfig, SchemaPair};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
+
+type Locked = HashMap<(ElementId, ElementId), Confidence>;
 
 /// One seeded (source, target, gold) pair of roughly
 /// `entities * 6` elements per side.
@@ -30,19 +42,189 @@ fn seeded_pair(seed: u64, entities: usize) -> SchemaPair {
     perturb_schema(&registry.models[0], &PerturbConfig::mild(seed))
 }
 
-fn run_with(
-    pair: &SchemaPair,
-    threads: usize,
-    cache: bool,
-    locked: &HashMap<(iwb_model::ElementId, iwb_model::ElementId), Confidence>,
-) -> MatchResult {
-    let mut engine = HarmonyEngine::default();
+fn run_with(pair: &SchemaPair, threads: usize, cache: bool, locked: &Locked) -> MatchResult {
+    configured(HarmonyEngine::default(), threads, cache).run(&pair.source, &pair.target, locked)
+}
+
+fn configured(mut engine: HarmonyEngine, threads: usize, cache: bool) -> HarmonyEngine {
     engine.set_match_config(MatchConfig {
         threads,
         cache,
         ..MatchConfig::default()
     });
-    engine.run(&pair.source, &pair.target, locked)
+    engine
+}
+
+fn engine_with(voters: Vec<Box<dyn MatchVoter>>) -> HarmonyEngine {
+    HarmonyEngine::new(voters, VoteMerger::default(), FloodingConfig::default())
+}
+
+/// A one-attribute pair no test matches for its own sake: running it
+/// replaces an engine's retained run, so the next run of the real pair
+/// takes the full pipeline.
+fn decoy() -> SchemaPair {
+    let schema = |name: &str| {
+        SchemaBuilder::new(name, Metamodel::Relational)
+            .open("T")
+            .attr("x", DataType::Text)
+            .close()
+            .build()
+    };
+    SchemaPair {
+        source: schema("decoy_src"),
+        target: schema("decoy_tgt"),
+        gold: Default::default(),
+    }
+}
+
+/// One oracle round over `result`: the `k` source rows whose best
+/// undecided target scores highest get that target accepted when it is
+/// gold and rejected otherwise. Decisions are added to `locked`.
+fn oracle_round(pair: &SchemaPair, result: &MatchResult, locked: &mut Locked) -> Vec<Feedback> {
+    const K: usize = 3;
+    let m = &result.matrix;
+    let mut best: Vec<(ElementId, ElementId, f64)> = m
+        .src_ids()
+        .iter()
+        .filter_map(|&s| {
+            m.tgt_ids()
+                .iter()
+                .filter(|&&t| !locked.contains_key(&(s, t)))
+                .map(|&t| (s, t, m.get(s, t).value()))
+                .max_by(|a, b| a.2.total_cmp(&b.2))
+        })
+        .collect();
+    best.sort_by(|a, b| b.2.total_cmp(&a.2).then(a.0.cmp(&b.0)));
+    best.into_iter()
+        .take(K)
+        .map(|(s, t, _)| {
+            let accepted = pair.gold.contains(&pair.source, &pair.target, s, t);
+            let c = if accepted {
+                Confidence::ACCEPT
+            } else {
+                Confidence::REJECT
+            };
+            locked.insert((s, t), c);
+            Feedback {
+                src: s,
+                tgt: t,
+                accepted,
+            }
+        })
+        .collect()
+}
+
+/// One step of a feedback sequence: the decisions fed back before the
+/// run, the locked cells the run saw, and its result.
+struct Round {
+    feedback: Vec<Feedback>,
+    locked: Locked,
+    result: MatchResult,
+}
+
+/// A `rounds`-step feedback sequence on `engine`, where no step can take
+/// the staged path: before each learning step the engine matches the
+/// decoy pair, so `learn` builds its context from scratch and every run
+/// of `pair` is a full pipeline. Round 0 is the first run.
+fn full_rounds(mut engine: HarmonyEngine, pair: &SchemaPair, rounds: usize) -> Vec<Round> {
+    let decoy = decoy();
+    let first = engine.run(&pair.source, &pair.target, &HashMap::new());
+    let mut out = vec![Round {
+        feedback: Vec::new(),
+        locked: HashMap::new(),
+        result: first,
+    }];
+    for round in 1..=rounds {
+        let prev = out.last().expect("round 0 exists");
+        let mut locked = prev.locked.clone();
+        let feedback = oracle_round(pair, &prev.result, &mut locked);
+        engine.run(&decoy.source, &decoy.target, &HashMap::new());
+        engine.learn(&pair.source, &pair.target, &prev.result, &feedback);
+        let result = engine.run(&pair.source, &pair.target, &locked);
+        assert!(
+            !engine.last_run().incremental,
+            "round {round}: the reference must run the full pipeline"
+        );
+        out.push(Round {
+            feedback,
+            locked,
+            result,
+        });
+    }
+    out
+}
+
+/// Counts `vote` calls on the voter it wraps and delegates the rest.
+struct Counting {
+    inner: Box<dyn MatchVoter>,
+    votes: Arc<AtomicUsize>,
+}
+
+impl MatchVoter for Counting {
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+    fn vote(&self, ctx: &MatchContext, src: ElementId, tgt: ElementId) -> Confidence {
+        self.votes.fetch_add(1, Ordering::Relaxed);
+        self.inner.vote(ctx, src, tgt)
+    }
+    fn learn(&mut self, ctx: &mut MatchContext, feedback: &[Feedback]) {
+        self.inner.learn(ctx, feedback);
+    }
+    fn reads_learned_state(&self) -> bool {
+        self.inner.reads_learned_state()
+    }
+}
+
+/// A voter left at the trait's default `reads_learned_state`. It
+/// abstains, and when armed it cancels the armed token on its next
+/// vote: a run that scores it is interrupted mid-pipeline.
+#[derive(Default)]
+struct Tripwire {
+    armed: Arc<Mutex<Option<CancelToken>>>,
+}
+
+impl MatchVoter for Tripwire {
+    fn name(&self) -> &'static str {
+        "tripwire"
+    }
+    fn vote(&self, _: &MatchContext, _: ElementId, _: ElementId) -> Confidence {
+        if let Some(token) = self.armed.lock().expect("tripwire lock").take() {
+            token.cancel();
+        }
+        Confidence::UNKNOWN
+    }
+}
+
+/// The default suite plus a [`Tripwire`], every voter counted: the
+/// voters and, per voter, its name, `reads_learned_state` and counter.
+type Counters = Vec<(&'static str, bool, Arc<AtomicUsize>)>;
+
+fn counted_suite() -> (Vec<Box<dyn MatchVoter>>, Counters) {
+    let mut suite = default_suite();
+    suite.push(Box::new(Tripwire::default()));
+    let mut counters = Vec::new();
+    let voters = suite
+        .into_iter()
+        .map(|inner| {
+            let votes = Arc::new(AtomicUsize::new(0));
+            counters.push((
+                inner.name(),
+                inner.reads_learned_state(),
+                Arc::clone(&votes),
+            ));
+            Box::new(Counting { inner, votes }) as Box<dyn MatchVoter>
+        })
+        .collect();
+    (voters, counters)
+}
+
+/// `vote` calls per voter since the last call, by name.
+fn take_counts(counters: &Counters) -> Vec<(&'static str, usize)> {
+    counters
+        .iter()
+        .map(|(name, _, votes)| (*name, votes.swap(0, Ordering::Relaxed)))
+        .collect()
 }
 
 fn bits(m: &ScoreMatrix) -> Vec<u64> {
@@ -154,17 +336,20 @@ fn unexpired_deadlines_never_change_the_result() {
 fn aborted_runs_leave_the_engine_reusable_and_identical() {
     // A cancelled run yields a structured abort, and the *same engine*
     // still produces byte-identical results afterwards — no partial
-    // state sticks.
+    // state sticks. That holds for a learned re-match too, aborted
+    // before it starts or mid-pipeline (the tripwire voter cancels the
+    // run's token while the learned-state voters are scored): the retry
+    // takes the staged path and matches a full run bit for bit.
     let pair = seeded_pair(11, 10);
     let locked = HashMap::new();
-    let baseline = run_with(&pair, 1, false, &locked);
+    let reference = full_rounds(engine_with(counted_suite().0), &pair, 1);
+    let (baseline, learned) = (&reference[0].result, &reference[1]);
     for threads in [1, 2, 8] {
-        let mut engine = HarmonyEngine::default();
-        engine.set_match_config(MatchConfig {
-            threads,
-            cache: true,
-            ..MatchConfig::default()
-        });
+        let tripwire = Tripwire::default();
+        let armed = Arc::clone(&tripwire.armed);
+        let mut voters = default_suite();
+        voters.push(Box::new(tripwire));
+        let mut engine = configured(engine_with(voters), threads, true);
         let cancelled = CancelToken::new();
         cancelled.cancel();
         let budget = Budget::new(cancelled, Deadline::none());
@@ -184,9 +369,44 @@ fn aborted_runs_leave_the_engine_reusable_and_identical() {
             .run_budgeted(&pair.source, &pair.target, &locked, &Budget::unlimited())
             .expect("unlimited budget");
         assert_identical(
-            &baseline,
+            baseline,
             &r,
             &format!("post-abort rerun, threads={threads}"),
+        );
+
+        engine.learn(&pair.source, &pair.target, &r, &learned.feedback);
+        for budget in [&budget, &expired] {
+            engine
+                .run_budgeted(&pair.source, &pair.target, &learned.locked, budget)
+                .expect_err("a learned re-match under a spent budget must abort");
+        }
+        let tripped = CancelToken::new();
+        *armed.lock().expect("tripwire lock") = Some(tripped.clone());
+        let err = engine
+            .run_budgeted(
+                &pair.source,
+                &pair.target,
+                &learned.locked,
+                &Budget::new(tripped, Deadline::none()),
+            )
+            .expect_err("a learned re-match cancelled mid-pipeline must abort");
+        assert_eq!(err, Interrupt::Cancelled);
+        let retried = engine
+            .run_budgeted(
+                &pair.source,
+                &pair.target,
+                &learned.locked,
+                &Budget::unlimited(),
+            )
+            .expect("unlimited budget");
+        assert!(
+            engine.last_run().incremental,
+            "threads={threads}: the retried learned re-match is staged"
+        );
+        assert_identical(
+            &learned.result,
+            &retried,
+            &format!("learned re-match retried after aborts, threads={threads}"),
         );
     }
 }
@@ -267,6 +487,108 @@ fn retracting_a_decision_incrementally_is_identical_too() {
         assert_eq!(report.dirty_rows, 1, "threads={threads}");
         assert_identical(&probe, &retracted, &format!("retract, threads={threads}"));
     }
+}
+
+#[test]
+fn a_learned_rematch_rescores_only_the_voters_that_read_learned_state() {
+    // After `learn`, a voter whose `reads_learned_state()` is false keeps
+    // its matrix (0 `vote` calls); the documentation voter and a voter
+    // left at the trait default are scored over the full cross product.
+    let pair = seeded_pair(31, 8);
+    for threads in [1, 2] {
+        let (voters, counters) = counted_suite();
+        let mut engine = configured(engine_with(voters), threads, true);
+        let first = engine.run(&pair.source, &pair.target, &HashMap::new());
+        let cells = first.matrix.len();
+        assert!(cells > 0);
+        assert!(
+            take_counts(&counters).iter().all(|&(_, n)| n == cells),
+            "threads={threads}: the first run scores every voter"
+        );
+        let mut locked = HashMap::new();
+        let feedback = oracle_round(&pair, &first, &mut locked);
+        engine.learn(&pair.source, &pair.target, &first, &feedback);
+        engine.run(&pair.source, &pair.target, &locked);
+        assert!(engine.last_run().incremental, "threads={threads}");
+        let rescored: Vec<&str> = counters
+            .iter()
+            .filter(|(_, reads, _)| *reads)
+            .map(|(name, _, _)| *name)
+            .collect();
+        assert_eq!(rescored, ["documentation", "tripwire"]);
+        for ((name, reads, _), (_, votes)) in counters.iter().zip(take_counts(&counters)) {
+            let expected = if *reads { cells } else { 0 };
+            assert_eq!(votes, expected, "threads={threads}: votes of {name}");
+        }
+    }
+}
+
+#[test]
+fn learned_rematches_are_staged_and_identical_to_full_runs() {
+    // Five feedback rounds on every iwb-eval domain: each learned
+    // re-match takes the staged path and is bit-identical to a full
+    // run after the same learning, for every thread count × cache
+    // setting (threads: 0 resolves to the available parallelism). The
+    // Cupid-like suite reads no learned state, so there only the
+    // merger's learned weights force the re-merge.
+    let engines = [
+        ("harmony", HarmonyEngine::default as fn() -> HarmonyEngine),
+        ("cupid-like", cupid_like_engine),
+    ];
+    for spec in domains() {
+        let knobs = DomainKnobs {
+            entities: 6,
+            attrs_per_entity: 3.0,
+            ..default_knobs(spec)
+        };
+        let pair = generate_case(spec, &knobs, 4242).pair;
+        for (name, new_engine) in engines {
+            let reference = full_rounds(new_engine(), &pair, 5);
+            for threads in [1, 2, 8, 0] {
+                for cache in [true, false] {
+                    let what = |round: usize| {
+                        let domain = spec.name;
+                        format!("{domain} {name} round {round}, threads={threads} cache={cache}")
+                    };
+                    let mut engine = configured(new_engine(), threads, cache);
+                    let mut prev = engine.run(&pair.source, &pair.target, &HashMap::new());
+                    assert_identical(&reference[0].result, &prev, &what(0));
+                    for (round, step) in reference.iter().enumerate().skip(1) {
+                        engine.learn(&pair.source, &pair.target, &prev, &step.feedback);
+                        prev = engine.run(&pair.source, &pair.target, &step.locked);
+                        assert!(engine.last_run().incremental, "{}: staged", what(round));
+                        assert_identical(&step.result, &prev, &what(round));
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn a_thesaurus_or_sample_change_rescores_every_voter() {
+    // The corpus-free voters read the thesaurus and the samples, so a
+    // change to either re-scores every voter, learned state or not.
+    let pair = seeded_pair(37, 8);
+    let (voters, counters) = counted_suite();
+    let mut engine = engine_with(voters);
+    let cells = engine
+        .run(&pair.source, &pair.target, &HashMap::new())
+        .matrix
+        .len();
+    take_counts(&counters);
+    let rescored = |engine: &mut HarmonyEngine, what: &str| {
+        engine.run(&pair.source, &pair.target, &HashMap::new());
+        assert!(!engine.last_run().incremental, "{what}: a full run");
+        for (name, votes) in take_counts(&counters) {
+            assert_eq!(votes, cells, "{what}: votes of {name}");
+        }
+    };
+    engine.set_thesaurus(Thesaurus::builtin());
+    rescored(&mut engine, "thesaurus");
+    let id = pair.source.iter().last().expect("non-empty").0;
+    engine.set_instance_samples(vec![(id, vec!["a".into()])], Vec::new());
+    rescored(&mut engine, "samples");
 }
 
 #[test]

@@ -6,6 +6,7 @@
 //! [`SchemaId`], which the blackboard uses to key its repository.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// Dense, graph-local identifier of a schema element.
 ///
@@ -41,14 +42,17 @@ impl fmt::Display for ElementId {
 ///
 /// The blackboard keys its schema repository by `SchemaId`; loaders derive
 /// it from the imported artifact's name (file stem, database name, message
-/// format name).
+/// format name). The name is shared, not copied: cloning an id (once per
+/// written matrix cell and per mapping-cell event) bumps a reference
+/// count. Equality, ordering, hashing and formatting are those of the
+/// name string.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct SchemaId(String);
+pub struct SchemaId(Arc<str>);
 
 impl SchemaId {
-    /// Create a schema id from any displayable name.
-    pub fn new(name: impl Into<String>) -> Self {
-        SchemaId(name.into())
+    /// Create a schema id from a name (one allocation).
+    pub fn new(name: impl AsRef<str>) -> Self {
+        SchemaId(Arc::from(name.as_ref()))
     }
 
     /// The identifier as a string slice.
@@ -96,11 +100,25 @@ mod tests {
         let id = SchemaId::from("purchaseOrder");
         assert_eq!(id.to_string(), "purchaseOrder");
         assert_eq!(id.as_str(), "purchaseOrder");
+        assert_eq!(format!("{id:?}"), r#"SchemaId("purchaseOrder")"#);
     }
 
     #[test]
     fn schema_ids_compare_by_name() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
         assert_eq!(SchemaId::from("a"), SchemaId::new(String::from("a")));
         assert_ne!(SchemaId::from("a"), SchemaId::from("b"));
+        assert!(SchemaId::from("a") < SchemaId::from("b"));
+        fn hash_of(x: impl Hash) -> u64 {
+            let mut h = DefaultHasher::new();
+            x.hash(&mut h);
+            h.finish()
+        }
+        assert_eq!(
+            hash_of(SchemaId::from("po")),
+            hash_of("po"),
+            "an id hashes as its name, so fingerprints and content keys keep their values"
+        );
     }
 }

@@ -77,10 +77,14 @@ cargo test -q --offline -p iwb-server --lib -- \
     an_orphaned_snapshot_alone_recovers_the_session \
     a_bad_journal_beside_a_good_snapshot_is_refused
 
-echo "== incremental re-match determinism (byte-identical splice across threads/cache)"
+echo "== incremental re-match determinism (byte-identical splice across threads/cache; learned re-matches re-score only the voters that read learned state, stay staged and bit-identical over 5 feedback rounds on every eval domain, and retry identically after an abort)"
 cargo test -q --offline -p iwb-harmony --test determinism -- \
     incremental_rematch_is_byte_identical_to_from_scratch \
-    retracting_a_decision_incrementally_is_identical_too
+    retracting_a_decision_incrementally_is_identical_too \
+    a_learned_rematch_rescores_only_the_voters_that_read_learned_state \
+    learned_rematches_are_staged_and_identical_to_full_runs \
+    aborted_runs_leave_the_engine_reusable_and_identical \
+    a_thesaurus_or_sample_change_rescores_every_voter
 
 echo "== bench_store smoke (snapshot throughput, warm reopen, incremental identity)"
 cargo run -q --release --offline -p iwb-bench --bin bench_store -- \

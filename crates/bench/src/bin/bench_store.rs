@@ -1,12 +1,13 @@
-//! Persistent-store benchmark: snapshot write/load throughput, warm
-//! (snapshot + journal-suffix) vs cold (journal-only) recovery latency,
-//! and the incremental re-match speedup after a user decision.
+//! Persistent-store benchmark: image write/load throughput, warm
+//! (image restore + journal suffix) vs cold (journal-only replay)
+//! recovery latency, and the incremental re-match speedup after a user
+//! decision.
 //!
 //! Three gates guard the persistence contract:
 //!
 //! * the incremental re-match must be **byte-identical** to a
 //!   from-scratch run with the same locked cells (always enforced);
-//! * warm recovery must beat cold journal replay (skipped under
+//! * the image restore must beat cold journal replay (skipped under
 //!   `--quick`, where the workload is too small to amortise file IO);
 //! * the incremental re-match must be faster than from-scratch
 //!   (skipped under `--quick` for the same reason).
@@ -117,7 +118,7 @@ fn fresh_dir(tag: &str) -> PathBuf {
 }
 
 /// Drive the command sequence through a session registry, persisting
-/// journals under `dir` (and snapshots too when `store` is set).
+/// journals under `dir` (and an image too when `store` is set).
 fn populate(dir: &Path, store: bool, commands: &[CommandRecord]) {
     let stats = ServerStats::new();
     let mut reg = SessionRegistry::new(4, Duration::from_secs(3600)).with_journal(JournalConfig {
@@ -128,7 +129,7 @@ fn populate(dir: &Path, store: bool, commands: &[CommandRecord]) {
         reg = reg.with_store(StoreConfig {
             dir: dir.to_path_buf(),
             fsync: false,
-            snapshot_every: 0, // one snapshot, flushed below
+            snapshot_every: 0, // one image, flushed below
         });
     }
     let session = reg.create(Some("bench")).expect("create session");
@@ -150,7 +151,7 @@ fn populate(dir: &Path, store: bool, commands: &[CommandRecord]) {
     }
     drop(session);
     if store {
-        assert_eq!(reg.flush_snapshots(), 1, "snapshot flushed");
+        assert_eq!(reg.flush_snapshots(), 1, "image flushed");
     }
 }
 
@@ -200,7 +201,7 @@ fn main() {
         args.seed, args.scale, args.repeats
     );
 
-    // ---- snapshot write / load throughput ----
+    // ---- image write / load throughput ----
     let script: String = commands
         .iter()
         .map(|r| match &r.heredoc {
@@ -211,11 +212,8 @@ fn main() {
     let mut shell = Shell::new();
     let outcome = shell.run_on(&script);
     assert_eq!(outcome.errors, 0, "{}", outcome.transcript);
-    let snapshot = persist::capture(&mut shell).into_snapshot(
-        "bench",
-        commands.len() as u64,
-        commands.clone(),
-    );
+    let snapshot =
+        persist::capture(&shell).into_snapshot("bench", commands.len() as u64, commands.clone());
     let dir = fresh_dir("throughput");
     let mut store = SessionStore::new(&dir, "bench");
     store.fsync = false;
@@ -236,11 +234,11 @@ fn main() {
     let mb = bytes as f64 / (1024.0 * 1024.0);
     let (write_mb_s, load_mb_s) = (mb / (write_ms / 1000.0), mb / (load_ms / 1000.0));
     let _ = std::fs::remove_dir_all(&dir);
-    println!("  snapshot          {bytes:9} bytes");
-    println!("  snapshot write    {write_ms:9.2} ms   ({write_mb_s:.1} MB/s)");
-    println!("  snapshot load     {load_ms:9.2} ms   ({load_mb_s:.1} MB/s)");
+    println!("  image             {bytes:9} bytes");
+    println!("  image write       {write_ms:9.2} ms   ({write_mb_s:.1} MB/s)");
+    println!("  image load        {load_ms:9.2} ms   ({load_mb_s:.1} MB/s)");
 
-    // ---- warm reopen vs cold journal replay ----
+    // ---- image restore vs cold journal replay ----
     let warm_dir = fresh_dir("warm");
     let cold_dir = fresh_dir("cold");
     populate(&warm_dir, true, &commands);
@@ -250,7 +248,7 @@ fn main() {
     for _ in 0..args.repeats {
         let (ms, report) = recover_once(&warm_dir, true);
         warm_ms = warm_ms.min(ms);
-        warm_sessions = report.warm;
+        warm_sessions = report.images;
         assert_eq!(report.replay_errors, 0, "{report:?}");
         let (ms, report) = recover_once(&cold_dir, false);
         cold_ms = cold_ms.min(ms);
@@ -264,7 +262,7 @@ fn main() {
     let _ = std::fs::remove_dir_all(&warm_dir);
     let _ = std::fs::remove_dir_all(&cold_dir);
     println!("  cold replay       {cold_ms:9.2} ms");
-    println!("  warm reopen       {warm_ms:9.2} ms   speedup {recovery_speedup:.2}x");
+    println!("  image restore     {warm_ms:9.2} ms   speedup {recovery_speedup:.2}x");
 
     // ---- incremental re-match vs from-scratch ----
     let probe = {
@@ -334,12 +332,12 @@ fn main() {
         std::process::exit(1);
     }
     if warm_sessions != 1 {
-        eprintln!("bench_store: FAILED — recovery did not reopen the session warm");
+        eprintln!("bench_store: FAILED — recovery did not restore the session from its image");
         std::process::exit(1);
     }
     if !args.quick && recovery_speedup <= 1.0 {
         eprintln!(
-            "bench_store: FAILED — warm reopen {warm_ms:.2} ms did not beat cold replay {cold_ms:.2} ms"
+            "bench_store: FAILED — image restore {warm_ms:.2} ms did not beat cold replay {cold_ms:.2} ms"
         );
         std::process::exit(1);
     }

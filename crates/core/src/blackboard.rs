@@ -15,6 +15,8 @@ use crate::version::SchemaVersions;
 use iwb_harmony::Confidence;
 use iwb_model::{ElementId, SchemaGraph, SchemaId};
 use iwb_rdf::{schema_rdf, select, Bindings, Term, TriplePattern, TripleStore};
+use iwb_store::codec::{ByteReader, ByteWriter, CodecError};
+use iwb_store::{decode_schema, encode_schema};
 use std::collections::BTreeMap;
 
 /// The shared knowledge repository at the core of the workbench.
@@ -71,6 +73,75 @@ impl Blackboard {
         let version = self.versions.record(schema.clone());
         self.schemas.insert(id, schema);
         version
+    }
+
+    /// The board as session-image segments: schemas, matrices,
+    /// library, version chains, provenance and the shared context.
+    pub(crate) fn image_segments(&self) -> Vec<(&'static str, Vec<u8>)> {
+        let live: BTreeMap<SchemaId, Vec<u8>> = self
+            .schemas
+            .iter()
+            .map(|(id, g)| (id.clone(), encode_schema(g)))
+            .collect();
+        let segment = |f: &dyn Fn(&mut ByteWriter)| {
+            let mut w = ByteWriter::new();
+            f(&mut w);
+            w.into_bytes()
+        };
+        vec![
+            (
+                "schemas",
+                segment(&|w| {
+                    w.u32(live.len() as u32);
+                    for bytes in live.values() {
+                        w.bytes(bytes);
+                    }
+                }),
+            ),
+            (
+                "matrices",
+                segment(&|w| {
+                    w.u32(self.matrices.len() as u32);
+                    for matrix in self.matrices.values() {
+                        matrix.encode(w);
+                    }
+                }),
+            ),
+            ("library", segment(&|w| self.library.encode(w))),
+            ("versions", segment(&|w| self.versions.encode(w, &live))),
+            ("provenance", segment(&|w| self.provenance.encode(w))),
+            ("context", segment(&|w| self.context.encode(w))),
+        ]
+    }
+
+    /// Rebuild a board from [`Self::image_segments`].
+    pub(crate) fn from_image(segments: &BTreeMap<String, Vec<u8>>) -> Result<Self, CodecError> {
+        let reader = |name: &str| {
+            segments
+                .get(name)
+                .map(|bytes| ByteReader::new(bytes))
+                .ok_or(CodecError::Invalid("image lacks a blackboard segment"))
+        };
+        let mut r = reader("schemas")?;
+        let mut schemas = BTreeMap::new();
+        for _ in 0..r.u32()? {
+            let graph = decode_schema(r.bytes()?)?;
+            schemas.insert(graph.id().clone(), graph);
+        }
+        let mut r = reader("matrices")?;
+        let mut matrices = BTreeMap::new();
+        for _ in 0..r.u32()? {
+            let m = MappingMatrix::decode(&mut r)?;
+            matrices.insert((m.source_id().clone(), m.target_id().clone()), m);
+        }
+        Ok(Blackboard {
+            library: MappingLibrary::decode(&mut reader("library")?)?,
+            versions: SchemaVersions::decode(&mut reader("versions")?, &schemas)?,
+            provenance: ProvenanceLog::decode(&mut reader("provenance")?)?,
+            context: SharedContext::decode(&mut reader("context")?)?,
+            schemas,
+            matrices,
+        })
     }
 
     /// Fetch a schema.

@@ -7,6 +7,7 @@
 //! the focus.
 
 use iwb_model::{ElementPath, SchemaId};
+use iwb_store::codec::{ByteReader, ByteWriter, CodecError};
 
 /// The shared focus/settings block stored on the blackboard.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -30,6 +31,44 @@ impl SharedContext {
     /// A context with no focus and a zero threshold.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Encode for a session image.
+    pub(crate) fn encode(&self, w: &mut ByteWriter) {
+        match &self.focus {
+            None => w.u8(0),
+            Some(focus) => {
+                w.u8(1);
+                w.str(focus.schema.as_str());
+                w.u32(focus.subtree.segments().len() as u32);
+                for segment in focus.subtree.segments() {
+                    w.str(segment);
+                }
+            }
+        }
+        w.f64(self.confidence_threshold);
+    }
+
+    /// Decode [`Self::encode`] bytes.
+    pub(crate) fn decode(r: &mut ByteReader) -> Result<Self, CodecError> {
+        let focus = match r.u8()? {
+            0 => None,
+            _ => {
+                let schema = SchemaId::new(r.str()?);
+                let mut segments = Vec::new();
+                for _ in 0..r.u32()? {
+                    segments.push(r.str()?);
+                }
+                Some(Focus {
+                    schema,
+                    subtree: ElementPath::from_segments(segments),
+                })
+            }
+        };
+        Ok(SharedContext {
+            focus,
+            confidence_threshold: r.f64()?,
+        })
     }
 
     /// Focus on a sub-schema.

@@ -9,6 +9,7 @@
 
 use crate::matrix::MappingMatrix;
 use iwb_model::SchemaId;
+use iwb_store::codec::{ByteReader, ByteWriter, CodecError};
 
 /// An archived mapping with a version counter per pair.
 #[derive(Debug, Clone)]
@@ -62,6 +63,28 @@ impl MappingLibrary {
             .iter()
             .filter(|a| a.matrix.source_id() == schema || a.matrix.target_id() == schema)
             .collect()
+    }
+
+    /// Encode for a session image: every archived mapping in order.
+    pub(crate) fn encode(&self, w: &mut ByteWriter) {
+        w.u32(self.entries.len() as u32);
+        for entry in &self.entries {
+            w.u32(entry.version);
+            entry.matrix.encode(w);
+        }
+    }
+
+    /// Decode [`Self::encode`] bytes.
+    pub(crate) fn decode(r: &mut ByteReader) -> Result<Self, CodecError> {
+        let mut entries = Vec::new();
+        for _ in 0..r.u32()? {
+            let version = r.u32()?;
+            entries.push(ArchivedMapping {
+                version,
+                matrix: MappingMatrix::decode(r)?,
+            });
+        }
+        Ok(MappingLibrary { entries })
     }
 
     /// Number of archived mappings.

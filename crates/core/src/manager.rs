@@ -20,6 +20,7 @@ use crate::event::WorkbenchEvent;
 use crate::taskmodel::{coverage_table, Task};
 use crate::tool::{ToolArgs, ToolError, WorkbenchTool};
 use iwb_rdf::{Bindings, TriplePattern};
+use iwb_store::codec::CodecError;
 
 /// Maximum cascade rounds before the manager stops propagating (guards
 /// against event loops between mutually-subscribed tools).
@@ -151,6 +152,36 @@ impl WorkbenchManager {
     /// initialisation, every invocation and event delivery).
     pub fn trace(&self) -> &[String] {
         &self.session_trace
+    }
+
+    /// Each tool's session-image state, by tool name (tools that keep
+    /// no state across invocations are skipped).
+    pub(crate) fn tool_states(&self) -> Vec<(&'static str, Vec<u8>)> {
+        self.tools
+            .iter()
+            .filter_map(|t| Some((t.name(), t.save_state()?)))
+            .collect()
+    }
+
+    /// Restore a board, a trace and tool states captured from another
+    /// workbench with the same tools (see `crate::persist`).
+    pub(crate) fn restore(
+        &mut self,
+        blackboard: Blackboard,
+        trace: Vec<String>,
+        tool_states: &[(&str, &[u8])],
+    ) -> Result<(), CodecError> {
+        self.blackboard = blackboard;
+        self.session_trace = trace;
+        for &(name, bytes) in tool_states {
+            let tool = self
+                .tools
+                .iter_mut()
+                .find(|t| t.name() == name)
+                .ok_or(CodecError::Invalid("image names an unknown tool"))?;
+            tool.restore_state(bytes, &self.blackboard)?;
+        }
+        Ok(())
     }
 
     /// Invoke a tool by name inside a transaction, then propagate its

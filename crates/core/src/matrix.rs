@@ -10,6 +10,8 @@
 use iwb_harmony::matrix::matchable_ids;
 use iwb_harmony::Confidence;
 use iwb_model::{ElementId, SchemaGraph, SchemaId};
+use iwb_store::artifacts::{decode_ids, encode_ids};
+use iwb_store::codec::{ByteReader, ByteWriter, CodecError};
 use std::fmt::Write;
 
 /// One cell: a potential correspondence.
@@ -78,6 +80,98 @@ impl MappingMatrix {
             cols,
             code: None,
         }
+    }
+
+    /// Encode for a session image: pair, headers with their
+    /// annotations, every confidence as `f64` bits, the user-decided
+    /// cells by index, and the matrix code.
+    pub(crate) fn encode(&self, w: &mut ByteWriter) {
+        w.str(self.source.as_str());
+        w.str(self.target.as_str());
+        let opt = |w: &mut ByteWriter, v: &Option<String>| match v {
+            None => w.u8(0),
+            Some(v) => {
+                w.u8(1);
+                w.str(v);
+            }
+        };
+        encode_ids(w, &self.rows);
+        for meta in &self.row_meta {
+            opt(w, &meta.variable);
+            w.bool(meta.complete);
+        }
+        encode_ids(w, &self.cols);
+        for meta in &self.col_meta {
+            opt(w, &meta.code);
+            w.bool(meta.complete);
+        }
+        let values: Vec<f64> = self.cells.iter().map(|c| c.confidence.value()).collect();
+        w.f64s(&values);
+        let user: Vec<usize> = (0..self.cells.len())
+            .filter(|&i| self.cells[i].user_defined)
+            .collect();
+        w.varint(user.len() as u64);
+        for i in user {
+            w.varint(i as u64);
+        }
+        opt(w, &self.code);
+    }
+
+    /// Decode [`Self::encode`] bytes.
+    pub(crate) fn decode(r: &mut ByteReader) -> Result<Self, CodecError> {
+        let source = SchemaId::new(r.str()?);
+        let target = SchemaId::new(r.str()?);
+        let opt = |r: &mut ByteReader| -> Result<Option<String>, CodecError> {
+            Ok(match r.u8()? {
+                0 => None,
+                _ => Some(r.str()?),
+            })
+        };
+        let rows = decode_ids(r)?;
+        let mut row_meta = Vec::with_capacity(rows.len());
+        for _ in &rows {
+            let variable = opt(r)?;
+            row_meta.push(RowMeta {
+                variable,
+                complete: r.bool()?,
+            });
+        }
+        let cols = decode_ids(r)?;
+        let mut col_meta = Vec::with_capacity(cols.len());
+        for _ in &cols {
+            let code = opt(r)?;
+            col_meta.push(ColMeta {
+                code,
+                complete: r.bool()?,
+            });
+        }
+        let mut cells: Vec<Cell> = r
+            .f64s()?
+            .into_iter()
+            .map(|v| Cell {
+                confidence: Confidence::raw(v),
+                user_defined: false,
+            })
+            .collect();
+        if cells.len() != rows.len() * cols.len() {
+            return Err(CodecError::Invalid("matrix cells do not match its headers"));
+        }
+        for _ in 0..r.varint()? {
+            let cell = cells
+                .get_mut(r.varint()? as usize)
+                .ok_or(CodecError::Invalid("user cell outside the matrix"))?;
+            cell.user_defined = true;
+        }
+        Ok(MappingMatrix {
+            source,
+            target,
+            rows,
+            cols,
+            row_meta,
+            col_meta,
+            cells,
+            code: opt(r)?,
+        })
     }
 
     /// Source schema id.

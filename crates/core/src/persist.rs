@@ -1,312 +1,266 @@
-//! Capture and prime workbench state around persistence.
+//! Session images: capture the whole state of a shell, and restore a
+//! shell from it.
 //!
-//! The `iwb-store` snapshot format persists three hot artifact
-//! families: schema graphs with their text features, Harmony match
-//! results, and the blocking inverted index. This module is the bridge
-//! between a live [`Shell`] and those artifacts:
+//! An image is what persisting the Integration Blackboard and its
+//! tools' learned state means (§5.1): the board (schemas with their
+//! element ids, matrices with locked cells and row/column annotations,
+//! library, version chains, provenance, focus context), the manager's
+//! trace, and every tool's state (for Harmony: merger weights, corpus
+//! seed and epochs, learned decisions, match configuration, the last
+//! result per pair; for blocking: the index). A host takes one at a
+//! journal watermark `W`; [`restore`] plus a replay of the records past
+//! `W` rebuilds the session exactly as a replay from record 0 would
+//! (property-tested over curation replays in `iwb-eval`), at a cost
+//! that follows the session's state rather than its history.
 //!
-//! * [`capture`] pulls the persistable state out of a shell (cheap
-//!   clones — safe to call synchronously in a command path);
-//! * [`prime_artifacts`] loads persisted match results and the blocking
-//!   index into a *fresh* shell **before** journal replay — both are
-//!   content-keyed, so replayed commands recognise and reuse them, and
-//!   the `SchemaGraph` events replay emits cannot wipe them;
-//! * [`prime_features`] loads persisted text features **after** replay
-//!   — replayed `load` commands emit `SchemaGraph` events that clear
-//!   the engine's feature cache, so priming earlier would be undone.
-//!
-//! Recovery order is therefore: `prime_artifacts` → replay the journal
-//! → `prime_features`. Every prime is advisory: a key or fingerprint
-//! that no longer matches simply leaves the engine on its cold path,
-//! which recomputes the identical answer (the determinism suites prove
-//! bit-equality between the warm and cold paths).
+//! Process-local caches are not part of an image: they decide how fast
+//! the next match runs, never what it computes (so only `match-config`,
+//! which reports cache counters, can tell a restored session apart).
 
+use crate::blackboard::Blackboard;
 use crate::shell::Shell;
-use crate::tools::{BlockingTool, HarmonyTool};
-use iwb_harmony::TextFeatures;
-use iwb_model::{ElementId, SchemaGraph, SchemaId};
-use iwb_store::{
-    blocking_artifact_key, stable_schema_fp, BlockingArtifact, CommandRecord, MatchArtifact,
-    SessionSnapshot,
-};
-use std::collections::HashMap;
-use std::sync::Arc;
+use iwb_store::codec::{ByteReader, ByteWriter, CodecError};
+use iwb_store::{CommandRecord, SessionSnapshot};
+use std::collections::BTreeMap;
 
-/// The persistable workbench state of one session — the artifact
-/// fields of a [`SessionSnapshot`], without the host-owned identity
-/// (session id, journal watermark, command prefix).
-#[derive(Default)]
+/// Segment-name prefix of a tool's state (`tool:harmony`, …).
+const TOOL_PREFIX: &str = "tool:";
+
+/// The captured state of one session, as image segments — a
+/// [`SessionSnapshot`] without its host-owned identity (session id and
+/// journal watermark).
+#[derive(Debug, Clone, Default)]
 pub struct SessionState {
-    /// Schema graphs on the blackboard, in sorted-id order (the
-    /// snapshot image must not depend on load history).
-    pub schemas: Vec<SchemaGraph>,
-    /// Exported engine text features per schema.
-    pub features: Vec<(SchemaId, HashMap<ElementId, Arc<TextFeatures>>)>,
-    /// Content-keyed match results.
-    pub matches: Vec<MatchArtifact>,
-    /// The blocking index, when built from a seeded registry.
-    pub blocking: Option<BlockingArtifact>,
+    /// Named state segments (see [`capture`]).
+    pub segments: BTreeMap<String, Vec<u8>>,
 }
 
 impl SessionState {
-    /// Rewrap into a full [`SessionSnapshot`] with the host-owned
-    /// identity attached.
+    /// Wrap into a [`SessionSnapshot`] with the host-owned identity.
+    /// An image replaces the command history it covers, so `_commands`
+    /// is ignored; the parameter remains for existing callers.
     pub fn into_snapshot(
         self,
         session_id: impl Into<String>,
         watermark: u64,
-        commands: Vec<CommandRecord>,
+        _commands: Vec<CommandRecord>,
     ) -> SessionSnapshot {
         SessionSnapshot {
             session_id: session_id.into(),
             watermark,
-            commands,
-            schemas: self.schemas,
-            features: self.features,
-            matches: self.matches,
-            blocking: self.blocking,
-        }
-    }
-
-    /// The artifact fields of a loaded snapshot (clones; the snapshot
-    /// remains usable, e.g. for its command prefix).
-    pub fn from_snapshot(snapshot: &SessionSnapshot) -> SessionState {
-        SessionState {
-            schemas: snapshot.schemas.clone(),
-            features: snapshot.features.clone(),
-            matches: snapshot.matches.clone(),
-            blocking: snapshot.blocking.clone(),
+            segments: self.segments,
         }
     }
 }
 
-/// Capture the persistable state of a shell.
-///
-/// Text features are exported for every schema on the blackboard
-/// (computing any not already cached — capture runs at snapshot time,
-/// where paying that cost once buys every future warm reopen).
-pub fn capture(shell: &mut Shell) -> SessionState {
-    let manager = shell.manager_mut();
-    let mut ids = manager.blackboard().schema_ids();
-    ids.sort();
-    let schemas: Vec<SchemaGraph> = ids
-        .iter()
-        .map(|id| {
-            manager
-                .blackboard()
-                .schema(id)
-                .expect("listed schema exists")
-                .clone()
-        })
+/// Capture the whole state of a shell.
+pub fn capture(shell: &Shell) -> SessionState {
+    let manager = shell.manager();
+    let mut segments: BTreeMap<String, Vec<u8>> = manager
+        .blackboard()
+        .image_segments()
+        .into_iter()
+        .map(|(name, bytes)| (name.to_owned(), bytes))
         .collect();
-
-    let mut features = Vec::new();
-    let mut matches = Vec::new();
-    if let Some(tool) = manager.tool_mut::<HarmonyTool>("harmony") {
-        for graph in &schemas {
-            features.push((
-                graph.id().clone(),
-                tool.engine_mut().export_text_features(graph),
-            ));
-        }
-        matches = tool
-            .export_runs()
-            .into_iter()
-            .map(|(src, tgt, key, result)| MatchArtifact {
-                src,
-                tgt,
-                key,
-                result,
-            })
-            .collect();
+    segments.insert("trace".to_owned(), encode_lines(manager.trace()));
+    for (tool, bytes) in manager.tool_states() {
+        segments.insert(format!("{TOOL_PREFIX}{tool}"), bytes);
     }
-
-    let blocking = manager
-        .tool_mut::<BlockingTool>("blocking")
-        .and_then(|tool| tool.export_generated())
-        .map(|(seed, scale, parts)| BlockingArtifact {
-            seed,
-            scale,
-            key: blocking_artifact_key(seed, scale, &parts.config),
-            parts,
-        });
-
-    SessionState {
-        schemas,
-        features,
-        matches,
-        blocking,
-    }
+    SessionState { segments }
 }
 
-/// Prime content-keyed artifacts into a fresh shell, **before** journal
-/// replay: replayed `match` commands are served persisted results, and
-/// a replayed `index-registry seed …` restores the persisted index in
-/// place of the postings build.
-pub fn prime_artifacts(shell: &mut Shell, state: &SessionState) {
-    let manager = shell.manager_mut();
-    if let Some(tool) = manager.tool_mut::<HarmonyTool>("harmony") {
-        for artifact in &state.matches {
-            tool.prime_run(artifact.key, artifact.result.clone());
-        }
-    }
-    if let Some(blocking) = &state.blocking {
-        if let Some(tool) = manager.tool_mut::<BlockingTool>("blocking") {
-            tool.prime_generated(blocking.seed, blocking.scale, blocking.parts.clone());
-        }
-    }
+/// Restore a shell from an image. Fails when a segment does not decode
+/// or names a tool this workbench does not have.
+pub fn restore(snapshot: &SessionSnapshot) -> Result<Shell, CodecError> {
+    let blackboard = Blackboard::from_image(&snapshot.segments)?;
+    let bytes = snapshot
+        .segments
+        .get("trace")
+        .ok_or(CodecError::Invalid("image lacks the trace segment"))?;
+    let trace = decode_lines(bytes)?;
+    let tools: Vec<(&str, &[u8])> = snapshot
+        .segments
+        .iter()
+        .filter_map(|(name, bytes)| Some((name.strip_prefix(TOOL_PREFIX)?, bytes.as_slice())))
+        .collect();
+    let mut shell = Shell::new();
+    shell.manager_mut().restore(blackboard, trace, &tools)?;
+    Ok(shell)
 }
 
-/// Prime persisted text features, **after** journal replay.
-///
-/// Each schema's features are installed only when the replayed graph's
-/// canonical fingerprint equals the fingerprint of the graph the
-/// features were exported from — a replay that diverged (or a schema
-/// the snapshot predates) stays on the cold path rather than being
-/// primed with features for the wrong elements.
-pub fn prime_features(shell: &mut Shell, state: &SessionState) {
-    let manager = shell.manager_mut();
-    let mut primable = Vec::new();
-    for (id, features) in &state.features {
-        let stored_fp = state
-            .schemas
-            .iter()
-            .find(|g| g.id() == id)
-            .map(stable_schema_fp);
-        if let (Some(live), Some(fp)) = (manager.blackboard().schema(id), stored_fp) {
-            if stable_schema_fp(live) == fp {
-                primable.push((live.clone(), features.clone()));
-            }
-        }
+/// Encode lines front-coded: each as the length of the prefix it
+/// shares with the line before, then the rest. Trace lines repeat
+/// their event prefix thousands of times per match.
+fn encode_lines(lines: &[String]) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    w.varint(lines.len() as u64);
+    let mut previous = "";
+    for line in lines {
+        let shared = previous
+            .char_indices()
+            .zip(line.chars())
+            .take_while(|((_, a), b)| a == b)
+            .last()
+            .map_or(0, |((i, a), _)| i + a.len_utf8());
+        w.varint(shared as u64);
+        w.str(&line[shared..]);
+        previous = line;
     }
-    if let Some(tool) = manager.tool_mut::<HarmonyTool>("harmony") {
-        for (graph, features) in primable {
-            tool.engine_mut().prime_text_features(&graph, features);
-        }
+    w.into_bytes()
+}
+
+/// Decode [`encode_lines`] bytes.
+fn decode_lines(bytes: &[u8]) -> Result<Vec<String>, CodecError> {
+    let mut r = ByteReader::new(bytes);
+    let mut lines: Vec<String> = Vec::new();
+    for _ in 0..r.varint()? {
+        let shared = r.varint()? as usize;
+        let previous = lines.last().map_or("", String::as_str);
+        let prefix = previous
+            .get(..shared)
+            .ok_or(CodecError::Invalid("trace prefix out of range"))?;
+        let line = format!("{prefix}{}", r.str()?);
+        lines.push(line);
     }
+    Ok(lines)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iwb_harmony::Confidence;
-    use iwb_model::ElementId;
+    use iwb_model::SchemaId;
 
     const SESSION: &str = "load er left <<EOF\n\
-        entity SHIPMENT \"An outgoing shipment.\" { ship_dt : date \"Date shipped.\" }\n\
+        entity SHIPMENT \"An outgoing shipment.\" { ship_dt : date \"Date shipped.\" \
+        ship_no : integer \"Shipment number.\" }\n\
         EOF\n\
         load er right <<EOF\n\
-        entity DELIVERY \"A delivery record.\" { deliver_dt : date \"Date delivered.\" }\n\
+        entity DELIVERY \"A delivery record.\" { deliver_dt : date \"Date delivered.\" \
+        delivery_no : integer \"Delivery number.\" }\n\
         EOF\n\
         match left right\n\
         accept left right left/SHIPMENT/ship_dt right/DELIVERY/deliver_dt\n\
+        bind left right left/SHIPMENT ship\n\
         match left right\n\
         index-registry seed 7 scale 0.01\n";
 
-    fn matrix_bits(shell: &Shell) -> Vec<(ElementId, ElementId, u64, bool)> {
-        let bb = shell.manager().blackboard();
-        let (s, t) = (SchemaId::new("left"), SchemaId::new("right"));
-        let matrix = bb.matrix(&s, &t).expect("matrix exists");
-        let mut cells = Vec::new();
-        for &row in matrix.rows() {
-            for &col in matrix.cols() {
-                let cell = matrix.cell(row, col);
-                cells.push((
-                    row,
-                    col,
-                    cell.confidence.value().to_bits(),
-                    cell.user_defined,
-                ));
-            }
-        }
-        cells
-    }
+    /// Every read the shell answers about the session's state.
+    const READS: [&str; 9] = [
+        "export",
+        "proposals left right threshold 0.25",
+        "proposals left right undecided",
+        "weights",
+        "show schema left",
+        "show matrix left right",
+        "show coverage",
+        "show trace",
+        "find-candidates left 3",
+    ];
 
-    #[test]
-    fn captured_state_warm_replays_bit_identically() {
-        // Cold session: run the script, capture.
-        let mut cold = Shell::new();
-        let outcome = cold.run_on(SESSION);
-        assert_eq!(outcome.errors, 0, "{}", outcome.transcript);
-        let state = capture(&mut cold);
-        assert_eq!(state.schemas.len(), 2);
-        assert!(!state.matches.is_empty(), "runs were recorded");
-        assert!(state.blocking.is_some(), "generated index was captured");
-
-        // Warm session: prime artifacts, replay, prime features.
-        let mut warm = Shell::new();
-        prime_artifacts(&mut warm, &state);
-        let replay = warm.run_on(SESSION);
-        assert_eq!(replay.errors, 0, "{}", replay.transcript);
-        prime_features(&mut warm, &state);
-
-        // Both match commands were served from the primed store, and
-        // the index build was restored from parts.
-        let manager = warm.manager_mut();
-        let harmony = manager.tool_mut::<HarmonyTool>("harmony").unwrap();
-        assert_eq!(harmony.primed_hits(), 2, "both replayed matches warm");
-        let blocking = manager.tool_mut::<BlockingTool>("blocking").unwrap();
-        assert_eq!(blocking.primed_hits(), 1, "index restored, not rebuilt");
-
-        // The warm matrix is bit-identical to the cold one.
-        assert_eq!(matrix_bits(&cold), matrix_bits(&warm));
-
-        // The user decision survived with its lock.
-        let accepted = matrix_bits(&warm)
+    fn reads(shell: &mut Shell) -> Vec<String> {
+        READS
             .iter()
-            .filter(|(_, _, bits, user)| *user && *bits == Confidence::ACCEPT.value().to_bits())
-            .count();
-        assert_eq!(accepted, 1);
+            .map(|r| shell.execute(r, None).unwrap_or_else(|e| e.to_string()))
+            .collect()
+    }
+
+    /// Capture → encode → verify-decode → restore.
+    fn round_trip(shell: &Shell) -> Shell {
+        let image = capture(shell).into_snapshot("s1", 7, Vec::new());
+        let decoded = SessionSnapshot::decode(&image.encode()).unwrap();
+        assert_eq!(decoded, image);
+        restore(&decoded).unwrap()
     }
 
     #[test]
-    fn primed_features_require_a_matching_fingerprint() {
-        let mut cold = Shell::new();
-        let outcome = cold.run_on(SESSION);
+    fn a_restored_image_answers_and_continues_bit_identically() {
+        let mut live = Shell::new();
+        let outcome = live.run_on(SESSION);
         assert_eq!(outcome.errors, 0, "{}", outcome.transcript);
-        let state = capture(&mut cold);
-
-        // A shell whose `left` diverged from the snapshot: the features
-        // for `left` must not be primed (fingerprint mismatch), while
-        // `right` — identical — still is.
-        let mut warm = Shell::new();
-        let diverged = warm.run_on(
-            "load er left <<EOF\nentity OTHER { x : text }\nEOF\n\
-             load er right <<EOF\n\
-             entity DELIVERY \"A delivery record.\" { deliver_dt : date \"Date delivered.\" }\n\
-             EOF\n",
+        let mut restored = round_trip(&live);
+        // Every read agrees (`find-candidates` adds a trace line, so the
+        // trace is compared before it on both sides).
+        assert_eq!(reads(&mut live), reads(&mut restored));
+        // And so does everything after: a learned re-match against the
+        // restored last result and weights, then the reads again.
+        let more = "reject left right left/SHIPMENT/ship_no right/DELIVERY/deliver_dt\n\
+                    match left right\n";
+        assert_eq!(
+            live.run_on(more).transcript,
+            restored.run_on(more).transcript
         );
-        assert_eq!(diverged.errors, 0, "{}", diverged.transcript);
-        prime_features(&mut warm, &state);
-        // Priming is advisory — the only observable contract is that a
-        // subsequent match still completes correctly.
-        let matched = warm.run_on("match left right\n");
-        assert_eq!(matched.errors, 0, "{}", matched.transcript);
+        assert_eq!(reads(&mut live), reads(&mut restored));
+        // State no read shows: provenance, version chains, the library.
+        let (a, b) = (live.manager().blackboard(), restored.manager().blackboard());
+        assert_eq!(a.provenance.records(), b.provenance.records());
+        assert!(a.provenance.len() > 10);
+        let left = SchemaId::new("left");
+        assert_eq!(
+            a.versions.version_count(&left),
+            b.versions.version_count(&left)
+        );
+        assert_eq!(a.library.len(), b.library.len());
     }
 
     #[test]
-    fn capture_on_a_fresh_shell_is_empty_but_valid() {
-        let mut shell = Shell::new();
-        let state = capture(&mut shell);
-        assert!(state.schemas.is_empty());
-        assert!(state.matches.is_empty());
-        assert!(state.blocking.is_none());
-        let snapshot = state.into_snapshot("s1", 0, Vec::new());
-        assert_eq!(snapshot.session_id, "s1");
-        let back = SessionState::from_snapshot(&snapshot);
-        assert!(back.schemas.is_empty());
+    fn an_image_replaces_the_history_it_covers() {
+        // The image holds state, not commands: the command prefix a
+        // caller passes is not stored, and restoring needs none.
+        let mut live = Shell::new();
+        assert_eq!(live.run_on(SESSION).errors, 0);
+        let with = capture(&live).into_snapshot(
+            "s1",
+            7,
+            vec![CommandRecord {
+                command: "match left right".into(),
+                heredoc: None,
+            }],
+        );
+        let without = capture(&live).into_snapshot("s1", 7, Vec::new());
+        assert_eq!(with.encode(), without.encode());
+        assert!(with.segments.contains_key("tool:harmony"));
+        assert!(with.segments.contains_key("tool:blocking"));
     }
 
     #[test]
-    fn blackboard_built_index_is_not_captured() {
-        let mut shell = Shell::new();
-        let outcome = shell
+    fn capture_on_a_fresh_shell_restores_a_fresh_shell() {
+        let shell = Shell::new();
+        let mut restored = round_trip(&shell);
+        let mut fresh = Shell::new();
+        assert_eq!(reads(&mut fresh)[..8], reads(&mut restored)[..8]);
+    }
+
+    #[test]
+    fn front_coded_lines_round_trip() {
+        let lines: Vec<String> = ["", "  round 0: a→b", "  round 0: a→c", "ünïcode", "ü", ""]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        assert_eq!(decode_lines(&encode_lines(&lines)).unwrap(), lines);
+    }
+
+    #[test]
+    fn a_blackboard_built_index_is_restored_from_the_board() {
+        let mut live = Shell::new();
+        let outcome = live
             .run_on("load er a <<EOF\nentity VENDOR { vendor_id : text }\nEOF\nindex-registry\n");
         assert_eq!(outcome.errors, 0, "{}", outcome.transcript);
-        let state = capture(&mut shell);
-        assert!(
-            state.blocking.is_none(),
-            "blackboard indexes replay from schemas, not from the snapshot"
+        let mut restored = round_trip(&live);
+        let find = "find-candidates a 1";
+        assert_eq!(live.execute(find, None), restored.execute(find, None));
+        // A schema event still invalidates the restored index.
+        let reload =
+            "load er a <<EOF\nentity VENDOR { vendor_id : text }\nEOF\nfind-candidates a 1\n";
+        assert_eq!(
+            live.run_on(reload).transcript,
+            restored.run_on(reload).transcript
         );
+    }
+
+    #[test]
+    fn an_image_naming_an_unknown_tool_is_refused() {
+        let mut image = capture(&Shell::new()).into_snapshot("s1", 0, Vec::new());
+        image.segments.insert("tool:ghost".into(), vec![]);
+        assert!(restore(&image).is_err());
     }
 }

@@ -7,6 +7,7 @@
 //! this cell to +1 and when (in sequence terms)".
 
 use iwb_model::{ElementId, SchemaId};
+use iwb_store::codec::{ByteReader, ByteWriter, CodecError};
 use std::fmt;
 
 /// What a provenance record describes.
@@ -107,6 +108,119 @@ impl ProvenanceLog {
             kind,
         });
         seq
+    }
+
+    /// Encode for a session image. Sequence numbers are implicit (the
+    /// log numbers its records 1, 2, …), tools and pairs are named
+    /// through tables, and consecutive records of one tool on one pair
+    /// (a match writes thousands) share one run header, so a record
+    /// costs little more than its kind's payload.
+    pub(crate) fn encode(&self, w: &mut ByteWriter) {
+        let mut tools: Vec<&str> = Vec::new();
+        let mut pairs: Vec<(&SchemaId, &SchemaId)> = Vec::new();
+        let mut runs: Vec<(usize, usize, &[ProvenanceRecord])> = Vec::new();
+        let mut rest = &self.records[..];
+        while let Some(first) = rest.first() {
+            let len = rest
+                .iter()
+                .take_while(|r| {
+                    (&r.tool, &r.source, &r.target) == (&first.tool, &first.source, &first.target)
+                })
+                .count();
+            let tool = tools
+                .iter()
+                .position(|&t| t == first.tool)
+                .unwrap_or_else(|| {
+                    tools.push(&first.tool);
+                    tools.len() - 1
+                });
+            let pair = (&first.source, &first.target);
+            let pair = pairs.iter().position(|&p| p == pair).unwrap_or_else(|| {
+                pairs.push(pair);
+                pairs.len() - 1
+            });
+            runs.push((tool, pair, &rest[..len]));
+            rest = &rest[len..];
+        }
+        w.varint(tools.len() as u64);
+        for tool in tools {
+            w.str(tool);
+        }
+        w.varint(pairs.len() as u64);
+        for (s, t) in pairs {
+            w.str(s.as_str());
+            w.str(t.as_str());
+        }
+        w.varint(runs.len() as u64);
+        for (tool, pair, records) in runs {
+            w.varint(tool as u64);
+            w.varint(pair as u64);
+            w.varint(records.len() as u64);
+            for r in records {
+                match &r.kind {
+                    ProvenanceKind::CellSet {
+                        row,
+                        col,
+                        confidence,
+                        user_defined,
+                    } => {
+                        w.u8(u8::from(*user_defined));
+                        w.varint(row.index() as u64);
+                        w.varint(col.index() as u64);
+                        w.f64(*confidence);
+                    }
+                    ProvenanceKind::CodeSet { col } => {
+                        w.u8(2);
+                        w.varint(col.index() as u64);
+                    }
+                    ProvenanceKind::MarkedComplete { element } => {
+                        w.u8(3);
+                        w.varint(element.index() as u64);
+                    }
+                    ProvenanceKind::MatrixCodeSet => w.u8(4),
+                }
+            }
+        }
+    }
+
+    /// Decode [`Self::encode`] bytes.
+    pub(crate) fn decode(r: &mut ByteReader) -> Result<Self, CodecError> {
+        let id = |r: &mut ByteReader| -> Result<ElementId, CodecError> {
+            Ok(ElementId::from_index(r.varint()? as usize))
+        };
+        let mut tools = Vec::new();
+        for _ in 0..r.varint()? {
+            tools.push(r.str()?);
+        }
+        let mut pairs = Vec::new();
+        for _ in 0..r.varint()? {
+            pairs.push((SchemaId::new(r.str()?), SchemaId::new(r.str()?)));
+        }
+        let mut log = ProvenanceLog::new();
+        for _ in 0..r.varint()? {
+            let tool = tools
+                .get(r.varint()? as usize)
+                .ok_or(CodecError::Invalid("provenance tool out of range"))?;
+            let (source, target) = pairs
+                .get(r.varint()? as usize)
+                .ok_or(CodecError::Invalid("provenance pair out of range"))?;
+            for _ in 0..r.varint()? {
+                let kind = match r.u8()? {
+                    tag @ (0 | 1) => ProvenanceKind::CellSet {
+                        row: id(r)?,
+                        col: id(r)?,
+                        confidence: r.f64()?,
+                        user_defined: tag == 1,
+                    },
+                    2 => ProvenanceKind::CodeSet { col: id(r)? },
+                    3 => ProvenanceKind::MarkedComplete { element: id(r)? },
+                    4 => ProvenanceKind::MatrixCodeSet,
+                    t => return Err(CodecError::BadTag("provenance kind", t)),
+                };
+                log.record(tool.clone(), source.clone(), target.clone(), kind);
+            }
+        }
+        Ok(log)
     }
 
     /// All records, in order.

@@ -10,6 +10,7 @@ use crate::blackboard::Blackboard;
 use crate::event::{EventKind, WorkbenchEvent};
 use crate::taskmodel::Task;
 use iwb_pool::{Budget, Interrupt};
+use iwb_store::codec::CodecError;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -177,12 +178,22 @@ pub trait WorkbenchTool {
     ) {
     }
 
-    /// Downcast hook for hosts that capture and prime tool state around
-    /// persistence (the `iwb-server` snapshot store). Tools with
-    /// persistable state override this to return `Some(self)`; the
-    /// default opts out, so persistence silently skips unknown tools.
+    /// Downcast hook for hosts that reach a concrete tool (the shell's
+    /// `weights` read, benchmarks). The default opts out.
     fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
         None
+    }
+
+    /// The state this tool keeps across invocations, encoded for a
+    /// session image (`crate::persist`), or `None` when it keeps none.
+    fn save_state(&self) -> Option<Vec<u8>> {
+        None
+    }
+
+    /// Continue from state [`WorkbenchTool::save_state`] produced, on a
+    /// freshly initialised tool. `blackboard` is the restored board.
+    fn restore_state(&mut self, _bytes: &[u8], _blackboard: &Blackboard) -> Result<(), CodecError> {
+        Err(CodecError::Invalid("tool keeps no image state"))
     }
 }
 

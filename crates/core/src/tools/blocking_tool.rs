@@ -12,26 +12,29 @@ use crate::blackboard::Blackboard;
 use crate::event::{EventKind, WorkbenchEvent};
 use crate::taskmodel::Task;
 use crate::tool::{ToolArgs, ToolError, ToolKind, WorkbenchTool};
-use iwb_blocking::{block_then_rerank, BlockingConfig, IndexParts, RegistryIndex};
+use iwb_blocking::{block_then_rerank, BlockingConfig, RegistryIndex};
 use iwb_harmony::HarmonyEngine;
 use iwb_model::SchemaGraph;
 use iwb_registry::{generate_registry, GeneratorConfig};
-use iwb_store::blocking_artifact_key;
+use iwb_store::artifacts::{
+    decode_blocking_config, decode_index_parts, encode_blocking_config, encode_index_parts,
+};
+use iwb_store::codec::{ByteReader, ByteWriter, CodecError};
 
 /// Default candidate count for `find` when `k` is not given.
 pub const DEFAULT_K: usize = 10;
 
 /// Where the indexed models came from — decides staleness on
-/// blackboard events and persistability.
+/// blackboard events, and where a restored index finds its models.
 enum IndexSource {
     /// Generated from `iwb-registry` with this seed and scale;
     /// independent of blackboard contents, so schema events never
     /// invalidate it — and the models regenerate deterministically, so
-    /// only the index itself needs persisting.
+    /// an image holds only the index itself.
     Generated { seed: u64, scale: f64 },
     /// Snapshot of the blackboard's schemas at index time; any
-    /// schema-graph event makes it stale (and it is never persisted —
-    /// journal replay rebuilds it from the replayed schemas).
+    /// schema-graph event makes it stale, so while it lives its models
+    /// are the board's schemas and a restore looks them up there.
     Blackboard,
 }
 
@@ -43,14 +46,6 @@ pub struct BlockingTool {
     config: BlockingConfig,
     /// The indexed repository and its index, once built.
     indexed: Option<(Vec<SchemaGraph>, RegistryIndex, IndexSource)>,
-    /// A persisted index primed from a snapshot, keyed by its
-    /// [`blocking_artifact_key`] (seed + scale + config, threads
-    /// excluded). A replayed `index-registry` whose inputs produce the
-    /// same key restores the index from these parts instead of
-    /// rebuilding the postings.
-    primed: Option<(u64, IndexParts)>,
-    /// How many index builds were restored from [`Self::primed`].
-    primed_hits: usize,
     /// Engine for the rerank stage — deliberately separate from the
     /// `harmony` tool's engine so reranking never perturbs that tool's
     /// learned weights or cache epoch.
@@ -66,36 +61,6 @@ impl BlockingTool {
     /// The index, if one has been built (for tests and experiments).
     pub fn index(&self) -> Option<&RegistryIndex> {
         self.indexed.as_ref().map(|(_, index, _)| index)
-    }
-
-    /// The current index as a persistable artifact, if it was built
-    /// from a seeded registry: `(seed, scale, parts)`. Blackboard
-    /// indexes return `None` — replay rebuilds them from the replayed
-    /// schemas, so persisting them would be redundant *and* fragile.
-    pub fn export_generated(&self) -> Option<(u64, f64, IndexParts)> {
-        match &self.indexed {
-            Some((_, index, IndexSource::Generated { seed, scale })) => {
-                Some((*seed, *scale, index.to_parts()))
-            }
-            _ => None,
-        }
-    }
-
-    /// Prime a persisted generated-registry index. It is not installed
-    /// immediately: the replayed `index-registry seed … scale …`
-    /// command recognises it by content key and restores it in place of
-    /// the postings build (the models regenerate from the seed either
-    /// way). A key that never matches — config drift, different seed —
-    /// leaves replay on the full build path, still correct.
-    pub fn prime_generated(&mut self, seed: u64, scale: f64, parts: IndexParts) {
-        let key = blocking_artifact_key(seed, scale, &parts.config);
-        self.primed = Some((key, parts));
-    }
-
-    /// How many index builds were restored from a primed artifact
-    /// (observability for warm-restart tests).
-    pub fn primed_hits(&self) -> usize {
-        self.primed_hits
     }
 
     fn parse<T: std::str::FromStr>(args: &ToolArgs, key: &str) -> Result<Option<T>, ToolError> {
@@ -115,7 +80,7 @@ impl BlockingTool {
             self.config.threads = threads.max(1);
         }
         let budget = args.budget();
-        let (models, source, what, primed) = match Self::parse::<u64>(args, "seed")? {
+        let (models, source, what) = match Self::parse::<u64>(args, "seed")? {
             Some(seed) => {
                 let scale = Self::parse::<f64>(args, "scale")?.unwrap_or(1.0);
                 if !scale.is_finite() || scale <= 0.0 {
@@ -131,20 +96,10 @@ impl BlockingTool {
                     registry.element_count(),
                     registry.attribute_count(),
                 );
-                // A primed artifact with the same content key replaces
-                // the postings build (threads are excluded from the
-                // key: they affect build scheduling, not the index).
-                let key = blocking_artifact_key(seed, scale, &self.config);
-                let primed = self
-                    .primed
-                    .as_ref()
-                    .filter(|(k, _)| *k == key)
-                    .map(|(_, parts)| parts.clone());
                 (
                     registry.models,
                     IndexSource::Generated { seed, scale },
                     what,
-                    primed,
                 )
             }
             None => {
@@ -160,18 +115,11 @@ impl BlockingTool {
                     ));
                 }
                 let what = format!("blackboard snapshot: {} schema(s)", models.len());
-                (models, IndexSource::Blackboard, what, None)
+                (models, IndexSource::Blackboard, what)
             }
         };
-        let index = match primed {
-            Some(mut parts) => {
-                self.primed_hits += 1;
-                parts.config.threads = self.config.threads;
-                RegistryIndex::from_parts(parts)
-            }
-            None => RegistryIndex::build_budgeted(&models, self.config.clone(), budget)
-                .map_err(ToolError::from)?,
-        };
+        let index = RegistryIndex::build_budgeted(&models, self.config.clone(), budget)
+            .map_err(ToolError::from)?;
         let summary = format!(
             "indexed {what}; {} models, {} distinct terms",
             index.len(),
@@ -271,6 +219,56 @@ impl WorkbenchTool for BlockingTool {
 
     fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
         Some(self)
+    }
+
+    /// The configuration and the built index with where its models
+    /// came from (the rerank engine learns nothing, so it has no state).
+    fn save_state(&self) -> Option<Vec<u8>> {
+        let mut w = ByteWriter::new();
+        encode_blocking_config(&mut w, &self.config);
+        match &self.indexed {
+            None => w.u8(0),
+            Some((_, index, source)) => {
+                match source {
+                    IndexSource::Generated { seed, scale } => {
+                        w.u8(1);
+                        w.u64(*seed);
+                        w.f64(*scale);
+                    }
+                    IndexSource::Blackboard => w.u8(2),
+                }
+                encode_index_parts(&mut w, &index.to_parts());
+            }
+        }
+        Some(w.into_bytes())
+    }
+
+    fn restore_state(&mut self, bytes: &[u8], blackboard: &Blackboard) -> Result<(), CodecError> {
+        let mut r = ByteReader::new(bytes);
+        self.config = decode_blocking_config(&mut r)?;
+        let source = match r.u8()? {
+            0 => return Ok(()),
+            1 => IndexSource::Generated {
+                seed: r.u64()?,
+                scale: r.f64()?,
+            },
+            2 => IndexSource::Blackboard,
+            t => return Err(CodecError::BadTag("index source", t)),
+        };
+        let parts = decode_index_parts(&mut r)?;
+        let models = match source {
+            IndexSource::Generated { seed, scale } => {
+                generate_registry(GeneratorConfig::scaled(seed, scale)).models
+            }
+            IndexSource::Blackboard => parts
+                .ids
+                .iter()
+                .map(|id| blackboard.schema(id).cloned())
+                .collect::<Option<_>>()
+                .ok_or(CodecError::Invalid("indexed schema missing from the board"))?,
+        };
+        self.indexed = Some((models, RegistryIndex::from_parts(parts), source));
+        Ok(())
     }
 
     /// Arguments: `action` = `index` | `find`. For `index`: optional

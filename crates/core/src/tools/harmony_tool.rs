@@ -11,6 +11,10 @@ use crate::taskmodel::Task;
 use crate::tool::{ToolArgs, ToolError, ToolKind, WorkbenchTool};
 use iwb_harmony::{Budget, Confidence, Feedback, HarmonyEngine, MatchResult};
 use iwb_model::{ElementPath, SchemaId};
+use iwb_store::artifacts::{
+    decode_engine_state, decode_match_result, encode_engine_state, encode_match_result,
+};
+use iwb_store::codec::{ByteReader, ByteWriter, CodecError};
 use std::collections::{HashMap, HashSet};
 use std::time::Duration;
 
@@ -22,21 +26,6 @@ pub struct HarmonyTool {
     last_result: HashMap<(SchemaId, SchemaId), MatchResult>,
     /// Decisions already fed back, so each is learned once.
     learned: HashSet<(SchemaId, SchemaId, String, String)>,
-    /// Every completed run this session, addressed by its content key
-    /// (schema fingerprints + locked cells + corpus epoch + scope) —
-    /// the persistable match artifacts a host snapshots. Recorded, but
-    /// never consulted: a live session always runs the engine.
-    runs: HashMap<u64, (SchemaId, SchemaId, MatchResult)>,
-    /// Results primed from a persisted snapshot. A `match` whose inputs
-    /// hash to a primed key is served the stored result instead of
-    /// re-running the engine — this is how a snapshot-primed session
-    /// replays its journal warm. Content addressing makes the map
-    /// self-invalidating: any change to a schema, a decision, or
-    /// learned weights produces a different key, so a stale entry is
-    /// simply never hit.
-    primed: HashMap<u64, MatchResult>,
-    /// How many `match` invocations were served from [`Self::primed`].
-    primed_hits: usize,
     /// Only cells at/above this magnitude produce mapping-cell events
     /// (the full matrix is still written to the IB).
     pub event_threshold: f64,
@@ -48,9 +37,6 @@ impl Default for HarmonyTool {
             engine: HarmonyEngine::default(),
             last_result: HashMap::new(),
             learned: HashSet::new(),
-            runs: HashMap::new(),
-            primed: HashMap::new(),
-            primed_hits: 0,
             event_threshold: 0.5,
         }
     }
@@ -71,34 +57,6 @@ impl HarmonyTool {
     /// match configuration programmatically).
     pub fn engine_mut(&mut self) -> &mut HarmonyEngine {
         &mut self.engine
-    }
-
-    /// Every run recorded this session (and any primed from a
-    /// snapshot), as `(source, target, content key, result)` sorted by
-    /// key — the persistable match artifacts.
-    pub fn export_runs(&self) -> Vec<(SchemaId, SchemaId, u64, MatchResult)> {
-        let mut runs: Vec<_> = self
-            .runs
-            .iter()
-            .map(|(&key, (src, tgt, result))| (src.clone(), tgt.clone(), key, result.clone()))
-            .collect();
-        runs.sort_by_key(|(_, _, key, _)| *key);
-        runs
-    }
-
-    /// Prime a persisted run: a later `match` whose inputs produce
-    /// `key` is served this result without re-running the engine. The
-    /// key must have been computed by [`iwb_store::match_artifact_key`]
-    /// over the exact inputs that produced `result`; a stale key is
-    /// harmless (it never matches again).
-    pub fn prime_run(&mut self, key: u64, result: MatchResult) {
-        self.primed.insert(key, result);
-    }
-
-    /// How many `match` invocations were answered from a stored run
-    /// instead of the engine (observability for warm-restart tests).
-    pub fn primed_hits(&self) -> usize {
-        self.primed_hits
     }
 
     /// The `configure` action: adjust `threads` / `cache` / `timeout`
@@ -226,18 +184,6 @@ impl HarmonyTool {
             None => None,
         };
 
-        // The content key for this run. Computed *after* `learn` so the
-        // corpus epoch it embeds reflects the weights the run will use
-        // — a replayed session evolves its epoch identically and hits
-        // the same keys.
-        let key = iwb_store::match_artifact_key(
-            &src_graph,
-            &tgt_graph,
-            &locked,
-            self.engine.corpus_epoch(),
-            subtree,
-        );
-
         // The effective budget is the host's (per-command deadline,
         // cancel token) tightened by the engine's own configured
         // per-run timeout — whichever expires first wins. An abort
@@ -250,22 +196,10 @@ impl HarmonyTool {
                 .timeout_ms
                 .map(Duration::from_millis),
         );
-        let result = match self.primed.get(&key) {
-            Some(stored) => {
-                // A stored run with the same schemas, decisions, epoch
-                // and scope is bit-identical to what the engine would
-                // recompute (the store's determinism suite proves it) —
-                // serve it. Cancellation still applies, so a cancelled
-                // command stays a no-op even on the warm path.
-                budget.check().map_err(ToolError::from)?;
-                self.primed_hits += 1;
-                stored.clone()
-            }
-            None => self
-                .engine
-                .run_budgeted(&src_graph, &tgt_graph, &locked, &budget)
-                .map_err(ToolError::from)?,
-        };
+        let result = self
+            .engine
+            .run_budgeted(&src_graph, &tgt_graph, &locked, &budget)
+            .map_err(ToolError::from)?;
         bb.ensure_matrix(source, target);
         let (mut written, mut emitted) = (0usize, 0usize);
         let m = &result.matrix;
@@ -295,8 +229,6 @@ impl HarmonyTool {
                 emitted += 1;
             }
         });
-        self.runs
-            .insert(key, (source.clone(), target.clone(), result.clone()));
         self.last_result
             .insert((source.clone(), target.clone()), result);
         Ok(format!(
@@ -342,6 +274,47 @@ impl WorkbenchTool for HarmonyTool {
 
     fn as_any_mut(&mut self) -> Option<&mut dyn std::any::Any> {
         Some(self)
+    }
+
+    /// The engine's learned state, the decisions already learned, the
+    /// last result per pair (which `learn` re-weights against) and the
+    /// event threshold.
+    fn save_state(&self) -> Option<Vec<u8>> {
+        let mut w = ByteWriter::new();
+        encode_engine_state(&mut w, &self.engine.state());
+        let mut learned: Vec<_> = self.learned.iter().collect();
+        learned.sort();
+        w.u32(learned.len() as u32);
+        for (src, tgt, row, col) in learned {
+            for part in [src.as_str(), tgt.as_str(), row, col] {
+                w.str(part);
+            }
+        }
+        let mut results: Vec<_> = self.last_result.iter().collect();
+        results.sort_by(|a, b| a.0.cmp(b.0));
+        w.u32(results.len() as u32);
+        for ((src, tgt), result) in results {
+            w.str(src.as_str());
+            w.str(tgt.as_str());
+            encode_match_result(&mut w, result);
+        }
+        w.f64(self.event_threshold);
+        Some(w.into_bytes())
+    }
+
+    fn restore_state(&mut self, bytes: &[u8], _blackboard: &Blackboard) -> Result<(), CodecError> {
+        let mut r = ByteReader::new(bytes);
+        self.engine.restore_state(decode_engine_state(&mut r)?);
+        for _ in 0..r.u32()? {
+            let (src, tgt) = (SchemaId::new(r.str()?), SchemaId::new(r.str()?));
+            self.learned.insert((src, tgt, r.str()?, r.str()?));
+        }
+        for _ in 0..r.u32()? {
+            let pair = (SchemaId::new(r.str()?), SchemaId::new(r.str()?));
+            self.last_result.insert(pair, decode_match_result(&mut r)?);
+        }
+        self.event_threshold = r.f64()?;
+        Ok(())
     }
 
     /// Arguments: `action` = `match` (default) | `accept` | `reject` |

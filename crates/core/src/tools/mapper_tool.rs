@@ -10,6 +10,7 @@ use crate::taskmodel::Task;
 use crate::tool::{ToolArgs, ToolError, ToolKind, WorkbenchTool};
 use iwb_harmony::Confidence;
 use iwb_model::{DataType, ElementPath, SchemaId};
+use iwb_store::codec::{ByteReader, ByteWriter, CodecError};
 
 /// The manual mapping tool.
 #[derive(Debug, Default)]
@@ -115,6 +116,24 @@ impl WorkbenchTool for MapperTool {
             }
             other => Err(ToolError::Failed(format!("unknown action {other:?}"))),
         }
+    }
+
+    /// The transformations proposed so far.
+    fn save_state(&self) -> Option<Vec<u8>> {
+        let mut w = ByteWriter::new();
+        w.u32(self.proposals.len() as u32);
+        for proposal in &self.proposals {
+            w.str(proposal);
+        }
+        Some(w.into_bytes())
+    }
+
+    fn restore_state(&mut self, bytes: &[u8], _blackboard: &Blackboard) -> Result<(), CodecError> {
+        let mut r = ByteReader::new(bytes);
+        for _ in 0..r.u32()? {
+            self.proposals.push(r.str()?);
+        }
+        Ok(())
     }
 
     /// "A mapping tool can listen for these events to propose a

@@ -7,6 +7,8 @@
 //! the metadata in synch, as the actual systems change" (§3.1).
 
 use iwb_model::{SchemaGraph, SchemaId};
+use iwb_store::codec::{ByteReader, ByteWriter, CodecError};
+use iwb_store::{decode_schema, encode_schema};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// A structural diff between two schema versions, by name path.
@@ -83,6 +85,49 @@ impl SchemaVersions {
         let chain = self.chains.entry(schema.id().clone()).or_default();
         chain.push(schema);
         chain.len() as u32
+    }
+
+    /// Encode for a session image. A version equal to the board's live
+    /// schema of its id (`live`, usually the last of the chain) is
+    /// written as a one-byte reference instead of a second copy.
+    pub(crate) fn encode(&self, w: &mut ByteWriter, live: &BTreeMap<SchemaId, Vec<u8>>) {
+        w.u32(self.chains.len() as u32);
+        for (id, chain) in &self.chains {
+            w.str(id.as_str());
+            w.u32(chain.len() as u32);
+            for graph in chain {
+                let bytes = encode_schema(graph);
+                if live.get(id) == Some(&bytes) {
+                    w.u8(0);
+                } else {
+                    w.u8(1);
+                    w.bytes(&bytes);
+                }
+            }
+        }
+    }
+
+    /// Decode [`Self::encode`] bytes against the same live schemas.
+    pub(crate) fn decode(
+        r: &mut ByteReader,
+        live: &BTreeMap<SchemaId, SchemaGraph>,
+    ) -> Result<Self, CodecError> {
+        let mut chains = BTreeMap::new();
+        for _ in 0..r.u32()? {
+            let id = SchemaId::new(r.str()?);
+            let mut chain = Vec::new();
+            for _ in 0..r.u32()? {
+                chain.push(match r.u8()? {
+                    0 => live
+                        .get(&id)
+                        .cloned()
+                        .ok_or(CodecError::Invalid("version names a missing schema"))?,
+                    _ => decode_schema(r.bytes()?)?,
+                });
+            }
+            chains.insert(id, chain);
+        }
+        Ok(SchemaVersions { chains })
     }
 
     /// Number of versions recorded for a schema.

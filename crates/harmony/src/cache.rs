@@ -198,30 +198,6 @@ impl FeatureCache {
         ctx
     }
 
-    /// Text features for one schema, served from cache or computed now
-    /// (and cached). The persistence layer snapshots these so a
-    /// restarted daemon skips re-tokenisation entirely.
-    pub(crate) fn export_text(
-        &mut self,
-        fp: u64,
-        graph: &SchemaGraph,
-        thesaurus: &Thesaurus,
-    ) -> Arc<HashMap<ElementId, Arc<TextFeatures>>> {
-        self.text(fp, graph, thesaurus)
-    }
-
-    /// Seed the text level with features decoded from a snapshot. Keys
-    /// are content fingerprints, so a stale entry (schema edited since
-    /// the snapshot) is simply never hit — priming can warm the cache
-    /// but never corrupt it. Counters are untouched: primed entries
-    /// surface as *hits* when first used, which is the point.
-    pub(crate) fn prime_text(&mut self, fp: u64, features: HashMap<ElementId, Arc<TextFeatures>>) {
-        if self.text.len() >= MAX_TEXT {
-            self.text.clear();
-        }
-        self.text.insert(fp, Arc::new(features));
-    }
-
     /// Text features for one schema, computed on first sight of its
     /// fingerprint.
     fn text(

@@ -50,14 +50,14 @@
 
 use crate::cache::{fingerprint, CacheStats, FeatureCache};
 use crate::confidence::Confidence;
-use crate::context::{MatchContext, TextFeatures};
+use crate::context::MatchContext;
 use crate::feedback::Feedback;
 use crate::flooding::{flood_budgeted, flood_rows, FloodingConfig};
 use crate::matrix::{matchable_ids, ScoreMatrix};
 use crate::merger::VoteMerger;
 use crate::voter::MatchVoter;
 use crate::voters::default_suite;
-use iwb_ling::{Corpus, Thesaurus};
+use iwb_ling::{Corpus, CorpusParts, Thesaurus};
 use iwb_model::{ElementId, SchemaGraph};
 use iwb_pool::{Budget, Interrupt, ThreadPool};
 use std::collections::{HashMap, HashSet};
@@ -111,6 +111,27 @@ impl MatchResult {
             .map(|(_, m)| m.get(src, tgt))
             .unwrap_or(Confidence::UNKNOWN)
     }
+}
+
+/// What an engine has learned and been configured with, as plain data:
+/// the part of a [`HarmonyEngine`] a session image persists (see
+/// [`HarmonyEngine::state`]). Caches and the retained run are left out —
+/// they only decide how fast the next run is, never what it computes.
+/// So are the thesaurus, the instance samples and the flooding
+/// configuration, which no shell command changes.
+#[derive(Debug, Clone, PartialEq)]
+pub struct EngineState {
+    /// The merger's learned weights, by voter name.
+    pub weights: Vec<(String, f64)>,
+    /// The corpus seed: learned term boosts and the document counts
+    /// every learning step adds (§4.3).
+    pub corpus: CorpusParts,
+    /// [`HarmonyEngine::corpus_epoch`].
+    pub corpus_epoch: u64,
+    /// The epoch of the thesaurus and samples.
+    pub inputs_epoch: u64,
+    /// The execution configuration (`match-config`).
+    pub config: MatchConfig,
 }
 
 /// How the engine produced its most recent completed result (see
@@ -316,35 +337,41 @@ impl HarmonyEngine {
     }
 
     /// The current corpus epoch: bumped by learning, thesaurus swaps,
-    /// and instance-sample changes. Part of every cache and snapshot
-    /// artifact key — artifacts from another epoch are never served.
+    /// and instance-sample changes. Part of every cache key — cached
+    /// contexts from another epoch are never served — and of the
+    /// engine's [`EngineState`].
     pub fn corpus_epoch(&self) -> u64 {
         self.corpus_epoch
     }
 
-    /// Per-element text features for `graph`, served from the cache or
-    /// computed (and cached) now. The persistence layer snapshots these
-    /// so a restarted daemon skips re-tokenisation.
-    pub fn export_text_features(
-        &mut self,
-        graph: &SchemaGraph,
-    ) -> HashMap<ElementId, Arc<TextFeatures>> {
-        let fp = fingerprint(graph);
-        let thesaurus = Arc::clone(&self.thesaurus);
-        (*self.cache.export_text(fp, graph, &thesaurus)).clone()
+    /// The engine's learned and configured state (see [`EngineState`]).
+    pub fn state(&self) -> EngineState {
+        EngineState {
+            weights: self
+                .merger
+                .weights()
+                .iter()
+                .map(|(name, &w)| (name.clone(), w))
+                .collect(),
+            corpus: self.corpus_seed.to_parts(),
+            corpus_epoch: self.corpus_epoch,
+            inputs_epoch: self.inputs_epoch,
+            config: self.config,
+        }
     }
 
-    /// Seed the feature cache with text features decoded from a
-    /// snapshot. Content-addressed: if `graph` was edited since the
-    /// snapshot, the primed entry is simply never hit.
-    pub fn prime_text_features(
-        &mut self,
-        graph: &SchemaGraph,
-        features: HashMap<ElementId, Arc<TextFeatures>>,
-    ) {
-        if self.config.cache {
-            self.cache.prime_text(fingerprint(graph), features);
+    /// Continue from a captured [`EngineState`]: an engine restored
+    /// this way runs and learns bit-identically to the one it was
+    /// captured from. Call on an engine built with the same voter
+    /// suite, merger strategy and flooding configuration.
+    pub fn restore_state(&mut self, state: EngineState) {
+        for (name, weight) in &state.weights {
+            self.merger.set_weight(name, *weight);
         }
+        self.corpus_seed = Corpus::from_parts(state.corpus);
+        self.corpus_epoch = state.corpus_epoch;
+        self.inputs_epoch = state.inputs_epoch;
+        self.set_match_config(state.config);
     }
 
     /// Drop all cached features (call when a schema was edited in

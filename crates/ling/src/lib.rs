@@ -37,7 +37,7 @@ pub use pipeline::{preprocess, Preprocessed};
 pub use soundex::soundex;
 pub use stem::porter_stem;
 pub use stopwords::is_stopword;
-pub use tfidf::{cosine, Corpus, TermVector};
+pub use tfidf::{cosine, Corpus, CorpusParts, TermVector};
 pub use thesaurus::Thesaurus;
 pub use tokenize::{split_identifier, tokenize_prose};
 pub use vocab_stats::{DocStats, DocStatsRow};

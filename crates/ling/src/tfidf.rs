@@ -88,6 +88,17 @@ pub struct Corpus {
     term_boost: HashMap<String, f64>,
 }
 
+/// A [`Corpus`] as plain data, for persistence.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct CorpusParts {
+    /// Number of documents added.
+    pub doc_count: usize,
+    /// Document frequency per term, sorted by term.
+    pub doc_freq: Vec<(String, usize)>,
+    /// Learned boost per term, sorted by term.
+    pub term_boost: Vec<(String, f64)>,
+}
+
 impl Corpus {
     /// An empty corpus.
     pub fn new() -> Self {
@@ -130,6 +141,35 @@ impl Corpus {
     pub fn adjust_boost(&mut self, term: &str, factor: f64) {
         let b = self.term_boost.entry(term.to_owned()).or_insert(1.0);
         *b = (*b * factor).clamp(0.1, 10.0);
+    }
+
+    /// The corpus as plain data: the document count, then the document
+    /// frequencies and learned boosts sorted by term (so equal corpora
+    /// export equal parts whatever their hash-map order).
+    pub fn to_parts(&self) -> CorpusParts {
+        let mut doc_freq: Vec<(String, usize)> =
+            self.doc_freq.iter().map(|(t, &n)| (t.clone(), n)).collect();
+        doc_freq.sort_unstable();
+        let mut term_boost: Vec<(String, f64)> = self
+            .term_boost
+            .iter()
+            .map(|(t, &b)| (t.clone(), b))
+            .collect();
+        term_boost.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        CorpusParts {
+            doc_count: self.doc_count,
+            doc_freq,
+            term_boost,
+        }
+    }
+
+    /// Rebuild a corpus from [`Corpus::to_parts`].
+    pub fn from_parts(parts: CorpusParts) -> Corpus {
+        Corpus {
+            doc_count: parts.doc_count,
+            doc_freq: parts.doc_freq.into_iter().collect(),
+            term_boost: parts.term_boost.into_iter().collect(),
+        }
     }
 
     /// Build the TF-IDF vector of a token stream: term frequency ×

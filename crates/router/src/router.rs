@@ -67,7 +67,7 @@ use iwb_pool::{ProbeSchedule, ThreadPool};
 use iwb_rng::StdRng;
 use iwb_server::client::{Backoff, Client, Response};
 use iwb_server::server::{
-    accept_loop, serve_lines, Reply, Shutdown, MAX_HEREDOC_BYTES, MAX_LINE_BYTES,
+    accept_loop, serve_lines, Body, Reply, Shutdown, MAX_HEREDOC_BYTES, MAX_LINE_BYTES,
 };
 use iwb_server::stats::{render, Counter, Counters};
 use iwb_store::fault::{FaultPlan, MIGRATION_STALL, PROBE_TIMEOUT, PROMOTE_STALE, SPLIT_ROUTING};
@@ -599,9 +599,10 @@ pub fn serve(config: RouterConfig) -> io::Result<RouterHandle> {
                     config.read_timeout,
                     MAX_LINE_BYTES,
                     MAX_HEREDOC_BYTES,
-                    |command, heredoc| {
+                    0,
+                    |command, body| {
                         stats.add(RouterCounter::Commands);
-                        Some(conn.dispatch(command, heredoc))
+                        Some(conn.dispatch(command, body.and_then(Body::heredoc)))
                     },
                 );
             }

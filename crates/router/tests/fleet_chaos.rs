@@ -45,6 +45,7 @@ use iwb_router::router::{serve as serve_router, RouterConfig, RouterCounter, Rou
 use iwb_server::client::{Backoff, Client};
 use iwb_server::repl::ReplConfig;
 use iwb_server::server::{serve, ServerConfig, ServerHandle};
+use iwb_server::stats::ServerCounter;
 use iwb_store::fault::{
     FaultPlan, FaultSpec, MIGRATION_STALL, PROBE_TIMEOUT, PROMOTE_STALE, SPLIT_ROUTING,
 };
@@ -105,11 +106,24 @@ fn spawn_backend(
     slot: usize,
     faults: FaultPlan,
 ) -> ServerHandle {
+    spawn_backend_imaging(addr, store, peers, slot, faults, 64)
+}
+
+/// [`spawn_backend`] taking an image every `snapshot_every` records.
+fn spawn_backend_imaging(
+    addr: &str,
+    store: &Path,
+    peers: &[String],
+    slot: usize,
+    faults: FaultPlan,
+    snapshot_every: u64,
+) -> ServerHandle {
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         match serve(ServerConfig {
             addr: addr.to_owned(),
             store_dir: Some(store.to_path_buf()),
+            snapshot_every,
             recover: false,
             faults: faults.clone(),
             repl: Some(ReplConfig {
@@ -131,16 +145,28 @@ fn spawn_fleet(
     n: usize,
     faults_for: impl Fn(usize) -> FaultPlan,
 ) -> (Vec<String>, Vec<TempDir>, Vec<Option<ServerHandle>>) {
+    spawn_imaging_fleet(tag, n, 64, faults_for)
+}
+
+/// [`spawn_fleet`] with every backend taking an image every
+/// `snapshot_every` records.
+fn spawn_imaging_fleet(
+    tag: &str,
+    n: usize,
+    snapshot_every: u64,
+    faults_for: impl Fn(usize) -> FaultPlan,
+) -> (Vec<String>, Vec<TempDir>, Vec<Option<ServerHandle>>) {
     let peers = reserve_addrs(n);
     let stores: Vec<TempDir> = (0..n).map(|i| TempDir::new(&format!("{tag}{i}"))).collect();
     let backends = (0..n)
         .map(|i| {
-            Some(spawn_backend(
+            Some(spawn_backend_imaging(
                 &peers[i],
                 &stores[i].0,
                 &peers,
                 i,
                 faults_for(i),
+                snapshot_every,
             ))
         })
         .collect();
@@ -1129,4 +1155,276 @@ fn drain_then_router_restart_rediscovers_placement_without_redraining() {
     }
 
     stop(restarted, backends);
+}
+
+// ---- images: restore, don't replay ----
+
+/// Five decisions over the warmed pair (8 mutations in all with
+/// [`warm`]): accept and reject every cell of the 2 × 2 matrix.
+const DECISIONS: [&str; 5] = [
+    ACCEPT,
+    "reject a b a/SHIPMENT b/DELIVERY/deliver_dt",
+    "reject a b a/SHIPMENT/ship_dt b/DELIVERY",
+    "accept a b a/SHIPMENT b/DELIVERY",
+    "match a b",
+];
+
+fn repl_status(addr: &str) -> String {
+    Client::connect(addr)
+        .unwrap()
+        .request("repl status")
+        .unwrap()
+        .expect_ok()
+        .unwrap()
+}
+
+/// The `image=` watermark of `id`'s standby row on `addr` (0: none).
+fn standby_image(addr: &str, id: &str) -> Option<(u64, u64)> {
+    let status = repl_status(addr);
+    let row = status
+        .lines()
+        .find(|l| l.starts_with(&format!("replica id={id} ")))?;
+    let field = |key: &str| {
+        row.split_whitespace()
+            .find_map(|w| w.strip_prefix(key))
+            .and_then(|v| v.parse().ok())
+    };
+    Some((field("seq=")?, field("image=")?))
+}
+
+#[test]
+fn a_warm_promotion_restores_the_image_and_replays_less_than_the_cadence() {
+    const EVERY: u64 = 4;
+    let order = rendezvous::rank("wp", 3);
+    let (peers, _stores, mut backends) =
+        spawn_imaging_fleet("warm-promote", 3, EVERY, |_| FaultPlan::none());
+    let router = spawn_router(&peers, RouterConfig::default());
+    let mut c = Client::connect(router.addr()).unwrap();
+    c.session_new(Some("wp")).unwrap();
+    warm(&mut c);
+    for decision in DECISIONS {
+        c.request(decision).unwrap().expect_ok().unwrap();
+    }
+    let before = observable_state(&mut c);
+    // The owner's image at 8 reaches the successor in the background.
+    wait_until(
+        "the image reaching the successor",
+        Duration::from_secs(10),
+        || standby_image(&peers[order[1]], "wp") == Some((8, 8)),
+    );
+
+    backends[order[0]].take().unwrap().kill();
+    assert_eq!(
+        observable_state(&mut c),
+        before,
+        "promoted state is byte-identical"
+    );
+    let stats = backends[order[1]].as_ref().unwrap().stats();
+    assert_eq!(stats.counters.get(ServerCounter::ImagesRestored), 1);
+    assert!(
+        stats.counters.get(ServerCounter::CommandsReplayed) < EVERY,
+        "a warm promotion replays only the suffix past the image"
+    );
+    let rendered = stats.render(1, &Default::default());
+    for stage in ["promote.restore", "promote.replay", "promote.ship"] {
+        assert!(rendered.contains(&format!("{stage} count=1")), "{rendered}");
+    }
+    stop(router, backends);
+}
+
+#[test]
+fn the_new_successor_holds_an_image_as_soon_as_promote_answers() {
+    // A first promotion before any image (3 records, cadence 64): the
+    // promotion captures one and ships it with the suffix in one frame.
+    let order = rendezvous::rank("cold", 3);
+    let (peers, _stores, mut backends) = spawn_fleet("cold-promote", 3, |_| FaultPlan::none());
+    let mut c = Client::connect(&peers[order[0]]).unwrap();
+    c.session_new(Some("cold")).unwrap();
+    warm(&mut c);
+    let before = observable_state(&mut c);
+    assert_eq!(standby_image(&peers[order[1]], "cold"), Some((3, 0)));
+    backends[order[0]].take().unwrap().kill();
+
+    let mut s = Client::connect(&peers[order[1]]).unwrap();
+    let reply = s
+        .request("repl promote cold 3")
+        .unwrap()
+        .expect_ok()
+        .unwrap();
+    assert_eq!(reply, "session cold promoted seq=3");
+    // No waiting: the frame went out before the promotion answered.
+    assert_eq!(standby_image(&peers[order[2]], "cold"), Some((3, 3)));
+    s.session_attach("cold").unwrap();
+    assert_eq!(observable_state(&mut s), before);
+    stop(spawn_router(&peers, RouterConfig::default()), backends);
+}
+
+#[test]
+fn an_image_and_suffix_below_the_floor_still_answer_stale_replica() {
+    use iwb_store::fault::REPL_LAG;
+    let owner = rendezvous::rank("sf", 2)[0];
+    // The third commit's ship is skipped: the successor holds the image
+    // at 2 and nothing past it.
+    let lag = FaultSpec::seeded(3).at(REPL_LAG, &[2]).build();
+    let (peers, _stores, mut backends) = spawn_imaging_fleet("stale-image", 2, 2, |i| {
+        if i == owner {
+            lag.clone()
+        } else {
+            FaultPlan::none()
+        }
+    });
+    let router = spawn_router(&peers, RouterConfig::default());
+    let mut c = Client::connect(router.addr()).unwrap();
+    c.session_new(Some("sf")).unwrap();
+    c.request_with_heredoc("load er a", SCHEMA_A)
+        .unwrap()
+        .expect_ok()
+        .unwrap();
+    c.request_with_heredoc("load er b", SCHEMA_B)
+        .unwrap()
+        .expect_ok()
+        .unwrap();
+    wait_until("the image at 2", Duration::from_secs(10), || {
+        standby_image(&peers[1 - owner], "sf") == Some((2, 2))
+    });
+    c.request("match a b").unwrap().expect_ok().unwrap();
+    assert_eq!(standby_image(&peers[1 - owner], "sf"), Some((2, 2)));
+
+    backends[owner].take().unwrap().kill();
+    let resp = c.request("export").unwrap();
+    assert!(
+        !resp.ok
+            && resp
+                .body
+                .starts_with("STALE-REPLICA session=sf have=2 need=3"),
+        "{}",
+        resp.body
+    );
+    assert_eq!(router.stats().promotions_count(), 0);
+    stop(router, backends);
+}
+
+/// A frame for `id` carrying a copy of `image` re-stamped at
+/// `watermark` — newer than anything the sink holds.
+fn forged_frame(image: &[u8], id: &str, watermark: u64, damage: impl Fn(&mut Vec<u8>)) -> Vec<u8> {
+    let mut snap = iwb_store::SessionSnapshot::decode(image).unwrap();
+    assert_eq!(snap.session_id, id);
+    snap.watermark = watermark;
+    let mut bytes = snap.encode();
+    damage(&mut bytes);
+    iwb_server::repl::encode_frame(Some((watermark, &bytes)), &[])
+}
+
+/// The sink side of a session with an image at 2: its standby image
+/// and journal bytes, to prove a refused frame changed nothing.
+fn standby_files(store: &Path, id: &str) -> (Vec<u8>, Vec<u8>) {
+    let dir = store.join("replica");
+    (
+        std::fs::read(dir.join(format!("{id}.snap"))).unwrap(),
+        std::fs::read(dir.join(format!("{id}.journal"))).unwrap(),
+    )
+}
+
+#[test]
+fn a_torn_or_bit_flipped_shipped_image_is_refused_by_the_sink() {
+    let owner = rendezvous::rank("tf", 2)[0];
+    let sink = 1 - owner;
+    let (peers, stores, backends) = spawn_imaging_fleet("torn-frame", 2, 2, |_| FaultPlan::none());
+    let mut c = Client::connect(&peers[owner]).unwrap();
+    c.session_new(Some("tf")).unwrap();
+    warm(&mut c);
+    wait_until("the image at 2", Duration::from_secs(10), || {
+        standby_image(&peers[sink], "tf") == Some((3, 2))
+    });
+    let before = standby_files(&stores[sink].0, "tf");
+    let image = std::fs::read(stores[owner].0.join("tf.snap")).unwrap();
+
+    let mut raw = Client::connect(&peers[sink]).unwrap();
+    let frames = [
+        (
+            "torn image",
+            forged_frame(&image, "tf", 9, |b| b.truncate(b.len() / 2)),
+        ),
+        (
+            "bit-flipped image",
+            forged_frame(&image, "tf", 9, |b| b[300] ^= 0x04),
+        ),
+        ("bit-flipped frame", {
+            let mut f = forged_frame(&image, "tf", 9, |_| {});
+            let last = f.len() - 9;
+            f[last] ^= 0x01;
+            f
+        }),
+    ];
+    for (what, frame) in frames {
+        let resp = raw.request_with_bytes("repl range tf 9", &frame).unwrap();
+        assert!(
+            !resp.ok && resp.body.starts_with("repl range refused"),
+            "{what}: {}",
+            resp.body
+        );
+        assert_eq!(standby_files(&stores[sink].0, "tf"), before, "{what}");
+        assert_eq!(standby_image(&peers[sink], "tf"), Some((3, 2)), "{what}");
+    }
+    // A frame cut off on the wire never runs at all.
+    let frame = forged_frame(&image, "tf", 9, |_| {});
+    let mut stream = std::net::TcpStream::connect(&peers[sink]).unwrap();
+    writeln!(stream, "repl range tf 9 <<BYTES {}", frame.len()).unwrap();
+    stream.write_all(&frame[..frame.len() / 2]).unwrap();
+    drop(stream);
+    std::thread::sleep(Duration::from_millis(100));
+    assert_eq!(standby_files(&stores[sink].0, "tf"), before);
+
+    let export = observable_state(&mut c);
+    let mut s = Client::connect(&peers[sink]).unwrap();
+    drop(c);
+    s.request("repl promote tf 3").unwrap().expect_ok().unwrap();
+    s.session_attach("tf").unwrap();
+    assert_eq!(observable_state(&mut s), export);
+    stop(spawn_router(&peers, RouterConfig::default()), backends);
+}
+
+#[test]
+fn a_sink_restarted_mid_image_keeps_its_previous_image() {
+    let owner = rendezvous::rank("mi", 2)[0];
+    let sink = 1 - owner;
+    let (peers, stores, mut backends) =
+        spawn_imaging_fleet("mid-image", 2, 2, |_| FaultPlan::none());
+    let mut c = Client::connect(&peers[owner]).unwrap();
+    c.session_new(Some("mi")).unwrap();
+    warm(&mut c);
+    wait_until("the image at 2", Duration::from_secs(10), || {
+        standby_image(&peers[sink], "mi") == Some((3, 2))
+    });
+    let export = observable_state(&mut c);
+    let before = standby_files(&stores[sink].0, "mi");
+
+    // The sink dies with a newer image half received and a half-written
+    // image file beside the live one.
+    let image = std::fs::read(stores[owner].0.join("mi.snap")).unwrap();
+    let frame = forged_frame(&image, "mi", 9, |_| {});
+    let mut stream = std::net::TcpStream::connect(&peers[sink]).unwrap();
+    writeln!(stream, "repl range mi 9 <<BYTES {}", frame.len()).unwrap();
+    stream.write_all(&frame[..frame.len() / 2]).unwrap();
+    let tmp = stores[sink].0.join("replica").join("mi.snap.tmp");
+    std::fs::write(&tmp, &image[..image.len() / 3]).unwrap();
+    backends[sink].take().unwrap().kill();
+    drop(stream);
+
+    backends[sink] = Some(spawn_backend_imaging(
+        &peers[sink],
+        &stores[sink].0,
+        &peers,
+        sink,
+        FaultPlan::none(),
+        2,
+    ));
+    assert_eq!(standby_files(&stores[sink].0, "mi"), before);
+    assert_eq!(standby_image(&peers[sink], "mi"), Some((3, 2)));
+    backends[owner].take().unwrap().kill();
+    let mut s = Client::connect(&peers[sink]).unwrap();
+    s.request("repl promote mi 3").unwrap().expect_ok().unwrap();
+    s.session_attach("mi").unwrap();
+    assert_eq!(observable_state(&mut s), export);
+    stop(spawn_router(&peers, RouterConfig::default()), backends);
 }

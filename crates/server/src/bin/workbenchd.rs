@@ -17,15 +17,16 @@
 //! * `--recover DIR`           like `--journal DIR`, plus replay the
 //!   journals found there on startup — sessions survive a daemon
 //!   crash and clients re-`session attach` their old ids
-//! * `--store DIR`             persistent match store: like
-//!   `--recover DIR`, plus sessions snapshot their warm state
-//!   (schema graphs + text features, match results, the blocking
-//!   index) under DIR in the background and on eviction/shutdown;
-//!   recovery loads the verified snapshot and replays only the
-//!   journal suffix past its watermark, reopening sessions warm
-//! * `--snapshot-every N`      background-snapshot cadence in
-//!   journaled commands (default 64; 0 snapshots only on
-//!   eviction/shutdown; needs `--store`)
+//! * `--store DIR`             persistent session store: like
+//!   `--recover DIR`, plus sessions persist an image of their whole
+//!   state (blackboard, trace, every tool's learned state) under DIR
+//!   in the background and on eviction/release/shutdown; each
+//!   verified image lets the journal drop the records it covers, and
+//!   recovery restores the image and replays only the journal suffix
+//!   past its watermark
+//! * `--snapshot-every N`      image cadence in journaled commands
+//!   (default 64; 0 images only on eviction/release/shutdown; needs
+//!   `--store`)
 //! * `--no-recover`            skip the startup journal sweep even
 //!   with `--store`/`--recover`. Fleet backends behind a
 //!   `workbench-router` run this way: the router promotes each session
@@ -46,10 +47,10 @@
 //! * `--repl-peers A,B,…`      fleet replication: the full ordered
 //!   backend address list (identical on every backend and on the
 //!   router — rendezvous ranking only agrees if the order does).
-//!   Every journaled commit streams to the session's rendezvous
-//!   successor, which keeps a warm standby journal; on backend death
-//!   the router promotes from that replica (`repl promote`) with no
-//!   shared disk. Requires `--journal`/`--recover`/`--store` and
+//!   Every journaled commit and every image streams to the session's
+//!   rendezvous successor, which keeps a warm standby (image plus
+//!   journal suffix); on backend death the router promotes from that
+//!   replica (`repl promote`) with no shared disk. Requires `--journal`/`--recover`/`--store` and
 //!   `--repl-self`
 //! * `--repl-self N`           this backend's index in the
 //!   `--repl-peers` list
@@ -217,10 +218,10 @@ fn main() {
     };
     if let Some(report) = handle.recovery() {
         println!(
-            "workbenchd: recovered {} session(s) ({} warm from snapshots, {} command(s) replayed, \
+            "workbenchd: recovered {} session(s) ({} restored from images, {} command(s) replayed, \
              {} torn tail(s) healed, {} snapshot fallback(s), {} file(s) skipped)",
             report.sessions,
-            report.warm,
+            report.images,
             report.replayed,
             report.torn_tails,
             report.snapshot_fallbacks,

@@ -15,6 +15,7 @@
 //! with `--recover`, so a reconnect usually lands exactly where the
 //! crash interrupted).
 
+use crate::server::BYTES_MARKER;
 use iwb_core::RetryableError;
 use iwb_rng::StdRng;
 use std::collections::HashMap;
@@ -307,6 +308,14 @@ impl Client {
         }
         request.push_str("EOF\n");
         self.send(request.as_bytes())
+    }
+
+    /// Send a command with a length-framed binary body (`<<BYTES <n>`
+    /// then exactly `n` raw bytes; see [`crate::server::serve_lines`]).
+    pub fn request_with_bytes(&mut self, command: &str, body: &[u8]) -> io::Result<Response> {
+        let mut request = format!("{command} {BYTES_MARKER} {}\n", body.len()).into_bytes();
+        request.extend_from_slice(body);
+        self.send(&request)
     }
 
     /// Write one whole request with a single `write_all` and read the

@@ -26,26 +26,25 @@
 //! malformed/truncated one and drops the rest (at most the final
 //! unacknowledged command).
 //!
-//! ## Compaction and the snapshot watermark
+//! ## Compaction and the image watermark
 //!
-//! The journal keeps its record list in memory; every
+//! The journal keeps the records past its base in memory; every
 //! `compact_every` appends (and after recovering a torn file) it is
 //! rewritten atomically (tmp + fsync + rename), healing torn garbage
-//! and re-framing the history into one clean segment.
+//! and re-framing the suffix into one clean segment.
 //!
-//! With a snapshot store attached (`workbenchd --store`), compaction
-//! also *truncates*: once a snapshot at watermark `W` has been written
-//! **and verified by a read-back**, [`Journal::truncate_to`] raises the
-//! durable base to `W` and the rewritten file carries only the suffix
-//! `records[W..]` (the header records the base as its third token).
-//! The handshake direction matters — the base is advanced only after
-//! the snapshot verifies, never in the same step as the snapshot
-//! write, so a crash (or injected corruption) between snapshot commit
-//! and journal truncation leaves a journal whose base is still covered
-//! by the *previous* verified snapshot. Recovery replays
-//! `records[(W - base)..]` on top of the snapshot; a corrupt snapshot
-//! falls back to full replay when `base == 0` and refuses the session
-//! otherwise — never silently wrong.
+//! With a store attached (`workbenchd --store`), the base advances:
+//! once a session image at watermark `W` has replaced the previous one
+//! — written, read back intact, renamed (`iwb_store::SessionStore`) —
+//! [`Journal::truncate_to`] raises the base to `W` and drops
+//! `records[..W]` from memory as well as from disk (the header records
+//! the base as its third token). The order matters: the base only moves
+//! after the image at `W` is in place, and a failed image commit leaves
+//! the previous image, which covers the old base. So the journal never
+//! needs to widen back. [`Journal::len`], the session's `seq`, still
+//! counts the whole logical history. Recovery restores the image and
+//! replays `records[(W - base)..]`; a journal truncated past every
+//! image it can find is refused — never silently wrong.
 
 use iwb_store::fault::{FaultPlan, JOURNAL_TORN};
 use std::fs::{self, File, OpenOptions};
@@ -119,9 +118,9 @@ impl JournalRecord {
 pub struct LoadedJournal {
     /// The session id from the file header.
     pub session_id: String,
-    /// Durable base from the header: how many records of logical
-    /// history were truncated away because a verified snapshot covers
-    /// them. `0` for journals written without a store.
+    /// Base from the header: how many records of logical history were
+    /// truncated away because an image covers them. `0` for journals
+    /// written without a store.
     pub base: u64,
     /// Records up to the first torn/corrupt one (logical indices
     /// `base..base + records.len()`).
@@ -136,14 +135,12 @@ pub struct Journal {
     path: PathBuf,
     file: File,
     session_id: String,
-    /// Full logical history since the session started (or was
-    /// recovered); the on-disk file carries only
-    /// `records[durable_base..]`.
+    /// The logical history past `base`, in memory and on disk.
     records: Vec<JournalRecord>,
-    /// Count of leading records omitted from disk because a verified
-    /// snapshot covers them. Invariant: never exceeds the watermark of
-    /// the last snapshot that passed a read-back verification.
-    durable_base: u64,
+    /// Leading records of the logical history dropped because an image
+    /// covers them. Invariant: never exceeds the watermark of the image
+    /// in place.
+    base: u64,
     appends_since_compact: u64,
     /// A torn write left garbage at the file tail; rewrite before the
     /// next append so the garbage never buries later records.
@@ -171,7 +168,7 @@ impl Journal {
             file,
             session_id: session_id.to_owned(),
             records: Vec::new(),
-            durable_base: 0,
+            base: 0,
             appends_since_compact: 0,
             dirty_tail: false,
             config: config.clone(),
@@ -179,74 +176,57 @@ impl Journal {
     }
 
     /// Rebuild a journal from recovered records, rewriting the file
-    /// into one clean segment (heals any torn tail on disk). `records`
-    /// is the *full* logical history; `base` is how many leading
-    /// records a verified snapshot already covers (0 without a store),
-    /// and only the suffix past it is written back to disk.
+    /// into one clean segment (heals any torn tail on disk). `suffix`
+    /// is the logical history past `base`, the watermark of the image
+    /// that covers the rest (0 without one).
     pub fn adopt(
         config: &JournalConfig,
         session_id: &str,
-        records: Vec<JournalRecord>,
+        suffix: Vec<JournalRecord>,
         base: u64,
     ) -> io::Result<Journal> {
         let mut journal = Self::create(config, session_id)?;
-        journal.durable_base = base.min(records.len() as u64);
-        journal.records = records;
+        journal.base = base;
+        journal.records = suffix;
         journal.compact()?;
         Ok(journal)
     }
 
-    /// Records committed so far (full logical history, including any
-    /// snapshot-covered prefix truncated from disk).
+    /// Records committed so far: the whole logical history, including
+    /// the prefix an image covers.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.base as usize + self.records.len()
     }
 
     /// Whether nothing has been journaled.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.len() == 0
     }
 
-    /// The durable base: leading records omitted from the on-disk file
-    /// because a verified snapshot covers them.
+    /// The base: leading records dropped because an image covers them.
     pub fn base(&self) -> u64 {
-        self.durable_base
+        self.base
     }
 
-    /// The full in-memory history (snapshot capture embeds the prefix
-    /// `records[..watermark]` so a snapshot alone can recover).
+    /// The records past [`Journal::base`] (logical indices
+    /// `base..len`).
     pub fn records(&self) -> &[JournalRecord] {
         &self.records
     }
 
-    /// Raise the durable base to `watermark` and rewrite the file with
-    /// only the suffix past it. **Call only after the snapshot at
-    /// `watermark` has been verified by a read-back** — advancing the
-    /// base on an unverified snapshot is exactly the handshake bug that
-    /// loses history when the snapshot turns out torn. The base never
-    /// moves backwards.
+    /// Raise the base to `watermark`, dropping the records below it
+    /// from memory and rewriting the file with only the suffix past it.
+    /// A watermark past the end empties the journal at that base (a
+    /// replica that receives an image ahead of its records). **Call
+    /// only once the image at `watermark` is in place** — the journal
+    /// cannot widen back. The base never moves backwards.
     pub fn truncate_to(&mut self, watermark: u64) -> io::Result<()> {
-        let watermark = watermark.min(self.records.len() as u64);
-        if watermark <= self.durable_base {
+        if watermark <= self.base {
             return Ok(());
         }
-        self.durable_base = watermark;
-        self.compact()
-    }
-
-    /// Lower the durable base back to `base`, re-persisting the
-    /// now-uncovered prefix from the in-memory history. This is the
-    /// failure half of the snapshot handshake: when a later snapshot
-    /// commit fails verification it may have clobbered the snapshot
-    /// that justified an earlier [`Journal::truncate_to`], so the
-    /// journal widens back to a self-sufficient history that replay
-    /// alone can rebuild. A no-op when `base` is not below the current
-    /// base.
-    pub fn rebase(&mut self, base: u64) -> io::Result<()> {
-        if base >= self.durable_base {
-            return Ok(());
-        }
-        self.durable_base = base;
+        let drop = ((watermark - self.base) as usize).min(self.records.len());
+        self.records.drain(..drop);
+        self.base = watermark;
         self.compact()
     }
 
@@ -258,13 +238,32 @@ impl Journal {
     /// window a real torn write has). Returns `true` if a torn write
     /// was injected.
     pub fn append(&mut self, record: JournalRecord, faults: &FaultPlan) -> io::Result<bool> {
+        self.append_all(vec![record], faults)
+    }
+
+    /// [`Journal::append`] for several records with one write and one
+    /// fsync (a replication catch-up range). The torn-write fault, if
+    /// armed, tears the last record.
+    pub fn append_all(
+        &mut self,
+        records: Vec<JournalRecord>,
+        faults: &FaultPlan,
+    ) -> io::Result<bool> {
+        if records.is_empty() {
+            return Ok(false);
+        }
         if self.dirty_tail {
             self.compact()?;
         }
-        let encoded = record.encode();
+        let mut encoded = Vec::new();
+        let mut last = 0;
+        for record in &records {
+            last = encoded.len();
+            encoded.extend_from_slice(&record.encode());
+        }
         let torn = faults.fires(JOURNAL_TORN).is_some();
         let bytes = if torn {
-            &encoded[..encoded.len() / 2]
+            &encoded[..last + (encoded.len() - last) / 2]
         } else {
             &encoded[..]
         };
@@ -272,9 +271,9 @@ impl Journal {
         if self.config.fsync {
             self.file.sync_data()?;
         }
-        self.records.push(record);
+        self.appends_since_compact += records.len() as u64;
+        self.records.extend(records);
         self.dirty_tail = torn;
-        self.appends_since_compact += 1;
         if self.appends_since_compact >= self.config.compact_every.max(1) && !self.dirty_tail {
             self.compact()?;
         }
@@ -287,13 +286,13 @@ impl Journal {
         let tmp = self.path.with_extension(format!("{EXT}.tmp"));
         {
             let mut out = File::create(&tmp)?;
-            let header = if self.durable_base > 0 {
-                format!("{MAGIC} {} {}\n", self.session_id, self.durable_base)
+            let header = if self.base > 0 {
+                format!("{MAGIC} {} {}\n", self.session_id, self.base)
             } else {
                 format!("{MAGIC} {}\n", self.session_id)
             };
             out.write_all(header.as_bytes())?;
-            for record in &self.records[self.durable_base as usize..] {
+            for record in &self.records {
                 out.write_all(&record.encode())?;
             }
             out.sync_all()?;
@@ -554,7 +553,12 @@ mod tests {
         }
         j.truncate_to(3).unwrap();
         assert_eq!(j.base(), 3);
-        assert_eq!(j.len(), 5, "logical history is untouched");
+        assert_eq!(j.len(), 5, "the logical history still counts 5");
+        // No record below the watermark stays in memory.
+        assert_eq!(
+            j.records(),
+            &[rec("match a b3", None), rec("match a b4", None)]
+        );
 
         // On disk: base 3 in the header, only the suffix framed.
         let loaded = Journal::load(&Journal::path_for(&config.dir, "s")).unwrap();
@@ -567,6 +571,7 @@ mod tests {
         assert_eq!(j.base(), 3);
         // Appends after truncation land after the suffix.
         j.append(rec("match a b5", None), &none).unwrap();
+        assert_eq!(j.len(), 6);
         let loaded = Journal::load(&Journal::path_for(&config.dir, "s")).unwrap();
         assert_eq!(loaded.base, 3);
         assert_eq!(loaded.records.len(), 3);
@@ -574,37 +579,48 @@ mod tests {
     }
 
     #[test]
-    fn rebase_repersists_the_truncated_prefix() {
-        let config = JournalConfig::new(tmp_dir("rebase"));
+    fn truncation_past_the_end_empties_the_journal_at_the_watermark() {
+        // A replica that receives an image ahead of its records: the
+        // journal cannot widen back, it restarts at the watermark.
+        let config = JournalConfig::new(tmp_dir("past-end"));
         let mut j = Journal::create(&config, "s").unwrap();
         let none = FaultPlan::none();
-        for i in 0..4 {
+        for i in 0..2 {
             j.append(rec(&format!("match a b{i}"), None), &none)
                 .unwrap();
         }
-        j.truncate_to(3).unwrap();
-        assert_eq!(j.base(), 3);
-
-        // Rebasing upward is a no-op; rebasing down re-persists the
-        // prefix from the in-memory history.
-        j.rebase(4).unwrap();
-        assert_eq!(j.base(), 3);
-        j.rebase(0).unwrap();
-        assert_eq!(j.base(), 0);
+        j.truncate_to(6).unwrap();
+        assert_eq!((j.base(), j.len(), j.records().len()), (6, 6, 0));
+        j.append(rec("match a b6", None), &none).unwrap();
         let loaded = Journal::load(&Journal::path_for(&config.dir, "s")).unwrap();
-        assert_eq!(loaded.base, 0);
-        assert_eq!(loaded.records.len(), 4);
-        assert_eq!(loaded.records[0].command, "match a b0");
+        assert_eq!((loaded.base, loaded.records.len()), (6, 1));
+        let _ = fs::remove_dir_all(&config.dir);
+    }
+
+    #[test]
+    fn append_all_writes_a_range_with_one_fsync_and_a_torn_last_record() {
+        let config = JournalConfig::new(tmp_dir("append-all"));
+        let mut j = Journal::create(&config, "s").unwrap();
+        let torn = FaultSpec::seeded(0).at(JOURNAL_TORN, &[0]).build();
+        let range: Vec<JournalRecord> = (0..3)
+            .map(|i| rec(&format!("match a b{i}"), None))
+            .collect();
+        assert!(j.append_all(range, &torn).unwrap());
+        assert_eq!(j.len(), 3);
+        drop(j); // crash before the heal: the last record is torn
+        let loaded = Journal::load(&Journal::path_for(&config.dir, "s")).unwrap();
+        assert!(loaded.torn_tail);
+        assert_eq!(loaded.records.len(), 2);
         let _ = fs::remove_dir_all(&config.dir);
     }
 
     #[test]
     fn adopt_with_base_writes_only_the_suffix() {
         let config = JournalConfig::new(tmp_dir("adopt-base"));
-        let records: Vec<JournalRecord> = (0..4)
+        let suffix: Vec<JournalRecord> = (2..4)
             .map(|i| rec(&format!("match a b{i}"), None))
             .collect();
-        let j = Journal::adopt(&config, "s", records, 2).unwrap();
+        let j = Journal::adopt(&config, "s", suffix, 2).unwrap();
         assert_eq!(j.len(), 4);
         assert_eq!(j.base(), 2);
         let loaded = Journal::load(&Journal::path_for(&config.dir, "s")).unwrap();

@@ -23,14 +23,16 @@
 //!   connection loop (bounded line reads, idle timeouts, heredocs,
 //!   framing), and the [`server::Reply`] both dispatchers return;
 //! * [`journal`] — append-only per-session command journals (fsync on
-//!   commit, periodic compaction) and the crash-recovery replay behind
-//!   `workbenchd --recover`;
-//! * [`repl`] — streamed journal replication between fleet backends,
-//!   each on its own store: each backend ships committed records to
-//!   the session's rendezvous successor, keeps standby journals for
-//!   its peers, and promotes from them when the router moves a session
-//!   (`repl promote`) — refusing with `STALE-REPLICA` when the replica
-//!   is provably behind the last acked client mutation;
+//!   commit, periodic compaction, truncation behind a session image)
+//!   and the crash recovery behind `workbenchd --recover`: restore the
+//!   session's image, replay the journal suffix past it;
+//! * [`repl`] — streamed replication between fleet backends, each on
+//!   its own store: each backend ships committed records and images to
+//!   the session's rendezvous successor, keeps standbys (image plus
+//!   journal suffix) for its peers, and promotes from them when the
+//!   router moves a session (`repl promote`) — refusing with
+//!   `STALE-REPLICA` when the replica is provably behind the last acked
+//!   client mutation;
 //! * [`stats`] — the counter registry both binaries declare their
 //!   counters with ([`stats::Counters`], indexed by a per-binary enum),
 //!   fixed-bucket latency histograms, and [`stats::render`], the one
@@ -55,10 +57,12 @@
 //! session release <id>  persist a session and drop it live (files kept)
 //! repl subscribe <id> <len>   replication handshake (backend → backend)
 //! repl append <id> <seq> <c>  stream one journal record to a replica
-//! repl status           per-session replication lag + standby journals
+//! repl range <id> <from> <<BYTES <n>  an image and/or records from
+//!                       <from> as one binary frame (n raw bytes)
+//! repl status           per-session replication lag + standbys (length, image)
 //! repl promote <id> <min-seq> rebuild from the best local evidence, or
 //!                       refuse with STALE-REPLICA if provably behind
-//! repl drop <id>        delete a standby journal (its owner closed it)
+//! repl drop <id>        delete a standby (its owner closed it)
 //! cancel <id>           interrupt the command in flight in a session
 //! stats                 counters + latency percentiles, `<scope> key=value …` lines
 //! ping                  liveness probe

@@ -37,7 +37,7 @@
 
 use crate::client::Response;
 use crate::journal::{JournalConfig, JournalRecord};
-use crate::repl::ReplConfig;
+use crate::repl::{ReplConfig, MAX_FRAME_BYTES};
 use crate::session::{ExecOutcome, RecoveryReport, SessionRegistry, StoreConfig};
 use crate::stats::{CommandClass, ServerCounter, ServerStats};
 use iwb_core::shell::{heredoc_start, HEREDOC_END};
@@ -74,6 +74,37 @@ pub const MAX_LINE_BYTES: usize = 64 * 1024;
 
 /// Default bound on one heredoc body, in bytes.
 pub const MAX_HEREDOC_BYTES: usize = 4 * 1024 * 1024;
+
+/// Marker closing a command line that carries a length-framed binary
+/// body: `<command> <<BYTES <n>` is followed by exactly `n` raw bytes.
+pub const BYTES_MARKER: &str = "<<BYTES";
+
+/// A request's body.
+#[derive(Debug, Clone, Copy)]
+pub enum Body<'a> {
+    /// A `<<EOF` … `EOF` heredoc.
+    Heredoc(&'a str),
+    /// A `<<BYTES <n>` binary frame (`repl range`).
+    Bytes(&'a [u8]),
+}
+
+impl<'a> Body<'a> {
+    /// The heredoc text, if this is one.
+    pub fn heredoc(self) -> Option<&'a str> {
+        match self {
+            Body::Heredoc(text) => Some(text),
+            Body::Bytes(_) => None,
+        }
+    }
+}
+
+/// If `command` announces a binary frame, the command without the
+/// marker and the frame length.
+fn frame_start(command: &str) -> Option<(&str, Option<usize>)> {
+    let (head, len) = command.rsplit_once(char::is_whitespace)?;
+    let head = head.trim_end().strip_suffix(BYTES_MARKER)?;
+    Some((head.trim_end(), len.parse().ok()))
+}
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -506,18 +537,20 @@ impl From<Response> for Reply {
 /// Serve one connection's line protocol until the peer leaves, its
 /// idle budget runs out, shutdown finds it idle, or a reply closes it —
 /// the one loop `workbenchd` and `workbench-router` share. Blank and
-/// `#` lines answer an empty `ok`; a heredoc body is gathered before
-/// its command runs; a line past `max_line_bytes` or a body past
-/// `max_heredoc_bytes` gets one protocol error and the connection
-/// closes (it cannot be resynchronized). `handle` runs each command
-/// and returns its reply, or `None` to close without one.
+/// `#` lines answer an empty `ok`; a heredoc body or a `<<BYTES <n>`
+/// binary frame is gathered before its command runs; a line past
+/// `max_line_bytes`, a heredoc past `max_heredoc_bytes` or a frame past
+/// `max_frame_bytes` (0: frames refused) gets one protocol error and
+/// the connection closes (it cannot be resynchronized). `handle` runs
+/// each command and returns its reply, or `None` to close without one.
 pub fn serve_lines(
     stream: TcpStream,
     shutdown: &Shutdown,
     read_timeout: Duration,
     max_line_bytes: usize,
     max_heredoc_bytes: usize,
-    mut handle: impl FnMut(&str, Option<&str>) -> Option<Reply>,
+    max_frame_bytes: usize,
+    mut handle: impl FnMut(&str, Option<Body<'_>>) -> Option<Reply>,
 ) -> io::Result<()> {
     // The socket poll tick must not exceed the idle budget, or a
     // `read_timeout` shorter than one tick would never be enforced.
@@ -527,9 +560,8 @@ pub fn serve_lines(
     stream.set_nodelay(true)?;
     let mut writer = BufWriter::new(stream.try_clone()?);
     let mut reader = BufReader::new(stream);
-    let mut read_line = || read_protocol_line(&mut reader, shutdown, read_timeout, max_line_bytes);
     loop {
-        let line = match read_line()? {
+        let line = match read_protocol_line(&mut reader, shutdown, read_timeout, max_line_bytes)? {
             LineRead::Line(line) => line,
             LineRead::Closed => return Ok(()),
             LineRead::OverLimit => {
@@ -547,37 +579,71 @@ pub fn serve_lines(
             write_response(&mut writer, true, "")?;
             continue;
         }
-        let (command, heredoc) = match heredoc_start(command) {
-            None => (command, None),
-            Some(command) => {
-                let mut body = String::new();
-                loop {
-                    match read_line()? {
-                        LineRead::Line(l) if l.trim() == HEREDOC_END => break,
-                        LineRead::Line(l) if body.len() + l.len() < max_heredoc_bytes => {
-                            body.push_str(&l);
-                            body.push('\n');
-                        }
-                        // The connection died mid-heredoc: the command
-                        // never ran, so no partial state and nothing
-                        // journaled.
-                        LineRead::Closed => return Ok(()),
-                        LineRead::Line(_) | LineRead::OverLimit => {
-                            return write_response(
-                                &mut writer,
-                                false,
-                                &format!(
+        let mut frame = Vec::new();
+        let (command, heredoc) = if let Some((command, len)) = frame_start(command) {
+            match len.filter(|&n| n <= max_frame_bytes) {
+                Some(n) => {
+                    // The connection died mid-frame: the command never
+                    // ran, so nothing was applied.
+                    if !read_protocol_bytes(&mut reader, shutdown, read_timeout, n, &mut frame)? {
+                        return Ok(());
+                    }
+                    (command, None)
+                }
+                None => {
+                    return write_response(
+                        &mut writer,
+                        false,
+                        &format!(
+                            "protocol error: binary frame exceeds {max_frame_bytes} bytes; \
+                             closing connection"
+                        ),
+                    )
+                }
+            }
+        } else {
+            match heredoc_start(command) {
+                None => (command, None),
+                Some(command) => {
+                    let mut body = String::new();
+                    loop {
+                        match read_protocol_line(
+                            &mut reader,
+                            shutdown,
+                            read_timeout,
+                            max_line_bytes,
+                        )? {
+                            LineRead::Line(l) if l.trim() == HEREDOC_END => break,
+                            LineRead::Line(l) if body.len() + l.len() < max_heredoc_bytes => {
+                                body.push_str(&l);
+                                body.push('\n');
+                            }
+                            // The connection died mid-heredoc: the command
+                            // never ran, so no partial state and nothing
+                            // journaled.
+                            LineRead::Closed => return Ok(()),
+                            LineRead::Line(_) | LineRead::OverLimit => {
+                                return write_response(
+                                    &mut writer,
+                                    false,
+                                    &format!(
                                     "protocol error: heredoc exceeds {max_heredoc_bytes} bytes; \
-                                     closing connection"
+                                         closing connection"
                                 ),
-                            )
+                                )
+                            }
                         }
                     }
+                    (command, Some(body))
                 }
-                (command, Some(body))
             }
         };
-        let Some(reply) = handle(command, heredoc.as_deref()) else {
+        let body = match &heredoc {
+            Some(text) => Some(Body::Heredoc(text)),
+            None if !frame.is_empty() => Some(Body::Bytes(&frame)),
+            None => None,
+        };
+        let Some(reply) = handle(command, body) else {
             return Ok(());
         };
         write_response(&mut writer, reply.ok, &reply.body)?;
@@ -585,6 +651,45 @@ pub fn serve_lines(
             return Ok(());
         }
     }
+}
+
+/// Read exactly `n` raw bytes into `out` under the poll tick and the
+/// idle budget; `false` when the peer closed (or went idle, or shutdown
+/// came) before the frame was complete.
+fn read_protocol_bytes(
+    reader: &mut BufReader<TcpStream>,
+    shutdown: &Shutdown,
+    idle_budget: Duration,
+    n: usize,
+    out: &mut Vec<u8>,
+) -> io::Result<bool> {
+    out.reserve(n);
+    let started = Instant::now();
+    while out.len() < n {
+        let consumed = match reader.fill_buf() {
+            Ok([]) => return Ok(false),
+            Ok(available) => {
+                let take = available.len().min(n - out.len());
+                out.extend_from_slice(&available[..take]);
+                take
+            }
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) =>
+            {
+                if shutdown.requested() || started.elapsed() >= idle_budget {
+                    return Ok(false);
+                }
+                0
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => 0,
+            Err(e) => return Err(e),
+        };
+        reader.consume(consumed);
+    }
+    Ok(true)
 }
 
 /// One bounded protocol read.
@@ -709,9 +814,10 @@ fn serve_connection(
         config.read_timeout,
         config.max_line_bytes,
         config.max_heredoc_bytes,
-        |command, heredoc| {
+        MAX_FRAME_BYTES,
+        |command, body| {
             let start = Instant::now();
-            let reply = dispatch(&ctx, command, heredoc, &mut attached);
+            let reply = dispatch(&ctx, command, body, &mut attached);
             stats.record_command(CommandClass::of(command), start.elapsed(), reply.ok);
             // A hard kill ([`ServerHandle::kill`]) lands *between*
             // dispatch and the response write: the command may have
@@ -748,12 +854,13 @@ fn strip_words<'a>(mut raw: &'a str, words: &[&str]) -> Option<&'a str> {
 fn dispatch(
     ctx: &DispatchCtx<'_>,
     command: &str,
-    heredoc: Option<&str>,
+    body: Option<Body<'_>>,
     attached: &mut Option<Arc<crate::session::Session>>,
 ) -> Reply {
     let DispatchCtx {
         registry, stats, ..
     } = ctx;
+    let heredoc = body.and_then(Body::heredoc);
     // `@N <command>` stamps a per-session sequence number on a shell
     // command; the session's journal-backed guard acks duplicates and
     // refuses gaps (see `Session::execute_sequenced`). Admin commands
@@ -900,8 +1007,19 @@ fn dispatch(
             }
             Err(_) => Reply::err("usage: repl append <session> <seq> <command>"),
         },
-        // Per-session replication lag (source rows) and standby journal
-        // lengths (replica rows) — the router's promotion safety check
+        // A binary frame: an optional image plus a range of records
+        // from logical index <from> (see `crate::repl`).
+        ["repl", "range", id, from] => match (from.parse::<u64>(), body) {
+            (Ok(from), Some(Body::Bytes(frame))) => {
+                match registry.repl_range(id, from, frame, ctx.faults) {
+                    Ok(body) => Reply::ok(body),
+                    Err(e) => Reply::err(e),
+                }
+            }
+            _ => Reply::err("usage: repl range <session> <from> <<BYTES <n>"),
+        },
+        // Per-session replication lag (source rows) and standby
+        // lengths and image watermarks (replica rows) — the router's promotion safety check
         // and the bench's lag percentiles both read this.
         ["repl", "status"] => match registry.repl_status() {
             Some(body) => Reply::ok(body),
@@ -925,7 +1043,8 @@ fn dispatch(
         },
         ["repl", ..] => Reply::err(
             "usage: repl subscribe <session> <source-len> | append <session> <seq> <command> \
-             | status | promote <session> <min-seq> | drop <session>",
+             | range <session> <from> <<BYTES <n> | status | promote <session> <min-seq> \
+             | drop <session>",
         ),
         ["cancel", id] => match registry.get(id) {
             Some(session) => {
@@ -1043,7 +1162,7 @@ mod tests {
                     default_deadline: None,
                 },
                 command,
-                heredoc,
+                heredoc.map(Body::Heredoc),
                 attached,
             );
             (reply.ok, reply.body, reply.close)

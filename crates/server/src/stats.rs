@@ -281,10 +281,12 @@ pub enum ServerCounter {
     SessionsRecovered,
     /// Journal records replayed by recovery or promotion.
     CommandsReplayed,
+    /// Sessions restored from an image by recovery or promotion.
+    ImagesRestored,
 }
 
-impl Counter<16> for ServerCounter {
-    const TABLE: [(Self, &'static str, &'static str); 16] = [
+impl Counter<17> for ServerCounter {
+    const TABLE: [(Self, &'static str, &'static str); 17] = [
         (ServerCounter::SessionsCreated, "sessions", "created"),
         (ServerCounter::SessionsEvicted, "sessions", "evicted"),
         (ServerCounter::SessionsClosed, "sessions", "closed"),
@@ -305,10 +307,42 @@ impl Counter<16> for ServerCounter {
         (ServerCounter::JournalErrors, "journal", "errors"),
         (
             ServerCounter::SessionsRecovered,
-            "journal",
+            "recovery",
             "recovered_sessions",
         ),
-        (ServerCounter::CommandsReplayed, "journal", "replayed"),
+        (
+            ServerCounter::CommandsReplayed,
+            "recovery",
+            "commands_replayed",
+        ),
+        (ServerCounter::ImagesRestored, "recovery", "image_restores"),
+    ];
+
+    fn index(self) -> usize {
+        self as usize
+    }
+}
+
+/// The stages of a `repl promote`, each timed by its own histogram in
+/// the backend's `stats` (one `promote.<stage>` line once it has a
+/// sample), so a slow failover says where its time went.
+#[derive(Debug, Clone, Copy)]
+pub enum PromoteStage {
+    /// Loading the image (a fresh shell without one), adopting the
+    /// journal suffix, and — on a session's first promotion before any
+    /// image — capturing one.
+    Restore,
+    /// Replaying the journal records past the image.
+    Replay,
+    /// Shipping image and suffix to the new owner's successor.
+    Ship,
+}
+
+impl Counter<3> for PromoteStage {
+    const TABLE: [(Self, &'static str, &'static str); 3] = [
+        (PromoteStage::Restore, "promote.restore", "us"),
+        (PromoteStage::Replay, "promote.replay", "us"),
+        (PromoteStage::Ship, "promote.ship", "us"),
     ];
 
     fn index(self) -> usize {
@@ -321,9 +355,10 @@ impl Counter<16> for ServerCounter {
 pub struct ServerStats {
     started: Instant,
     /// Every backend counter, indexed by [`ServerCounter`].
-    pub counters: Counters<ServerCounter, 16>,
+    pub counters: Counters<ServerCounter, 17>,
     errors: Counters<CommandClass, 11>,
     latency: [Histogram; 11],
+    promote: [Histogram; 3],
 }
 
 impl Default for ServerStats {
@@ -333,6 +368,7 @@ impl Default for ServerStats {
             counters: Counters::default(),
             errors: Counters::default(),
             latency: std::array::from_fn(|_| Histogram::default()),
+            promote: std::array::from_fn(|_| Histogram::default()),
         }
     }
 }
@@ -351,12 +387,19 @@ impl ServerStats {
         }
     }
 
+    /// Record how long one stage of a promotion took.
+    pub fn record_promote(&self, stage: PromoteStage, took: Duration) {
+        self.promote[stage.index()].record(took);
+    }
+
     /// Startup recovery (or a promotion) completed with this report.
     pub fn recovery(&self, report: &crate::session::RecoveryReport) {
         self.counters
             .add(ServerCounter::SessionsRecovered, report.sessions as u64);
         self.counters
             .add(ServerCounter::CommandsReplayed, report.replayed as u64);
+        self.counters
+            .add(ServerCounter::ImagesRestored, report.images as u64);
         self.counters
             .add(ServerCounter::JournalTorn, report.torn_tails as u64);
     }
@@ -398,12 +441,26 @@ impl ServerStats {
                 ]
                 .map(|(key, value)| (scope, key, value.to_string()))
             });
+        let promote = PromoteStage::TABLE
+            .into_iter()
+            .filter(|&(stage, ..)| self.promote[stage.index()].count() > 0)
+            .flat_map(|(stage, scope, _)| {
+                let h = &self.promote[stage.index()];
+                [
+                    ("count", h.count()),
+                    ("mean_us", h.mean_us()),
+                    ("p50_us", h.percentile_us(0.50)),
+                    ("p99_us", h.percentile_us(0.99)),
+                ]
+                .map(|(key, value)| (scope, key, value.to_string()))
+            });
         render(
             head.into_iter()
                 .chain(self.counters.fields())
                 .chain(store.fields())
                 .chain(commands)
-                .chain(classes),
+                .chain(classes)
+                .chain(promote),
         )
     }
 }
@@ -500,6 +557,7 @@ mod tests {
             sessions: 2,
             replayed: 7,
             torn_tails: 1,
+            images: 1,
             ..Default::default()
         });
         let text = s.render(0, &StoreStats::default());
@@ -512,9 +570,28 @@ mod tests {
             "{text}"
         );
         assert!(
-            text.contains("journal records=1 torn=2 errors=1 recovered_sessions=2 replayed=7"),
+            text.contains("journal records=1 torn=2 errors=1\n"),
+            "{text}"
+        );
+        assert!(
+            text.contains("recovery recovered_sessions=2 commands_replayed=7 image_restores=1"),
             "{text}"
         );
         assert_eq!(s.counters.get(ServerCounter::PanicsCaught), 2);
+    }
+
+    #[test]
+    fn render_reports_each_promotion_stage_once_it_has_a_sample() {
+        let s = ServerStats::new();
+        assert!(!s.render(0, &StoreStats::default()).contains("promote."));
+        s.record_promote(PromoteStage::Restore, Duration::from_micros(3000));
+        s.record_promote(PromoteStage::Ship, Duration::from_micros(500));
+        let text = s.render(0, &StoreStats::default());
+        assert!(
+            text.contains("promote.restore count=1 mean_us=3000 p50_us=4096 p99_us=4096"),
+            "{text}"
+        );
+        assert!(text.contains("promote.ship count=1"), "{text}");
+        assert!(!text.contains("promote.replay"), "{text}");
     }
 }

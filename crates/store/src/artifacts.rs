@@ -1,35 +1,21 @@
-//! Codecs between workbench artifacts and snapshot segment bytes.
-//!
-//! Three artifact families are persisted (the tentpole of ROADMAP
-//! item 1): canonical schema graphs with their per-element text
-//! features, Harmony match results (merged matrix + per-voter
-//! matrices), and the blocking inverted index. Every codec here is a
-//! *total* encoder and a *`Result`-based* decoder over the
+//! Codecs for the state an image carries that lives below the
+//! workbench: schema graphs, score matrices and match results, the
+//! Harmony engine's learned state, and the blocking index. Every codec
+//! here is a *total* encoder and a *`Result`-based* decoder over the
 //! [`crate::codec`] primitives — floats travel as `to_bits`, maps are
 //! serialised in sorted key order, so encode∘decode is the identity and
 //! the same logical value always produces the same bytes (both
-//! property-tested in `tests/properties.rs`).
-//!
-//! Artifacts are pure caches, keyed by **content**: a stable
-//! fingerprint of the canonical graph encoding ([`stable_schema_fp`]),
-//! the locked-cell map, the engine's corpus epoch, and the match scope.
-//! Unlike the engine's in-process `fingerprint` (a `DefaultHasher`
-//! digest, stable only within one process), these keys are FNV-1a64
-//! over canonical bytes and therefore survive restarts. A primed
-//! artifact whose key no longer matches is simply never served — stale
-//! state cannot leak, only warmth can be lost.
+//! property-tested in `tests/properties.rs`). The blackboard's own
+//! types are encoded by `iwb_core::persist` on these primitives.
 
 use crate::codec::{ByteReader, ByteWriter, CodecError};
-use crate::fault::fnv1a64;
 use iwb_blocking::{BlockingConfig, IndexParts};
-use iwb_harmony::{Confidence, MatchResult, ScoreMatrix, TextFeatures};
-use iwb_ling::{NgramProfile, Preprocessed};
+use iwb_harmony::{EngineState, MatchConfig, MatchResult, ScoreMatrix};
+use iwb_ling::CorpusParts;
 use iwb_model::{
     AnnotationValue, DataType, EdgeKind, ElementId, ElementKind, Metamodel, SchemaElement,
     SchemaGraph, SchemaId,
 };
-use std::collections::HashMap;
-use std::sync::Arc;
 
 // ---------------------------------------------------------------------
 // Schema graphs
@@ -231,140 +217,47 @@ pub fn decode_schema(bytes: &[u8]) -> Result<SchemaGraph, CodecError> {
     Ok(graph)
 }
 
-/// Restart-stable content fingerprint of a schema: FNV-1a64 over its
-/// canonical encoding. Used in artifact keys (the engine's in-process
-/// `fingerprint` uses `DefaultHasher` and does not survive restarts).
-pub fn stable_schema_fp(graph: &SchemaGraph) -> u64 {
-    fnv1a64(&encode_schema(graph))
-}
-
-// ---------------------------------------------------------------------
-// Text features
-// ---------------------------------------------------------------------
-
-fn encode_strings(w: &mut ByteWriter, strings: &[String]) {
-    w.u32(strings.len() as u32);
-    for s in strings {
-        w.str(s);
-    }
-}
-
-fn decode_strings(r: &mut ByteReader) -> Result<Vec<String>, CodecError> {
-    let count = r.u32()?;
-    let mut out = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        out.push(r.str()?);
-    }
-    Ok(out)
-}
-
-fn encode_preprocessed(w: &mut ByteWriter, p: &Preprocessed) {
-    encode_strings(w, &p.tokens);
-    encode_strings(w, &p.stems);
-}
-
-fn decode_preprocessed(r: &mut ByteReader) -> Result<Preprocessed, CodecError> {
-    Ok(Preprocessed {
-        tokens: decode_strings(r)?,
-        stems: decode_strings(r)?,
-    })
-}
-
-/// Encode one schema's per-element [`TextFeatures`] map, sorted by
-/// element id. The bigram profile is *not* serialised: it is a
-/// deterministic function of `joined_name` and is rebuilt on decode.
-pub fn encode_text_features(features: &HashMap<ElementId, Arc<TextFeatures>>) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    let mut ids: Vec<ElementId> = features.keys().copied().collect();
-    ids.sort();
-    w.u32(ids.len() as u32);
-    for id in ids {
-        let f = &features[&id];
-        w.u32(id.index() as u32);
-        encode_preprocessed(&mut w, &f.name);
-        encode_preprocessed(&mut w, &f.doc);
-        encode_strings(&mut w, &f.domain_codes);
-        encode_strings(&mut w, &f.domain_meaning_stems);
-        w.str(&f.joined_name);
-        encode_strings(&mut w, &f.expanded_stems);
-    }
-    w.into_bytes()
-}
-
-/// Decode [`encode_text_features`] bytes, rebuilding each element's
-/// bigram profile from its joined name.
-pub fn decode_text_features(
-    bytes: &[u8],
-) -> Result<HashMap<ElementId, Arc<TextFeatures>>, CodecError> {
-    let mut r = ByteReader::new(bytes);
-    let count = r.u32()?;
-    let mut out = HashMap::with_capacity(count as usize);
-    for _ in 0..count {
-        let id = ElementId::from_index(r.u32()? as usize);
-        let name = decode_preprocessed(&mut r)?;
-        let doc = decode_preprocessed(&mut r)?;
-        let domain_codes = decode_strings(&mut r)?;
-        let domain_meaning_stems = decode_strings(&mut r)?;
-        let joined_name = r.str()?;
-        let expanded_stems = decode_strings(&mut r)?;
-        let name_profile = NgramProfile::new(&joined_name, 2);
-        out.insert(
-            id,
-            Arc::new(TextFeatures {
-                name,
-                doc,
-                domain_codes,
-                domain_meaning_stems,
-                joined_name,
-                name_profile,
-                expanded_stems,
-            }),
-        );
-    }
-    Ok(out)
-}
-
 // ---------------------------------------------------------------------
 // Score matrices and match results
 // ---------------------------------------------------------------------
 
-fn encode_matrix(w: &mut ByteWriter, m: &ScoreMatrix) {
-    w.u32(m.src_ids().len() as u32);
-    w.u32(m.tgt_ids().len() as u32);
-    for id in m.src_ids() {
-        w.u32(id.index() as u32);
-    }
-    for id in m.tgt_ids() {
-        w.u32(id.index() as u32);
-    }
-    for &s in m.scores() {
-        w.f64(s);
-    }
+/// Encode a score matrix: row and column ids, then every score as
+/// `f64` bits (runs of zeros by length).
+pub fn encode_matrix(w: &mut ByteWriter, m: &ScoreMatrix) {
+    encode_ids(w, m.src_ids());
+    encode_ids(w, m.tgt_ids());
+    w.f64s(m.scores());
 }
 
-fn decode_matrix(r: &mut ByteReader) -> Result<ScoreMatrix, CodecError> {
-    let rows = r.u32()? as usize;
-    let cols = r.u32()? as usize;
-    let mut src_ids = Vec::with_capacity(rows);
-    for _ in 0..rows {
-        src_ids.push(ElementId::from_index(r.u32()? as usize));
-    }
-    let mut tgt_ids = Vec::with_capacity(cols);
-    for _ in 0..cols {
-        tgt_ids.push(ElementId::from_index(r.u32()? as usize));
-    }
-    let cells = rows
-        .checked_mul(cols)
-        .ok_or(CodecError::Invalid("matrix dimensions overflow"))?;
-    let mut scores = Vec::with_capacity(cells);
-    for _ in 0..cells {
-        scores.push(r.f64()?);
-    }
-    ScoreMatrix::from_raw(src_ids, tgt_ids, scores)
+/// Decode [`encode_matrix`] bytes.
+pub fn decode_matrix(r: &mut ByteReader) -> Result<ScoreMatrix, CodecError> {
+    let src_ids = decode_ids(r)?;
+    let tgt_ids = decode_ids(r)?;
+    ScoreMatrix::from_raw(src_ids, tgt_ids, r.f64s()?)
         .ok_or(CodecError::Invalid("matrix slab does not match dims"))
 }
 
-fn encode_match_result(w: &mut ByteWriter, result: &MatchResult) {
+/// Encode element ids as varints.
+pub fn encode_ids(w: &mut ByteWriter, ids: &[ElementId]) {
+    w.varint(ids.len() as u64);
+    for id in ids {
+        w.varint(id.index() as u64);
+    }
+}
+
+/// Decode [`encode_ids`] bytes.
+pub fn decode_ids(r: &mut ByteReader) -> Result<Vec<ElementId>, CodecError> {
+    let n = r.varint()?;
+    let mut ids = Vec::new();
+    for _ in 0..n {
+        ids.push(ElementId::from_index(r.varint()? as usize));
+    }
+    Ok(ids)
+}
+
+/// Encode a match result: the merged matrix, each voter's matrix by
+/// name, and the flooding iteration count.
+pub fn encode_match_result(w: &mut ByteWriter, result: &MatchResult) {
     encode_matrix(w, &result.matrix);
     w.u32(result.per_voter.len() as u32);
     for (name, m) in &result.per_voter {
@@ -374,7 +267,8 @@ fn encode_match_result(w: &mut ByteWriter, result: &MatchResult) {
     w.u64(result.flooding_iterations as u64);
 }
 
-fn decode_match_result(r: &mut ByteReader) -> Result<MatchResult, CodecError> {
+/// Decode [`encode_match_result`] bytes.
+pub fn decode_match_result(r: &mut ByteReader) -> Result<MatchResult, CodecError> {
     let matrix = decode_matrix(r)?;
     let voters = r.u32()?;
     let mut per_voter = Vec::with_capacity(voters as usize);
@@ -390,78 +284,66 @@ fn decode_match_result(r: &mut ByteReader) -> Result<MatchResult, CodecError> {
     })
 }
 
-/// A persisted match result for one schema pair, keyed by content.
-#[derive(Debug, Clone)]
-pub struct MatchArtifact {
-    /// Source schema id (the pair key in the harmony tool).
-    pub src: SchemaId,
-    /// Target schema id.
-    pub tgt: SchemaId,
-    /// [`match_artifact_key`] of the inputs that produced the result.
-    pub key: u64,
-    /// The full engine output (merged matrix, per-voter matrices).
-    pub result: MatchResult,
-}
+// ---------------------------------------------------------------------
+// Engine state
+// ---------------------------------------------------------------------
 
-/// Content key of a match run: stable schema fingerprints, the sorted
-/// locked-cell map (ids and confidence bits), the engine's corpus
-/// epoch, and the scope path. Two runs with equal keys are guaranteed
-/// byte-identical results (the determinism contract), so a snapshotted
-/// result may be served in place of re-running the engine.
-pub fn match_artifact_key(
-    source: &SchemaGraph,
-    target: &SchemaGraph,
-    locked: &HashMap<(ElementId, ElementId), Confidence>,
-    corpus_epoch: u64,
-    scope: Option<&str>,
-) -> u64 {
-    let mut w = ByteWriter::new();
-    w.u64(stable_schema_fp(source));
-    w.u64(stable_schema_fp(target));
-    let mut cells: Vec<(u32, u32, u64)> = locked
-        .iter()
-        .map(|(&(s, t), c)| (s.index() as u32, t.index() as u32, c.value().to_bits()))
-        .collect();
-    cells.sort_unstable();
-    w.u32(cells.len() as u32);
-    for (s, t, bits) in cells {
-        w.u32(s);
-        w.u32(t);
-        w.u64(bits);
+/// Encode a Harmony [`EngineState`]: merger weights, the corpus seed
+/// (document count, frequencies and boosts in term order), both epochs
+/// and the match configuration.
+pub fn encode_engine_state(w: &mut ByteWriter, state: &EngineState) {
+    w.u32(state.weights.len() as u32);
+    for (name, weight) in &state.weights {
+        w.str(name);
+        w.f64(*weight);
     }
-    w.u64(corpus_epoch);
-    match scope {
-        None => w.u8(0),
-        Some(path) => {
-            w.u8(1);
-            w.str(path);
-        }
+    w.u64(state.corpus.doc_count as u64);
+    w.u32(state.corpus.doc_freq.len() as u32);
+    for (term, n) in &state.corpus.doc_freq {
+        w.str(term);
+        w.u64(*n as u64);
     }
-    fnv1a64(&w.into_bytes())
+    w.u32(state.corpus.term_boost.len() as u32);
+    for (term, boost) in &state.corpus.term_boost {
+        w.str(term);
+        w.f64(*boost);
+    }
+    w.u64(state.corpus_epoch);
+    w.u64(state.inputs_epoch);
+    w.u32(state.config.threads as u32);
+    w.bool(state.config.cache);
+    w.u64(state.config.timeout_ms.unwrap_or(0));
 }
 
-/// Encode a [`MatchArtifact`] as one snapshot segment.
-pub fn encode_match_artifact(artifact: &MatchArtifact) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.str(artifact.src.as_str());
-    w.str(artifact.tgt.as_str());
-    w.u64(artifact.key);
-    encode_match_result(&mut w, &artifact.result);
-    w.into_bytes()
-}
-
-/// Decode [`encode_match_artifact`] bytes.
-pub fn decode_match_artifact(bytes: &[u8]) -> Result<MatchArtifact, CodecError> {
-    let mut r = ByteReader::new(bytes);
-    let src = SchemaId::new(r.str()?);
-    let tgt = SchemaId::new(r.str()?);
-    let key = r.u64()?;
-    let result = decode_match_result(&mut r)?;
-    Ok(MatchArtifact {
-        src,
-        tgt,
-        key,
-        result,
+/// Decode [`encode_engine_state`] bytes.
+pub fn decode_engine_state(r: &mut ByteReader) -> Result<EngineState, CodecError> {
+    let mut weights = Vec::new();
+    for _ in 0..r.u32()? {
+        weights.push((r.str()?, r.f64()?));
+    }
+    let doc_count = r.u64()? as usize;
+    let mut doc_freq = Vec::new();
+    for _ in 0..r.u32()? {
+        doc_freq.push((r.str()?, r.u64()? as usize));
+    }
+    let mut term_boost = Vec::new();
+    for _ in 0..r.u32()? {
+        term_boost.push((r.str()?, r.f64()?));
+    }
+    Ok(EngineState {
+        weights,
+        corpus: CorpusParts {
+            doc_count,
+            doc_freq,
+            term_boost,
+        },
+        corpus_epoch: r.u64()?,
+        inputs_epoch: r.u64()?,
+        config: MatchConfig {
+            threads: r.u32()? as usize,
+            cache: r.bool()?,
+            timeout_ms: Some(r.u64()?).filter(|&ms| ms > 0),
+        },
     })
 }
 
@@ -469,24 +351,8 @@ pub fn decode_match_artifact(bytes: &[u8]) -> Result<MatchArtifact, CodecError> 
 // Blocking index
 // ---------------------------------------------------------------------
 
-/// A persisted blocking index for a *generated* registry: the expensive
-/// build output ([`IndexParts`]) plus the cheap generator inputs needed
-/// to re-materialise the model graphs at prime time. Indexes built over
-/// blackboard schemas are not persisted — journal replay rebuilds them
-/// from the replayed `load` commands.
-#[derive(Debug, Clone)]
-pub struct BlockingArtifact {
-    /// Generator seed (`index-registry seed N`).
-    pub seed: u64,
-    /// Generator scale factor.
-    pub scale: f64,
-    /// [`blocking_artifact_key`] of the inputs that produced the index.
-    pub key: u64,
-    /// The built index, decomposed for serialisation.
-    pub parts: IndexParts,
-}
-
-fn encode_blocking_config(w: &mut ByteWriter, config: &BlockingConfig) {
+/// Encode a blocking tool configuration.
+pub fn encode_blocking_config(w: &mut ByteWriter, config: &BlockingConfig) {
     w.bool(config.expand_abbreviations);
     w.bool(config.collapse_synonyms);
     w.bool(config.stem);
@@ -494,7 +360,8 @@ fn encode_blocking_config(w: &mut ByteWriter, config: &BlockingConfig) {
     w.u32(config.threads as u32);
 }
 
-fn decode_blocking_config(r: &mut ByteReader) -> Result<BlockingConfig, CodecError> {
+/// Decode [`encode_blocking_config`] bytes.
+pub fn decode_blocking_config(r: &mut ByteReader) -> Result<BlockingConfig, CodecError> {
     Ok(BlockingConfig {
         expand_abbreviations: r.bool()?,
         collapse_synonyms: r.bool()?,
@@ -504,36 +371,19 @@ fn decode_blocking_config(r: &mut ByteReader) -> Result<BlockingConfig, CodecErr
     })
 }
 
-/// Content key of a generated blocking index: seed, scale bits, and the
-/// canonicalisation knobs (thread count excluded — builds are
-/// bit-identical across thread counts by contract).
-pub fn blocking_artifact_key(seed: u64, scale: f64, config: &BlockingConfig) -> u64 {
-    let mut w = ByteWriter::new();
-    w.u64(seed);
-    w.f64(scale);
-    w.bool(config.expand_abbreviations);
-    w.bool(config.collapse_synonyms);
-    w.bool(config.stem);
-    w.f64(config.doc_weight);
-    fnv1a64(&w.into_bytes())
-}
-
-/// Encode a [`BlockingArtifact`] as one snapshot segment.
-pub fn encode_blocking_artifact(artifact: &BlockingArtifact) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.u64(artifact.seed);
-    w.f64(artifact.scale);
-    w.u64(artifact.key);
-    encode_blocking_config(&mut w, &artifact.parts.config);
-    w.u32(artifact.parts.ids.len() as u32);
-    for id in &artifact.parts.ids {
+/// Encode a built blocking index ([`IndexParts`]): its configuration,
+/// model ids and norms, then every posting list in term order.
+pub fn encode_index_parts(w: &mut ByteWriter, parts: &IndexParts) {
+    encode_blocking_config(w, &parts.config);
+    w.u32(parts.ids.len() as u32);
+    for id in &parts.ids {
         w.str(id.as_str());
     }
-    for norm in &artifact.parts.norms {
+    for norm in &parts.norms {
         w.f64(*norm);
     }
-    w.u32(artifact.parts.postings.len() as u32);
-    for (term, list) in &artifact.parts.postings {
+    w.u32(parts.postings.len() as u32);
+    for (term, list) in &parts.postings {
         w.str(term);
         w.u32(list.len() as u32);
         for (model, weight) in list {
@@ -541,16 +391,11 @@ pub fn encode_blocking_artifact(artifact: &BlockingArtifact) -> Vec<u8> {
             w.f64(*weight);
         }
     }
-    w.into_bytes()
 }
 
-/// Decode [`encode_blocking_artifact`] bytes.
-pub fn decode_blocking_artifact(bytes: &[u8]) -> Result<BlockingArtifact, CodecError> {
-    let mut r = ByteReader::new(bytes);
-    let seed = r.u64()?;
-    let scale = r.f64()?;
-    let key = r.u64()?;
-    let config = decode_blocking_config(&mut r)?;
+/// Decode [`encode_index_parts`] bytes.
+pub fn decode_index_parts(r: &mut ByteReader) -> Result<IndexParts, CodecError> {
+    let config = decode_blocking_config(r)?;
     let models = r.u32()? as usize;
     let mut ids = Vec::with_capacity(models);
     for _ in 0..models {
@@ -567,22 +412,15 @@ pub fn decode_blocking_artifact(bytes: &[u8]) -> Result<BlockingArtifact, CodecE
         let len = r.u32()? as usize;
         let mut list = Vec::with_capacity(len);
         for _ in 0..len {
-            let model = r.u32()?;
-            let weight = r.f64()?;
-            list.push((model, weight));
+            list.push((r.u32()?, r.f64()?));
         }
         postings.push((term, list));
     }
-    Ok(BlockingArtifact {
-        seed,
-        scale,
-        key,
-        parts: IndexParts {
-            config,
-            ids,
-            norms,
-            postings,
-        },
+    Ok(IndexParts {
+        config,
+        ids,
+        norms,
+        postings,
     })
 }
 
@@ -624,13 +462,16 @@ mod tests {
     }
 
     #[test]
-    fn stable_fp_is_content_sensitive() {
+    fn schema_bytes_are_content_sensitive() {
+        // An image stores a version equal to the live schema as a
+        // reference, by comparing canonical bytes: equal graphs must
+        // encode equally, and any edit must show.
         let g = sample_graph();
         let mut edited = g.clone();
         let id = edited.find_by_name("NAME").unwrap();
         edited.element_mut(id).name = "FULL_NAME".into();
-        assert_eq!(stable_schema_fp(&g), stable_schema_fp(&g.clone()));
-        assert_ne!(stable_schema_fp(&g), stable_schema_fp(&edited));
+        assert_eq!(encode_schema(&g), encode_schema(&g.clone()));
+        assert_ne!(encode_schema(&g), encode_schema(&edited));
     }
 
     #[test]
@@ -651,33 +492,28 @@ mod tests {
     }
 
     #[test]
-    fn match_key_depends_on_inputs() {
+    fn engine_state_round_trips_bit_exactly() {
+        use iwb_harmony::{Feedback, HarmonyEngine};
         let g = sample_graph();
-        let h = {
-            let mut h = g.clone();
-            let id = h.find_by_name("NAME").unwrap();
-            h.element_mut(id).name = "FULL_NAME".into();
-            h
-        };
-        let empty = HashMap::new();
-        let base = match_artifact_key(&g, &g, &empty, 0, None);
-        assert_eq!(base, match_artifact_key(&g, &g, &empty, 0, None));
-        assert_ne!(base, match_artifact_key(&g, &h, &empty, 0, None));
-        assert_ne!(base, match_artifact_key(&g, &g, &empty, 1, None));
-        assert_ne!(
-            base,
-            match_artifact_key(&g, &g, &empty, 0, Some("CUSTOMER"))
-        );
-        let mut locked = HashMap::new();
-        locked.insert(
-            (ElementId::from_index(1), ElementId::from_index(2)),
-            Confidence::ACCEPT,
-        );
-        assert_ne!(base, match_artifact_key(&g, &g, &locked, 0, None));
+        let mut engine = HarmonyEngine::default();
+        let result = engine.run(&g, &g, &Default::default());
+        let id = g.find_by_name("CUST_ID").unwrap();
+        engine.learn(&g, &g, &result, &[Feedback::accept(id, id)]);
+        let state = engine.state();
+        assert!(!state.corpus.doc_freq.is_empty());
+        let mut w = ByteWriter::new();
+        encode_engine_state(&mut w, &state);
+        let bytes = w.into_bytes();
+        let decoded = decode_engine_state(&mut ByteReader::new(&bytes)).unwrap();
+        assert_eq!(decoded, state);
+        let mut restored = HarmonyEngine::default();
+        restored.restore_state(decoded);
+        assert_eq!(restored.state(), state);
+        assert_eq!(restored.reweight_state(), engine.reweight_state());
     }
 
     #[test]
-    fn blocking_artifact_round_trips() {
+    fn index_parts_round_trip() {
         let parts = IndexParts {
             config: BlockingConfig::default(),
             ids: vec![SchemaId::new("m1"), SchemaId::new("m0")],
@@ -687,18 +523,13 @@ mod tests {
                 ("vendor".to_string(), vec![(1, 2.0)]),
             ],
         };
-        let artifact = BlockingArtifact {
-            seed: 42,
-            scale: 1.0,
-            key: blocking_artifact_key(42, 1.0, &parts.config),
-            parts,
-        };
-        let decoded = decode_blocking_artifact(&encode_blocking_artifact(&artifact)).unwrap();
-        assert_eq!(decoded.seed, 42);
-        assert_eq!(decoded.key, artifact.key);
-        assert_eq!(decoded.parts.ids, artifact.parts.ids);
-        assert_eq!(decoded.parts.postings, artifact.parts.postings);
-        for (a, b) in artifact.parts.norms.iter().zip(&decoded.parts.norms) {
+        let mut w = ByteWriter::new();
+        encode_index_parts(&mut w, &parts);
+        let bytes = w.into_bytes();
+        let decoded = decode_index_parts(&mut ByteReader::new(&bytes)).unwrap();
+        assert_eq!(decoded.ids, parts.ids);
+        assert_eq!(decoded.postings, parts.postings);
+        for (a, b) in parts.norms.iter().zip(&decoded.norms) {
             assert_eq!(a.to_bits(), b.to_bits());
         }
     }

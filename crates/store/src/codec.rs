@@ -98,6 +98,35 @@ impl ByteWriter {
         self.u32(b.len() as u32);
         self.buf.extend_from_slice(b);
     }
+
+    /// Write an unsigned integer in LEB128 (7 bits per byte, low bits
+    /// first): small counts and element ids take one or two bytes.
+    pub fn varint(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
+    }
+
+    /// Write a run of `f64`s bit-exactly, with runs of `0.0` (bit
+    /// pattern zero) stored as their length: alternating varint counts
+    /// of zeros and of the explicit values that follow them.
+    pub fn f64s(&mut self, values: &[f64]) {
+        self.varint(values.len() as u64);
+        let mut i = 0;
+        while i < values.len() {
+            let zeros = values[i..].iter().take_while(|v| v.to_bits() == 0).count();
+            i += zeros;
+            let explicit = values[i..].iter().take_while(|v| v.to_bits() != 0).count();
+            self.varint(zeros as u64);
+            self.varint(explicit as u64);
+            for v in &values[i..i + explicit] {
+                self.f64(*v);
+            }
+            i += explicit;
+        }
+    }
 }
 
 /// Cursor-based little-endian reader over a segment.
@@ -169,10 +198,62 @@ impl<'a> ByteReader<'a> {
         let len = self.u32()? as usize;
         self.take(len)
     }
+
+    /// Read a [`ByteWriter::varint`].
+    pub fn varint(&mut self) -> Result<u64, CodecError> {
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let byte = self.u8()?;
+            v |= u64::from(byte & 0x7f) << shift;
+            if byte < 0x80 {
+                return Ok(v);
+            }
+        }
+        Err(CodecError::Invalid("varint longer than 64 bits"))
+    }
+
+    /// Read [`ByteWriter::f64s`] values.
+    pub fn f64s(&mut self) -> Result<Vec<f64>, CodecError> {
+        let n = self.varint()? as usize;
+        let mut out = Vec::with_capacity(n.min(self.remaining() * 8));
+        while out.len() < n {
+            let zeros = self.varint()? as usize;
+            let explicit = self.varint()? as usize;
+            if zeros + explicit == 0 || out.len() + zeros + explicit > n {
+                return Err(CodecError::Invalid("f64 run overruns its count"));
+            }
+            out.resize(out.len() + zeros, 0.0);
+            for _ in 0..explicit {
+                out.push(self.f64()?);
+            }
+        }
+        Ok(out)
+    }
 }
 
 #[cfg(test)]
 mod tests {
+    #[test]
+    fn varints_and_sparse_f64s_round_trip() {
+        let mut w = super::ByteWriter::new();
+        for v in [0u64, 1, 127, 128, 300, u64::MAX] {
+            w.varint(v);
+        }
+        let values = [0.0, 0.0, 1.5, -0.0, 0.0, f64::MIN_POSITIVE, 0.0];
+        w.f64s(&values);
+        w.f64s(&[]);
+        let bytes = w.into_bytes();
+        let mut r = super::ByteReader::new(&bytes);
+        for v in [0u64, 1, 127, 128, 300, u64::MAX] {
+            assert_eq!(r.varint().unwrap(), v);
+        }
+        let back = r.f64s().unwrap();
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&back), bits(&values));
+        assert!(r.f64s().unwrap().is_empty());
+        assert!(r.is_exhausted());
+    }
+
     use super::*;
 
     #[test]

@@ -138,7 +138,12 @@ const POINTS: [&str; 16] = [
 /// FNV-1a 64-bit hash (shared by the fault, journal, and snapshot
 /// modules; no external crates).
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a64_extend(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continue an FNV-1a64 hash over more bytes: the hash of `a ++ b` is
+/// `fnv1a64_extend(fnv1a64(a), b)`.
+pub fn fnv1a64_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);

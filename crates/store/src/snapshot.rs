@@ -15,13 +15,14 @@
 //! localise corruption without re-hashing untouched segments, and
 //! segment checksums guard the unit the codecs actually decode.
 //!
-//! Commits are atomic: write to `<path>.tmp`, `fsync`, then `rename`
-//! over the target. A crash mid-write leaves either the old snapshot or
-//! a `.tmp` orphan, never a half-new file under the live name. Reads
-//! verify header → version → index → pages → segments and classify
-//! every failure, so callers can distinguish "no snapshot" from "torn"
-//! from "corrupt" and fall back to journal replay instead of serving
-//! silently-wrong state.
+//! Commits are atomic and verified: write `<path>.tmp`, `fsync`, read
+//! it back through every checksum, then `rename` over the target. A
+//! crash mid-write leaves either the old snapshot or a `.tmp` orphan,
+//! never a half-new file under the live name, and a write that fails
+//! its read-back never replaces the previous file. Reads verify
+//! header → version → index → pages → segments and classify every
+//! failure, so callers can distinguish "no snapshot" from "torn" from
+//! "corrupt" instead of serving silently-wrong state.
 
 use crate::codec::{ByteReader, ByteWriter, CodecError};
 use crate::fault::{fnv1a64, FaultPlan, SNAPSHOT_BITFLIP, SNAPSHOT_STALE, SNAPSHOT_TORN};
@@ -33,8 +34,9 @@ use std::path::Path;
 
 /// First eight bytes of every snapshot file.
 pub const MAGIC: [u8; 8] = *b"IWBSNAP1";
-/// Current format version; bumped on any incompatible layout change.
-pub const VERSION: u32 = 1;
+/// Current format version; bumped on any incompatible change (2: the
+/// payload is a session image, not a command prefix plus artifacts).
+pub const VERSION: u32 = 2;
 /// Payload page size: checksums cover the payload in chunks this big.
 pub const PAGE_SIZE: usize = 4096;
 /// Fixed header length in bytes.
@@ -43,7 +45,7 @@ pub const HEADER_LEN: usize = 64;
 /// Why a snapshot could not be loaded.
 ///
 /// Everything except [`SnapshotError::Io`] means the file existed but
-/// failed verification — the caller must fall back to journal replay.
+/// failed verification.
 #[derive(Debug)]
 pub enum SnapshotError {
     /// The file is shorter than its own layout claims (crash mid-write
@@ -93,13 +95,22 @@ impl From<io::Error> for SnapshotError {
 /// file image (header + payload + index). Pure function of its input:
 /// the same segment map always yields the same bytes.
 pub fn encode(segments: &BTreeMap<String, Vec<u8>>) -> Vec<u8> {
-    // Payload: segments in sorted name order (BTreeMap iteration).
-    let mut payload = Vec::new();
-    let mut entries = Vec::with_capacity(segments.len());
+    encode_entries(segments.iter().map(|(k, v)| (k.as_str(), v.as_slice())))
+}
+
+/// [`encode`] over borrowed `(name, bytes)` segments, which must come in
+/// sorted name order.
+pub fn encode_entries<'a>(segments: impl IntoIterator<Item = (&'a str, &'a [u8])>) -> Vec<u8> {
+    // Payload: segments in sorted name order, written straight after
+    // the header's place.
+    let mut file = vec![0u8; HEADER_LEN];
+    let mut entries: Vec<(&str, u64, u64)> = Vec::new();
     for (name, bytes) in segments {
-        entries.push((name.as_str(), payload.len() as u64, bytes.len() as u64));
-        payload.extend_from_slice(bytes);
+        debug_assert!(entries.last().is_none_or(|(last, ..)| *last < name));
+        entries.push((name, (file.len() - HEADER_LEN) as u64, bytes.len() as u64));
+        file.extend_from_slice(bytes);
     }
+    let payload_len = file.len() - HEADER_LEN;
 
     // Index: segment table, then per-page payload checksums.
     let mut index = ByteWriter::new();
@@ -108,92 +119,118 @@ pub fn encode(segments: &BTreeMap<String, Vec<u8>>) -> Vec<u8> {
         index.str(name);
         index.u64(*offset);
         index.u64(*len);
-        let seg = &payload[*offset as usize..(*offset + *len) as usize];
-        index.u64(fnv1a64(seg));
+        let start = HEADER_LEN + *offset as usize;
+        index.u64(fnv1a64(&file[start..start + *len as usize]));
     }
-    let pages = payload.chunks(PAGE_SIZE).collect::<Vec<_>>();
+    let pages = file[HEADER_LEN..].chunks(PAGE_SIZE);
     index.u32(pages.len() as u32);
-    for page in &pages {
+    for page in pages {
         index.u64(fnv1a64(page));
     }
     let index = index.into_bytes();
 
     // Fixed header, checksummed over its first 56 bytes.
-    let mut file = Vec::with_capacity(HEADER_LEN + payload.len() + index.len());
-    file.extend_from_slice(&MAGIC);
-    file.extend_from_slice(&VERSION.to_le_bytes());
-    file.extend_from_slice(&(PAGE_SIZE as u32).to_le_bytes());
-    file.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    file.extend_from_slice(&((HEADER_LEN + payload.len()) as u64).to_le_bytes());
-    file.extend_from_slice(&(index.len() as u64).to_le_bytes());
-    file.extend_from_slice(&fnv1a64(&index).to_le_bytes());
-    file.extend_from_slice(&0u64.to_le_bytes()); // reserved
-    let header_sum = fnv1a64(&file[..56]);
-    file.extend_from_slice(&header_sum.to_le_bytes());
-    debug_assert_eq!(file.len(), HEADER_LEN);
-
-    file.extend_from_slice(&payload);
+    let mut header = Vec::with_capacity(HEADER_LEN);
+    header.extend_from_slice(&MAGIC);
+    header.extend_from_slice(&VERSION.to_le_bytes());
+    header.extend_from_slice(&(PAGE_SIZE as u32).to_le_bytes());
+    header.extend_from_slice(&(payload_len as u64).to_le_bytes());
+    header.extend_from_slice(&((HEADER_LEN + payload_len) as u64).to_le_bytes());
+    header.extend_from_slice(&(index.len() as u64).to_le_bytes());
+    header.extend_from_slice(&fnv1a64(&index).to_le_bytes());
+    header.extend_from_slice(&0u64.to_le_bytes()); // reserved
+    let header_sum = fnv1a64(&header);
+    header.extend_from_slice(&header_sum.to_le_bytes());
+    file[..HEADER_LEN].copy_from_slice(&header);
     file.extend_from_slice(&index);
     file
 }
 
 /// Apply any armed `snapshot-*` faults to an encoded file image. The
-/// damage lands *after* every checksum is computed, so it is invisible
-/// to the writer and must be caught by [`decode`]'s verification.
-fn inject_faults(mut file: Vec<u8>, payload_len: usize, faults: &FaultPlan) -> Vec<u8> {
-    if faults.fires(SNAPSHOT_STALE).is_some() {
+/// damage lands *after* every checksum is computed, so it must be
+/// caught by [`decode`]'s verification of the written file.
+fn inject_faults(image: &[u8], payload_len: usize, faults: &FaultPlan) -> Option<Vec<u8>> {
+    let (stale, bitflip, torn) = (
+        faults.fires(SNAPSHOT_STALE),
+        faults.fires(SNAPSHOT_BITFLIP),
+        faults.fires(SNAPSHOT_TORN),
+    );
+    if stale.is_none() && bitflip.is_none() && torn.is_none() {
+        return None;
+    }
+    let mut file = image.to_vec();
+    if stale.is_some() && file.len() >= HEADER_LEN {
         // An older build's version number; the header checksum is
         // recomputed so the *version check* (not the checksum) trips.
         file[8..12].copy_from_slice(&0u32.to_le_bytes());
         let sum = fnv1a64(&file[..56]);
         file[56..64].copy_from_slice(&sum.to_le_bytes());
     }
-    if let Some(ms) = faults.fires(SNAPSHOT_BITFLIP) {
+    if let Some(ms) = bitflip {
         if payload_len > 0 {
             // Deterministic target bit derived from the fault payload.
             let byte = HEADER_LEN + (ms as usize % payload_len);
             file[byte] ^= 1 << (ms % 8);
         }
     }
-    if faults.fires(SNAPSHOT_TORN).is_some() {
+    if torn.is_some() {
         file.truncate(file.len() / 2);
     }
-    file
+    Some(file)
 }
 
-/// Atomically commit `segments` to `path`: encode, apply fault
-/// injection, write `<path>.tmp`, optionally `fsync`, rename into
-/// place. Either the old file or the complete new file survives a
-/// crash; the live name never holds a partial write.
-pub fn write_snapshot(
+/// Atomically replace `path` with a verified copy of `image`: apply
+/// fault injection, write `<path>.tmp`, optionally `fsync`, read the
+/// file back through [`decode`] and `check`, and only then rename it
+/// into place. A file that fails verification is deleted and the
+/// previous file under `path` stays — the live name never holds a
+/// partial or unverified write.
+pub fn write_verified(
     path: &Path,
-    segments: &BTreeMap<String, Vec<u8>>,
+    image: &[u8],
     fsync: bool,
     faults: &FaultPlan,
-) -> io::Result<()> {
-    let image = encode(segments);
-    let payload_len = u64::from_le_bytes(image[16..24].try_into().unwrap()) as usize;
-    let image = inject_faults(image, payload_len, faults);
-
+    check: impl FnOnce(&BTreeMap<String, &[u8]>) -> Result<(), SnapshotError>,
+) -> Result<(), SnapshotError> {
+    let payload_len = image
+        .get(16..24)
+        .map_or(0, |b| u64::from_le_bytes(b.try_into().unwrap()) as usize)
+        .min(image.len().saturating_sub(HEADER_LEN));
+    let damaged = inject_faults(image, payload_len, faults);
     let tmp = path.with_extension("snap.tmp");
     {
         let mut f = fs::File::create(&tmp)?;
-        f.write_all(&image)?;
+        f.write_all(damaged.as_deref().unwrap_or(image))?;
         if fsync {
             f.sync_all()?;
         }
+    }
+    let verified = fs::read(&tmp)
+        .map_err(SnapshotError::from)
+        .and_then(|file| check(&verify(&file)?));
+    if let Err(e) = verified {
+        let _ = fs::remove_file(&tmp);
+        return Err(e);
     }
     fs::rename(&tmp, path)?;
     Ok(())
 }
 
 /// Parse and verify a full snapshot image, returning its segment map.
+pub fn decode(file: &[u8]) -> Result<BTreeMap<String, Vec<u8>>, SnapshotError> {
+    Ok(verify(file)?
+        .into_iter()
+        .map(|(name, bytes)| (name, bytes.to_vec()))
+        .collect())
+}
+
+/// [`decode`] without copying: the verified segments borrow `file`.
 ///
 /// Verification order: length → magic → header checksum → version →
 /// index bounds and checksum → page checksums → segment bounds and
 /// checksums. The first failing layer names the error, so corruption
 /// tests can assert *which* guard caught the damage.
-pub fn decode(file: &[u8]) -> Result<BTreeMap<String, Vec<u8>>, SnapshotError> {
+pub fn verify(file: &[u8]) -> Result<BTreeMap<String, &[u8]>, SnapshotError> {
     if file.len() < HEADER_LEN {
         return Err(SnapshotError::Torn);
     }
@@ -258,7 +295,7 @@ pub fn decode(file: &[u8]) -> Result<BTreeMap<String, Vec<u8>>, SnapshotError> {
         if fnv1a64(seg) != sum {
             return Err(SnapshotError::Corrupt("segment"));
         }
-        segments.insert(name, seg.to_vec());
+        segments.insert(name, seg);
     }
     Ok(segments)
 }
@@ -294,11 +331,18 @@ mod tests {
         m
     }
 
+    fn write(path: &Path, faults: &FaultPlan) -> Result<(), SnapshotError> {
+        write_verified(path, &encode(&sample()), false, faults, |_| Ok(()))
+    }
+
     #[test]
     fn write_then_read_round_trips() {
         let dir = tmpdir("roundtrip");
         let path = dir.join("s1.snap");
-        write_snapshot(&path, &sample(), true, &FaultPlan::none()).unwrap();
+        write_verified(&path, &encode(&sample()), true, &FaultPlan::none(), |_| {
+            Ok(())
+        })
+        .unwrap();
         let loaded = read_snapshot(&path).unwrap();
         assert_eq!(loaded, sample());
     }
@@ -324,11 +368,12 @@ mod tests {
         let dir = tmpdir("torn");
         let path = dir.join("s1.snap");
         let plan = FaultSpec::seeded(1).at(SNAPSHOT_TORN, &[0]).build();
-        write_snapshot(&path, &sample(), false, &plan).unwrap();
-        match read_snapshot(&path) {
+        match write(&path, &plan) {
             Err(SnapshotError::Torn) => {}
             other => panic!("expected Torn, got {other:?}"),
         }
+        assert!(!path.exists(), "a failed write never takes the live name");
+        assert!(!path.with_extension("snap.tmp").exists());
     }
 
     #[test]
@@ -339,8 +384,7 @@ mod tests {
             .at(SNAPSHOT_BITFLIP, &[0])
             .millis(SNAPSHOT_BITFLIP, 1234)
             .build();
-        write_snapshot(&path, &sample(), false, &plan).unwrap();
-        match read_snapshot(&path) {
+        match write(&path, &plan) {
             Err(SnapshotError::Corrupt(layer)) => {
                 assert!(layer == "page" || layer == "segment", "layer {layer}");
             }
@@ -352,12 +396,17 @@ mod tests {
     fn stale_version_fault_is_caught_by_the_version_check() {
         let dir = tmpdir("stale");
         let path = dir.join("s1.snap");
+        write(&path, &FaultPlan::none()).unwrap();
         let plan = FaultSpec::seeded(1).at(SNAPSHOT_STALE, &[0]).build();
-        write_snapshot(&path, &sample(), false, &plan).unwrap();
-        match read_snapshot(&path) {
+        match write(&path, &plan) {
             Err(SnapshotError::Version(0)) => {}
             other => panic!("expected Version(0), got {other:?}"),
         }
+        assert_eq!(
+            read_snapshot(&path).unwrap(),
+            sample(),
+            "previous file kept"
+        );
     }
 
     #[test]

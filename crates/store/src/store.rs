@@ -1,35 +1,28 @@
-//! Session-level snapshot assembly and the on-disk store.
+//! Session images and the on-disk store.
 //!
-//! A [`SessionSnapshot`] is the warm state of one workbench session at
-//! a journal watermark: the command journal itself (so a snapshot alone
-//! can recover a session), every blackboard schema with its text
-//! features, content-keyed match artifacts, and the optional blocking
-//! index. [`SessionSnapshot::to_segments`] lays these out as named
-//! snapshot segments; [`crate::snapshot`] handles paging, checksums,
-//! and atomic commit.
+//! A [`SessionSnapshot`] is the **image** of one workbench session at a
+//! journal watermark `W`: the whole session state after exactly `W`
+//! journalled commands, as named segments the capturing host encodes
+//! (`iwb_core::persist` writes the blackboard, the manager's trace and
+//! each tool's state). Recovery restores the image and replays only
+//! the journal records past `W`, so its cost follows the state, not
+//! the length of the history. [`crate::snapshot`] handles paging,
+//! checksums and the atomic commit.
 //!
-//! The durability contract is **commit-then-verify**: [`SessionStore::commit`]
-//! writes and renames the snapshot but makes no claim it is readable
-//! (fault injection may corrupt it in flight). Only a subsequent
-//! [`SessionStore::load`] — which re-verifies every checksum — entitles
-//! the server to truncate the journal prefix the snapshot covers. A
-//! corrupt snapshot discovered at recovery therefore always has a
-//! journal to fall back on.
+//! The durability contract is **verify-then-replace**:
+//! [`SessionStore::commit`] writes the new image beside the live one,
+//! reads it back through every checksum, and only then renames it over
+//! the previous image. A commit that fails verification (fault
+//! injection may corrupt it in flight) leaves the previous image in
+//! place, so the journal prefix a verified image covers may be dropped
+//! for good — from disk and from memory.
 
-use crate::artifacts::{
-    decode_blocking_artifact, decode_match_artifact, decode_schema, decode_text_features,
-    encode_blocking_artifact, encode_match_artifact, encode_schema, encode_text_features,
-    BlockingArtifact, MatchArtifact,
-};
 use crate::codec::{ByteReader, ByteWriter, CodecError};
 use crate::fault::FaultPlan;
 use crate::snapshot::{self, SnapshotError};
-use iwb_harmony::TextFeatures;
-use iwb_model::{ElementId, SchemaGraph, SchemaId};
 use std::collections::BTreeMap;
-use std::collections::HashMap;
+use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 /// One journalled command, as replayed during recovery: the command
 /// line plus an optional heredoc body (schema text for `load`).
@@ -41,158 +34,58 @@ pub struct CommandRecord {
     pub heredoc: Option<String>,
 }
 
-fn encode_commands(records: &[CommandRecord]) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.u32(records.len() as u32);
-    for rec in records {
-        w.str(&rec.command);
-        match &rec.heredoc {
-            None => w.u8(0),
-            Some(body) => {
-                w.u8(1);
-                w.str(body);
-            }
-        }
-    }
-    w.into_bytes()
-}
-
-fn decode_commands(bytes: &[u8]) -> Result<Vec<CommandRecord>, CodecError> {
-    let mut r = ByteReader::new(bytes);
-    let count = r.u32()?;
-    let mut out = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        let command = r.str()?;
-        let heredoc = match r.u8()? {
-            0 => None,
-            _ => Some(r.str()?),
-        };
-        out.push(CommandRecord { command, heredoc });
-    }
-    Ok(out)
-}
-
-/// The warm state of one session at a journal watermark.
-#[derive(Debug, Clone, Default)]
+/// The image of one session at a journal watermark.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct SessionSnapshot {
     /// Session id (`s1`, `s2`, …).
     pub session_id: String,
-    /// Number of journalled mutating commands this snapshot covers.
+    /// Number of journalled mutating commands this image covers.
     /// Recovery replays only the journal records *after* this point.
     pub watermark: u64,
-    /// The covered journal prefix, embedded so a verified snapshot can
-    /// recover a session even after that prefix is truncated on disk.
-    pub commands: Vec<CommandRecord>,
-    /// Every blackboard schema, in load order.
-    pub schemas: Vec<SchemaGraph>,
-    /// Per-schema text features exported from the engine cache.
-    pub features: Vec<(SchemaId, HashMap<ElementId, Arc<TextFeatures>>)>,
-    /// Content-keyed match results.
-    pub matches: Vec<MatchArtifact>,
-    /// The blocking index, if one was built from a generated registry.
-    pub blocking: Option<BlockingArtifact>,
+    /// The session state as named segments (everything but `meta`,
+    /// which holds the id and watermark).
+    pub segments: BTreeMap<String, Vec<u8>>,
 }
 
 impl SessionSnapshot {
-    /// Lay the snapshot out as named segments. Names embed schema and
-    /// pair ids so segments stay individually addressable; the segment
-    /// map's sorted order (not insertion order here) defines the byte
-    /// layout, so logically equal snapshots encode identically.
-    pub fn to_segments(&self) -> BTreeMap<String, Vec<u8>> {
-        let mut segments = BTreeMap::new();
-        let mut meta = ByteWriter::new();
-        meta.str(&self.session_id);
-        meta.u64(self.watermark);
-        meta.u32(self.schemas.len() as u32);
-        for g in &self.schemas {
-            meta.str(g.id().as_str());
-        }
-        segments.insert("meta".to_string(), meta.into_bytes());
-        segments.insert("journal".to_string(), encode_commands(&self.commands));
-        for g in &self.schemas {
-            segments.insert(format!("schema:{}", g.id().as_str()), encode_schema(g));
-        }
-        for (id, features) in &self.features {
-            segments.insert(
-                format!("features:{}", id.as_str()),
-                encode_text_features(features),
-            );
-        }
-        for artifact in &self.matches {
-            // The content key is part of the name: the same schema pair
-            // can have several retained runs (e.g. before and after a
-            // user decision), each with its own key.
-            segments.insert(
-                format!(
-                    "match:{}--{}:{:016x}",
-                    artifact.src.as_str(),
-                    artifact.tgt.as_str(),
-                    artifact.key
-                ),
-                encode_match_artifact(artifact),
-            );
-        }
-        if let Some(blocking) = &self.blocking {
-            segments.insert("blocking".to_string(), encode_blocking_artifact(blocking));
-        }
-        segments
-    }
-
-    /// Reassemble a snapshot from verified segments. Schema order is
-    /// restored from the manifest in `meta` (segment names are sorted
-    /// lexically, which is not load order).
-    pub fn from_segments(segments: &BTreeMap<String, Vec<u8>>) -> Result<Self, CodecError> {
+    /// Reassemble an image from verified segments.
+    pub fn from_segments(mut segments: BTreeMap<String, Vec<u8>>) -> Result<Self, CodecError> {
         let meta = segments
-            .get("meta")
+            .remove("meta")
             .ok_or(CodecError::Invalid("missing meta segment"))?;
-        let mut r = ByteReader::new(meta);
+        let mut r = ByteReader::new(&meta);
         let session_id = r.str()?;
         let watermark = r.u64()?;
-        let schema_count = r.u32()?;
-        let mut order = Vec::with_capacity(schema_count as usize);
-        for _ in 0..schema_count {
-            order.push(r.str()?);
-        }
-        let commands = match segments.get("journal") {
-            Some(bytes) => decode_commands(bytes)?,
-            None => Vec::new(),
-        };
-        let mut schemas = Vec::with_capacity(order.len());
-        for id in &order {
-            let bytes = segments
-                .get(&format!("schema:{id}"))
-                .ok_or(CodecError::Invalid("manifest names a missing schema"))?;
-            schemas.push(decode_schema(bytes)?);
-        }
-        let mut features = Vec::new();
-        for (name, bytes) in segments {
-            if let Some(id) = name.strip_prefix("features:") {
-                features.push((SchemaId::new(id), decode_text_features(bytes)?));
-            }
-        }
-        let mut matches = Vec::new();
-        for (name, bytes) in segments {
-            if name.starts_with("match:") {
-                matches.push(decode_match_artifact(bytes)?);
-            }
-        }
-        let blocking = match segments.get("blocking") {
-            Some(bytes) => Some(decode_blocking_artifact(bytes)?),
-            None => None,
-        };
         Ok(SessionSnapshot {
             session_id,
             watermark,
-            commands,
-            schemas,
-            features,
-            matches,
-            blocking,
+            segments,
         })
+    }
+
+    /// The image as one snapshot file (what [`SessionStore::commit`]
+    /// writes and the replication stream ships).
+    pub fn encode(&self) -> Vec<u8> {
+        let mut meta = ByteWriter::new();
+        meta.str(&self.session_id);
+        meta.u64(self.watermark);
+        let meta = meta.into_bytes();
+        let mut entries: BTreeMap<&str, &[u8]> = self
+            .segments
+            .iter()
+            .map(|(k, v)| (k.as_str(), v.as_slice()))
+            .collect();
+        entries.insert("meta", &meta);
+        snapshot::encode_entries(entries)
+    }
+
+    /// Verify and decode a snapshot file image.
+    pub fn decode(file: &[u8]) -> Result<Self, SnapshotError> {
+        Ok(Self::from_segments(snapshot::decode(file)?)?)
     }
 }
 
-/// Handle on one session's snapshot file inside a store directory.
+/// Handle on one session's image file inside a store directory.
 #[derive(Debug, Clone)]
 pub struct SessionStore {
     dir: PathBuf,
@@ -211,45 +104,77 @@ impl SessionStore {
         }
     }
 
-    /// Path of this session's snapshot file.
+    /// Path of this session's image file.
     pub fn path(&self) -> PathBuf {
         self.dir.join(format!("{}.snap", self.session_id))
     }
 
-    /// Atomically write the snapshot (write tmp → optional fsync →
-    /// rename). Fault injection (`snapshot-torn` / `snapshot-bitflip` /
-    /// `snapshot-stale`) corrupts the committed image; callers must
-    /// [`Self::load`] before treating the snapshot as durable.
-    pub fn commit(&self, snapshot: &SessionSnapshot, faults: &FaultPlan) -> std::io::Result<()> {
+    /// Write the image, read it back through full verification, and
+    /// only then rename it over the previous image. Fault injection
+    /// (`snapshot-torn` / `snapshot-bitflip` / `snapshot-stale`)
+    /// corrupts the written file; the read-back catches it, the commit
+    /// fails with [`io::ErrorKind::InvalidData`] (carrying the
+    /// [`SnapshotError`]) and the previous image stays in place.
+    pub fn commit(&self, snapshot: &SessionSnapshot, faults: &FaultPlan) -> io::Result<()> {
+        self.install(&snapshot.encode(), snapshot.watermark, faults)
+    }
+
+    /// [`Self::commit`] for an already encoded image — the bytes a
+    /// replication sink receives. The read-back must show this session
+    /// at `watermark`.
+    pub fn install(&self, image: &[u8], watermark: u64, faults: &FaultPlan) -> io::Result<()> {
         std::fs::create_dir_all(&self.dir)?;
-        snapshot::write_snapshot(&self.path(), &snapshot.to_segments(), self.fsync, faults)
+        snapshot::write_verified(&self.path(), image, self.fsync, faults, |segments| {
+            match peek_meta(segments)? {
+                (id, w) if id == self.session_id && w == watermark => Ok(()),
+                _ => Err(CodecError::Invalid("image names another session or watermark").into()),
+            }
+        })
+        .map_err(into_io)
     }
 
-    /// Load and fully verify this session's snapshot. `Ok(None)` means
-    /// no snapshot exists (a fresh or journal-only session); any
-    /// corruption surfaces as an error so recovery can fall back to
-    /// journal replay.
+    /// Load and fully verify this session's image. `Ok(None)` means no
+    /// image exists (a fresh or journal-only session).
     pub fn load(&self) -> Result<Option<SessionSnapshot>, SnapshotError> {
-        let path = self.path();
-        if !path.exists() {
-            return Ok(None);
-        }
-        let segments = snapshot::read_snapshot(&path)?;
-        SessionSnapshot::from_segments(&segments)
-            .map(Some)
-            .map_err(SnapshotError::Codec)
+        self.read()?
+            .map(|file| SessionSnapshot::decode(&file))
+            .transpose()
     }
 
-    /// Delete this session's snapshot, if present (session close).
-    pub fn discard(&self) -> std::io::Result<()> {
+    /// The verified image file and its watermark, for shipping the
+    /// image to a replication successor.
+    pub fn load_bytes(&self) -> Result<Option<(u64, Vec<u8>)>, SnapshotError> {
+        match self.read()? {
+            None => Ok(None),
+            Some(file) => Ok(Some((peek_meta(&snapshot::verify(&file)?)?.1, file))),
+        }
+    }
+
+    fn read(&self) -> Result<Option<Vec<u8>>, SnapshotError> {
+        match std::fs::read(self.path()) {
+            Ok(file) => Ok(Some(file)),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
+            Err(e) => Err(e.into()),
+        }
+    }
+
+    /// Move this image to `to` (a promoted replica's image becomes the
+    /// new owner's): a rename, so the verified bytes are not rewritten.
+    pub fn move_to(&self, to: &SessionStore) -> io::Result<()> {
+        std::fs::create_dir_all(&to.dir)?;
+        std::fs::rename(self.path(), to.path())
+    }
+
+    /// Delete this session's image, if present (session close).
+    pub fn discard(&self) -> io::Result<()> {
         let path = self.path();
         match std::fs::remove_file(&path) {
-            Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(e),
+            Err(e) if e.kind() != io::ErrorKind::NotFound => Err(e),
             _ => Ok(()),
         }
     }
 
-    /// Session ids with a snapshot file in `dir`, sorted.
+    /// Session ids with an image file in `dir`, sorted.
     pub fn scan_dir(dir: &Path) -> Vec<String> {
         let mut ids = Vec::new();
         if let Ok(entries) = std::fs::read_dir(dir) {
@@ -265,10 +190,29 @@ impl SessionStore {
     }
 }
 
+/// The session id and watermark in a verified segment map's `meta`
+/// (no segment is copied).
+fn peek_meta(segments: &BTreeMap<String, &[u8]>) -> Result<(String, u64), SnapshotError> {
+    let meta = segments
+        .get("meta")
+        .ok_or(CodecError::Invalid("missing meta segment"))?;
+    let mut r = ByteReader::new(meta);
+    Ok((r.str()?, r.u64()?))
+}
+
+/// A verification failure as an I/O error of kind `InvalidData` (an
+/// I/O failure stays itself).
+fn into_io(e: SnapshotError) -> io::Error {
+    match e {
+        SnapshotError::Io(e) => e,
+        other => io::Error::new(io::ErrorKind::InvalidData, other),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iwb_model::{DataType, Metamodel, SchemaBuilder};
+    use crate::fault::{FaultSpec, SNAPSHOT_TORN};
 
     fn tmpdir(tag: &str) -> PathBuf {
         use std::sync::atomic::{AtomicU64, Ordering};
@@ -282,49 +226,22 @@ mod tests {
         dir
     }
 
-    fn sample_snapshot() -> SessionSnapshot {
-        let order = SchemaBuilder::new("orders", Metamodel::Relational)
-            .open("ORDER")
-            .attr("ORDER_ID", DataType::Integer)
-            .attr("CUST", DataType::VarChar(40))
-            .close()
-            .build();
-        let crm = SchemaBuilder::new("crm", Metamodel::Relational)
-            .open("CUSTOMER")
-            .attr("CUST_ID", DataType::Integer)
-            .close()
-            .build();
+    fn sample_snapshot(watermark: u64) -> SessionSnapshot {
+        let mut segments = BTreeMap::new();
+        segments.insert("blackboard".to_string(), vec![7u8; 5000]);
+        segments.insert("tool:harmony".to_string(), vec![1, 2, 3]);
         SessionSnapshot {
             session_id: "s1".to_string(),
-            watermark: 3,
-            commands: vec![
-                CommandRecord {
-                    command: "load sql".to_string(),
-                    heredoc: Some("CREATE TABLE ORDER (ORDER_ID INT);".to_string()),
-                },
-                CommandRecord {
-                    command: "match orders crm".to_string(),
-                    heredoc: None,
-                },
-            ],
-            schemas: vec![order, crm],
-            features: Vec::new(),
-            matches: Vec::new(),
-            blocking: None,
+            watermark,
+            segments,
         }
     }
 
     #[test]
     fn snapshot_round_trips_through_segments() {
-        let snap = sample_snapshot();
-        let decoded = SessionSnapshot::from_segments(&snap.to_segments()).unwrap();
-        assert_eq!(decoded.session_id, "s1");
-        assert_eq!(decoded.watermark, 3);
-        assert_eq!(decoded.commands, snap.commands);
-        assert_eq!(decoded.schemas.len(), 2);
-        // Load order preserved even though "crm" < "orders" lexically.
-        assert_eq!(decoded.schemas[0].id().as_str(), "orders");
-        assert_eq!(decoded.schemas[1].id().as_str(), "crm");
+        let snap = sample_snapshot(3);
+        let decoded = SessionSnapshot::decode(&snap.encode()).unwrap();
+        assert_eq!(decoded, snap);
     }
 
     #[test]
@@ -334,7 +251,7 @@ mod tests {
         store.fsync = false;
         assert!(store.load().unwrap().is_none());
         store
-            .commit(&sample_snapshot(), &FaultPlan::none())
+            .commit(&sample_snapshot(3), &FaultPlan::none())
             .unwrap();
         let loaded = store.load().unwrap().expect("snapshot present");
         assert_eq!(loaded.watermark, 3);
@@ -345,14 +262,42 @@ mod tests {
     }
 
     #[test]
+    fn a_commit_that_fails_verification_keeps_the_previous_image() {
+        let dir = tmpdir("replace");
+        let mut store = SessionStore::new(&dir, "s1");
+        store.fsync = false;
+        let torn = FaultSpec::seeded(1).at(SNAPSHOT_TORN, &[1]).build();
+        store.commit(&sample_snapshot(3), &torn).unwrap();
+        let err = store.commit(&sample_snapshot(9), &torn).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert_eq!(store.load().unwrap().unwrap().watermark, 3);
+        store.commit(&sample_snapshot(9), &torn).unwrap();
+        assert_eq!(store.load().unwrap().unwrap().watermark, 9);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn install_refuses_an_image_of_another_session() {
+        let dir = tmpdir("install");
+        let mut store = SessionStore::new(&dir, "s2");
+        store.fsync = false;
+        let err = store
+            .install(&sample_snapshot(3).encode(), 3, &FaultPlan::none())
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(store.load().unwrap().is_none());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn scan_dir_lists_snapshots() {
         let dir = tmpdir("scan");
         for id in ["s2", "s1"] {
             let mut store = SessionStore::new(&dir, id);
             store.fsync = false;
-            store
-                .commit(&sample_snapshot(), &FaultPlan::none())
-                .unwrap();
+            let mut snap = sample_snapshot(1);
+            snap.session_id = id.to_string();
+            store.commit(&snap, &FaultPlan::none()).unwrap();
         }
         assert_eq!(SessionStore::scan_dir(&dir), vec!["s1", "s2"]);
         std::fs::remove_dir_all(&dir).ok();
@@ -360,11 +305,6 @@ mod tests {
 
     #[test]
     fn equal_snapshots_encode_identically() {
-        let a = sample_snapshot();
-        let b = sample_snapshot();
-        assert_eq!(
-            snapshot::encode(&a.to_segments()),
-            snapshot::encode(&b.to_segments())
-        );
+        assert_eq!(sample_snapshot(4).encode(), sample_snapshot(4).encode());
     }
 }

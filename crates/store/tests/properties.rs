@@ -6,19 +6,21 @@
 //! 2. the snapshot image is a pure function of the logical content —
 //!    byte-identical regardless of segment insertion order or the
 //!    iteration order of in-memory hash maps;
-//! 3. a snapshot at watermark `w` plus the journal suffix carries
-//!    exactly the information of the full journal (the prefix it
-//!    embeds concatenated with the suffix is the original record
-//!    sequence, for every split point).
+//! 3. an image round-trips with its watermark at every split point of
+//!    a history, so the image plus the journal suffix past it accounts
+//!    for the whole history.
 
-use iwb_harmony::HarmonyEngine;
-use iwb_model::{ElementId, SchemaGraph};
+use iwb_harmony::{Feedback, HarmonyEngine};
+use iwb_ling::Corpus;
+use iwb_model::SchemaGraph;
 use iwb_registry::{generate_registry, GeneratorConfig};
 use iwb_store::artifacts::{
-    decode_schema, decode_text_features, encode_schema, encode_text_features, stable_schema_fp,
+    decode_engine_state, decode_match_result, decode_schema, encode_engine_state,
+    encode_match_result, encode_schema,
 };
+use iwb_store::codec::{ByteReader, ByteWriter};
 use iwb_store::snapshot;
-use iwb_store::{CommandRecord, SessionSnapshot};
+use iwb_store::SessionSnapshot;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -61,89 +63,59 @@ proptest! {
             }
             prop_assert_eq!(graph.cross_edges(), decoded.cross_edges());
             prop_assert_eq!(&bytes, &encode_schema(&decoded));
-            prop_assert_eq!(stable_schema_fp(&graph), stable_schema_fp(&decoded));
         }
     }
 
-    /// Text features exported from the live engine cache round-trip
-    /// with bit-exact strings and a correctly rebuilt bigram profile
-    /// (decoded features are interchangeable with originals).
+    /// An engine's learned state round-trips bit-exactly, and an
+    /// engine restored from it runs and learns exactly like the one it
+    /// was captured from — the precondition for restoring Harmony from
+    /// an image instead of replaying its learning.
     #[test]
-    fn text_features_codec_is_identity(seed in 0u64..500) {
-        let graph = models(seed).pop().unwrap();
+    fn engine_state_codec_is_identity(seed in 0u64..300) {
+        let source = small_model(seed);
+        let target = small_model(seed.wrapping_add(7919));
+        let none = std::collections::HashMap::new();
         let mut engine = HarmonyEngine::default();
-        let features = engine.export_text_features(&graph);
-        let decoded =
-            decode_text_features(&encode_text_features(&features)).unwrap();
-        prop_assert_eq!(features.len(), decoded.len());
-        for (id, f) in &features {
-            let d = &decoded[id];
-            prop_assert_eq!(&f.name.tokens, &d.name.tokens);
-            prop_assert_eq!(&f.name.stems, &d.name.stems);
-            prop_assert_eq!(&f.doc.tokens, &d.doc.tokens);
-            prop_assert_eq!(&f.doc.stems, &d.doc.stems);
-            prop_assert_eq!(&f.domain_codes, &d.domain_codes);
-            prop_assert_eq!(&f.domain_meaning_stems, &d.domain_meaning_stems);
-            prop_assert_eq!(&f.joined_name, &d.joined_name);
-            prop_assert_eq!(&f.expanded_stems, &d.expanded_stems);
-            // The rebuilt profile scores identically (Dice overlap is
-            // its only consumer; 1.0 self-similarity checks totals too).
-            prop_assert_eq!(f.name_profile.total(), d.name_profile.total());
-            if f.name_profile.total() > 0 {
-                let sim = iwb_ling::dice_profiles(&f.name_profile, &d.name_profile);
-                prop_assert_eq!(sim.to_bits(), 1.0f64.to_bits());
-            }
+        let first = engine.run(&source, &target, &none);
+        let (s, t) = (first.matrix.src_ids()[0], first.matrix.tgt_ids()[0]);
+        engine.learn(&source, &target, &first, &[Feedback::accept(s, t)]);
+        let mut w = ByteWriter::new();
+        encode_engine_state(&mut w, &engine.state());
+        let bytes = w.into_bytes();
+        let state = decode_engine_state(&mut ByteReader::new(&bytes)).unwrap();
+        prop_assert_eq!(&state, &engine.state());
+        let mut restored = HarmonyEngine::default();
+        restored.restore_state(state);
+        let a = engine.run(&source, &target, &none);
+        let b = restored.run(&source, &target, &none);
+        for (x, y) in a.matrix.scores().iter().zip(b.matrix.scores()) {
+            prop_assert_eq!(x.to_bits(), y.to_bits());
         }
-        // And the bytes themselves are stable across re-encoding the
-        // decoded map (HashMap iteration order must not leak in).
-        prop_assert_eq!(
-            encode_text_features(&features),
-            encode_text_features(&decoded)
-        );
     }
 
-    /// A match run persisted and re-loaded is the same result to the
-    /// last bit — the precondition for serving snapshotted matrices in
-    /// place of a re-run. (One small model pair per case: the full
-    /// voter ensemble is expensive in debug builds, and the codec
+    /// A match result persisted and re-loaded is the same result to the
+    /// last bit — the last result per pair an image carries is what
+    /// `learn` re-weights against. (One small model pair per case: the
+    /// full voter ensemble is expensive in debug builds, and the codec
     /// under test is exercised identically at any scale.)
     #[test]
     fn match_result_codec_is_bit_exact(seed in 0u64..300) {
-        use iwb_store::artifacts::{decode_match_artifact, encode_match_artifact};
-        use iwb_store::{match_artifact_key, MatchArtifact};
         let source = small_model(seed);
         let target = small_model(seed.wrapping_add(7919));
         let mut engine = HarmonyEngine::default();
-        let locked = std::collections::HashMap::new();
-        let result = engine.run(&source, &target, &locked);
-        let artifact = MatchArtifact {
-            src: source.id().clone(),
-            tgt: target.id().clone(),
-            key: match_artifact_key(&source, &target, &locked, 0, None),
-            result,
-        };
-        let decoded = decode_match_artifact(&encode_match_artifact(&artifact)).unwrap();
-        prop_assert_eq!(&artifact.src, &decoded.src);
-        prop_assert_eq!(artifact.key, decoded.key);
-        prop_assert_eq!(
-            artifact.result.flooding_iterations,
-            decoded.result.flooding_iterations
-        );
-        prop_assert_eq!(artifact.result.matrix.src_ids(), decoded.result.matrix.src_ids());
-        prop_assert_eq!(artifact.result.matrix.tgt_ids(), decoded.result.matrix.tgt_ids());
-        for (a, b) in artifact
-            .result
-            .matrix
-            .scores()
-            .iter()
-            .zip(decoded.result.matrix.scores())
-        {
+        let result = engine.run(&source, &target, &std::collections::HashMap::new());
+        let mut w = ByteWriter::new();
+        encode_match_result(&mut w, &result);
+        let bytes = w.into_bytes();
+        let decoded = decode_match_result(&mut ByteReader::new(&bytes)).unwrap();
+        prop_assert_eq!(result.flooding_iterations, decoded.flooding_iterations);
+        prop_assert_eq!(result.matrix.src_ids(), decoded.matrix.src_ids());
+        prop_assert_eq!(result.matrix.tgt_ids(), decoded.matrix.tgt_ids());
+        for (a, b) in result.matrix.scores().iter().zip(decoded.matrix.scores()) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
         }
-        prop_assert_eq!(artifact.result.per_voter.len(), decoded.result.per_voter.len());
-        for ((an, am), (bn, bm)) in
-            artifact.result.per_voter.iter().zip(&decoded.result.per_voter)
-        {
+        prop_assert_eq!(result.per_voter.len(), decoded.per_voter.len());
+        for ((an, am), (bn, bm)) in result.per_voter.iter().zip(&decoded.per_voter) {
             prop_assert_eq!(an, bn);
             for (a, b) in am.scores().iter().zip(bm.scores()) {
                 prop_assert_eq!(a.to_bits(), b.to_bits());
@@ -179,50 +151,54 @@ proptest! {
         prop_assert_eq!(snapshot::encode(&forward), snapshot::encode(&permuted));
     }
 
-    /// Feature maps are `HashMap`s in memory; two maps with equal
+    /// A corpus keeps `HashMap`s in memory; two corpora with equal
     /// content but different internal layout (built in reversed order)
-    /// must produce identical snapshot bytes.
+    /// must produce identical image bytes.
     #[test]
-    fn feature_map_order_does_not_leak_into_bytes(seed in 0u64..500) {
-        let graph = models(seed).pop().unwrap();
-        let mut engine = HarmonyEngine::default();
-        let features = engine.export_text_features(&graph);
-        let mut ids: Vec<ElementId> = features.keys().copied().collect();
-        ids.sort();
-        let mut reversed = std::collections::HashMap::new();
-        for id in ids.iter().rev() {
-            reversed.insert(*id, features[id].clone());
+    fn corpus_map_order_does_not_leak_into_bytes(
+        terms in prop::collection::vec(("[a-z]{1,8}", 1usize..9, 0.1f64..10.0), 0..24),
+    ) {
+        let mut forward = Corpus::new();
+        for (term, _, _) in &terms {
+            forward.add_document([term.as_str()]);
         }
-        prop_assert_eq!(
-            encode_text_features(&features),
-            encode_text_features(&reversed)
-        );
+        let parts = forward.to_parts();
+        let mut reversed = parts.clone();
+        reversed.doc_freq.reverse();
+        reversed.term_boost.reverse();
+        let reversed = Corpus::from_parts(reversed);
+        let mut a = HarmonyEngine::default().state();
+        let mut b = a.clone();
+        a.corpus = forward.to_parts();
+        b.corpus = reversed.to_parts();
+        let encode = |state| {
+            let mut w = ByteWriter::new();
+            encode_engine_state(&mut w, state);
+            w.into_bytes()
+        };
+        prop_assert_eq!(encode(&a), encode(&b));
     }
 
-    /// For every split point `w`, the journal prefix a snapshot embeds
-    /// plus the on-disk suffix reconstructs the full record sequence —
-    /// the algebra behind "snapshot load + journal-suffix replay equals
-    /// full journal replay".
+    /// For every split point `w` of a history, an image at `w`
+    /// round-trips with its watermark, so the image plus the journal
+    /// suffix past it accounts for every record — the algebra behind
+    /// "image restore + suffix replay equals full replay".
     #[test]
-    fn snapshot_prefix_plus_suffix_is_the_full_journal(
+    fn image_plus_suffix_accounts_for_the_full_history(
         commands in prop::collection::vec("[a-z ]{1,30}", 1..12),
     ) {
-        let records: Vec<CommandRecord> = commands
-            .iter()
-            .map(|c| CommandRecord { command: c.clone(), heredoc: None })
-            .collect();
-        for w in 0..=records.len() {
-            let snap = SessionSnapshot {
+        for w in 0..=commands.len() {
+            let mut segments = BTreeMap::new();
+            segments.insert("trace".to_string(), commands[..w].join("\n").into_bytes());
+            let image = SessionSnapshot {
                 session_id: "s1".to_string(),
                 watermark: w as u64,
-                commands: records[..w].to_vec(),
-                ..SessionSnapshot::default()
+                segments,
             };
-            let reloaded = SessionSnapshot::from_segments(&snap.to_segments()).unwrap();
-            let mut replayed = reloaded.commands.clone();
-            let skip = reloaded.watermark as usize;
-            replayed.extend_from_slice(&records[skip..]);
-            prop_assert_eq!(&replayed, &records);
+            let reloaded = SessionSnapshot::decode(&image.encode()).unwrap();
+            prop_assert_eq!(&reloaded, &image);
+            let suffix = &commands[reloaded.watermark as usize..];
+            prop_assert_eq!(reloaded.watermark as usize + suffix.len(), commands.len());
         }
     }
 }

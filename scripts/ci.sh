@@ -67,15 +67,22 @@ grep -q '"session_leaks": 0' target/BENCH_server_storm.json
 echo "== store suite (snapshot torn/bitflip/stale detection, roundtrips, rendezvous ranking)"
 cargo test -q --offline -p iwb-store
 
-echo "== store persistence suite (warm reopen, corrupt-snapshot fallback, compaction window, bad-journal refusal)"
+echo "== store persistence suite (image restore, corrupt-image fallback, a torn image keeps the previous one, bad-journal refusal, truncated journals count the whole history, replica images and per-replica locks, image + suffix equals replay from record 0)"
 cargo test -q --offline -p iwb-server --lib -- \
     store_sessions_reopen_warm_after_restart \
     evicted_store_sessions_are_persisted_not_forgotten \
     closing_a_store_session_deletes_snapshot_and_journal \
     corrupt_snapshots_fall_back_to_journal_replay \
-    a_corrupt_snapshot_after_truncation_rewidens_the_journal \
+    a_corrupt_image_after_truncation_keeps_the_previous_image \
     an_orphaned_snapshot_alone_recovers_the_session \
-    a_bad_journal_beside_a_good_snapshot_is_refused
+    a_bad_journal_beside_a_good_snapshot_is_refused \
+    a_truncated_journal_keeps_counting_the_whole_history \
+    promotion_restores_the_standby_image_and_adopts_it \
+    a_range_installs_a_newer_image_and_truncates_the_replica \
+    a_torn_or_bit_flipped_frame_changes_nothing \
+    an_append_to_one_replica_never_waits_for_another \
+    appends_flow_while_a_steady_state_image_is_written
+cargo test -q --offline -p iwb-eval --test image_restore
 
 echo "== incremental re-match determinism (byte-identical splice across threads/cache; learned re-matches re-score only the voters that read learned state, stay staged and bit-identical over 5 feedback rounds on every eval domain, and retry identically after an abort)"
 cargo test -q --offline -p iwb-harmony --test determinism -- \
@@ -86,7 +93,7 @@ cargo test -q --offline -p iwb-harmony --test determinism -- \
     aborted_runs_leave_the_engine_reusable_and_identical \
     a_thesaurus_or_sample_change_rescores_every_voter
 
-echo "== bench_store smoke (snapshot throughput, warm reopen, incremental identity)"
+echo "== bench_store smoke (image throughput, image restore, incremental identity)"
 cargo run -q --release --offline -p iwb-bench --bin bench_store -- \
     --quick --out target/BENCH_store_quick.json
 grep -q '"incremental_identical": true' target/BENCH_store_quick.json
@@ -94,7 +101,7 @@ grep -q '"incremental_identical": true' target/BENCH_store_quick.json
 echo "== router unit suite (re-discovery rows, successor-first promotion walk)"
 cargo test -q --offline -p iwb-router --lib
 
-echo "== fleet chaos suite (kill mid-command + mid-curation, split routing, probe quarantine, migration, stale-replica refusal, promotion floor, route-miss promotion only when every backend answers, shedding owner retried not failed over, a closed session is not promoted back, successor-first walk, drain + re-discovery)"
+echo "== fleet chaos suite (kill mid-command + mid-curation, split routing, probe quarantine, migration, stale-replica refusal, promotion floor, route-miss promotion only when every backend answers, shedding owner retried not failed over, a closed session is not promoted back, successor-first walk, drain + re-discovery, warm promotion from a shipped image, torn/bit-flipped shipped images refused, image + suffix below the floor still stale, a sink restarted mid-image keeps its image, the new successor holds an image when promote answers)"
 cargo test -q --offline -p iwb-router --test fleet_chaos
 
 echo "== sequence-guard + migration handshake suite (duplicate acks, gaps, release/promote)"

@@ -34,19 +34,20 @@
 //!   bytes ([`encode_frame`]): an optional session image, then the
 //!   records from logical index `from`, then an FNV-1a64 checksum of
 //!   the records (the image bytes carry page checksums of their own). A
-//!   source sends one frame for every image it commits and for every
-//!   catch-up of more than one record — after a `subscribe` that found
-//!   the replica behind, all of it: the image plus the suffix, one round
-//!   trip and one sink fsync. An image whose records the successor
-//!   already holds goes alone on a connection of its own, and the sink
-//!   writes it without holding the replica journal, so the session's
-//!   commits keep streaming meanwhile. Nothing changes unless the frame
-//!   verifies: a torn or bit-flipped frame is refused and the standby
-//!   stays as it was. A verified image newer than the sink's replaces it
-//!   (write, read back, rename) and truncates the replica journal at its
+//!   source sends one frame, on the session's stream connection, for
+//!   every image it commits (with whatever records past it the
+//!   successor lacks) and for every catch-up of more than one record —
+//!   after a `subscribe` that found the replica behind, all of it: the
+//!   image plus the suffix, one round trip and one sink fsync. Nothing
+//!   changes unless the frame verifies: a torn or bit-flipped frame is
+//!   refused and the standby stays as it was. Under the standby's own
+//!   lock, a verified image newer than the sink's replaces it (write,
+//!   read back, rename) and truncates the replica journal at its
 //!   watermark; the records then append under the `DUPLICATE`/`SEQ-GAP`
-//!   rules above. Frames are bounded by [`MAX_FRAME_BYTES`]. The reply
-//!   is `repl ranged <session> have=<n> image=<w>`.
+//!   rules above. Frames are bounded by [`MAX_FRAME_BYTES`]; a backend
+//!   that does not replicate refuses every `<<BYTES` frame, and any
+//!   command but `repl range` that carries one is refused. The reply is
+//!   `repl ranged <session> have=<n> image=<w>`.
 //! * `repl status` — one `source id=<id> seq=<n> acked=<n> lag=<n>`
 //!   row per live journaled session and one
 //!   `replica id=<id> seq=<n> image=<w>` row per standby (`image=0`:
@@ -297,32 +298,10 @@ impl Replicator {
     }
 
     /// Ship a just-committed image — its watermark and encoded bytes —
-    /// so the successor's standby restarts from it. When the successor
-    /// already holds every record up to the image, the image goes alone
-    /// on a connection of its own: commits keep streaming while the
-    /// successor writes it. Otherwise it rides the stream with the
-    /// records the successor lacks past it.
+    /// on the session's stream, with the records past it the successor
+    /// lacks, so the successor's standby restarts from it.
     pub fn ship_image(&self, session: &str, journal: &Mutex<Option<Journal>>, image: (u64, &[u8])) {
-        let Some(target) = self.config.successor_addr(session) else {
-            return;
-        };
-        let caught_up = recover(self.streams.lock())
-            .get(session)
-            .map(Arc::clone)
-            .is_some_and(|state| {
-                let st = recover(state.lock());
-                st.conn.is_some() && st.acked >= image.0
-            });
-        if !caught_up {
-            return self.stream(session, journal, None, Some(image));
-        }
-        let frame = encode_frame(Some(image), &[]);
-        if frame.len() <= MAX_FRAME_BYTES {
-            if let Ok(mut conn) = Client::connect(target) {
-                let _ =
-                    conn.request_with_bytes(&format!("repl range {session} {}", image.0), &frame);
-            }
-        }
+        self.stream(session, journal, None, Some(image));
     }
 
     fn stream(
@@ -456,17 +435,9 @@ struct Replica {
     image_at: u64,
 }
 
-/// One standby's locks. `replica` guards the journal (`None` until
-/// first use loads it from disk); `images` serializes image writes and
-/// discards, and is always taken before `replica`. A steady-state image
-/// is written holding `images` alone, so appends keep flowing.
-#[derive(Default)]
-struct Slot {
-    replica: Mutex<Option<Replica>>,
-    images: Mutex<()>,
-}
-
-type ReplicaSlot = Arc<Slot>;
+/// One standby, behind its own lock (`None` until first use loads it
+/// from disk).
+type ReplicaSlot = Arc<Mutex<Option<Replica>>>;
 
 /// What a standby holds for promotion: its image (if any) and the
 /// journal records from logical index `base`.
@@ -484,8 +455,8 @@ pub struct ReplicaEvidence {
 /// the same framing, checksums, and torn-tail healing as live
 /// sessions, so promotion is just recovery from a different directory.
 /// The map lock is held only to find or insert a session's slot; every
-/// append and image write runs under that session's own lock, so one
-/// slow standby never stalls the others.
+/// append, image install and truncation runs under that standby's own
+/// lock, so one slow standby never stalls the others.
 pub struct ReplicaStore {
     config: JournalConfig,
     open: Mutex<HashMap<String, ReplicaSlot>>,
@@ -514,7 +485,8 @@ impl ReplicaStore {
         )
     }
 
-    fn image_store(&self, session: &str) -> SessionStore {
+    /// `session`'s standby image file.
+    pub fn image_file(&self, session: &str) -> SessionStore {
         let mut store = SessionStore::new(&self.config.dir, session);
         store.fsync = self.config.fsync;
         store
@@ -535,7 +507,7 @@ impl ReplicaStore {
             } else {
                 Journal::create(&self.config, session)?
             };
-            let image = self.image_store(session);
+            let image = self.image_file(session);
             let image_at = match image.load_bytes() {
                 Ok(Some((watermark, _))) => watermark,
                 _ => 0,
@@ -555,16 +527,8 @@ impl ReplicaStore {
         session: &str,
         f: impl FnOnce(&mut Replica) -> Result<R, String>,
     ) -> Result<R, String> {
-        self.with_slot(&self.slot(session), session, f)
-    }
-
-    fn with_slot<R>(
-        &self,
-        slot: &Slot,
-        session: &str,
-        f: impl FnOnce(&mut Replica) -> Result<R, String>,
-    ) -> Result<R, String> {
-        let mut guard = recover(slot.replica.lock());
+        let slot = self.slot(session);
+        let mut guard = recover(slot.lock());
         let replica = self
             .load(&mut guard, session)
             .map_err(|e| format!("replica journal unavailable: {e}"))?;
@@ -577,8 +541,7 @@ impl ReplicaStore {
     /// under the same id) and is discarded rather than trusted.
     pub fn subscribe(&self, session: &str, source_len: u64) -> io::Result<u64> {
         let slot = self.slot(session);
-        let _images = recover(slot.images.lock());
-        let mut guard = recover(slot.replica.lock());
+        let mut guard = recover(slot.lock());
         if self.load(&mut guard, session)?.journal.len() as u64 > source_len {
             let stale = guard.take().expect("replica just loaded");
             stale.image.discard()?;
@@ -618,13 +581,11 @@ impl ReplicaStore {
         })
     }
 
-    /// Apply one `repl range` frame (see the module docs): verify it
-    /// whole, install a newer image and truncate the replica journal at
-    /// its watermark, then append the records from `from` with one
-    /// fsync. Nothing changes unless the frame verifies. An image alone
-    /// that the standby's records already reach — a source's
-    /// steady-state image — is written without holding the journal, so
-    /// appends to this standby continue meanwhile.
+    /// Apply one `repl range` frame (see the module docs) under the
+    /// standby's lock: verify it whole, install a newer image and
+    /// truncate the replica journal at its watermark, then append the
+    /// records from `from` with one fsync. Nothing changes unless the
+    /// frame verifies.
     pub fn apply_range(
         &self,
         session: &str,
@@ -633,50 +594,20 @@ impl ReplicaStore {
         faults: &FaultPlan,
     ) -> Result<String, String> {
         let (image, records) = decode_frame(frame)?;
-        let slot = self.slot(session);
-        let _images = recover(slot.images.lock());
-        let reply = |replica: &mut Replica| {
-            format!(
-                "repl ranged {session} have={} image={}",
-                replica.journal.len(),
-                replica.image_at
-            )
-        };
-        let install = |watermark: u64, bytes: &[u8]| {
-            self.image_store(session)
-                .install(bytes, watermark, faults)
-                .map_err(|e| format!("repl range refused: image {e}"))
-        };
-        let truncate = |replica: &mut Replica, watermark: u64| {
-            replica.image_at = watermark;
-            replica
-                .journal
-                .truncate_to(watermark)
-                .map_err(|e| format!("replica truncate failed: {e}"))
-        };
-        if let (Some((watermark, bytes)), true) = (image, records.is_empty()) {
-            let (image_at, len) = self.with_slot(&slot, session, |replica| {
-                Ok((replica.image_at, replica.journal.len() as u64))
-            })?;
-            if watermark <= image_at || watermark <= len {
-                if watermark > image_at {
-                    install(watermark, bytes)?;
-                }
-                return self.with_slot(&slot, session, |replica| {
-                    if watermark > replica.image_at {
-                        truncate(replica, watermark)?;
-                    }
-                    Ok(reply(replica))
-                });
-            }
-        }
-        self.with_slot(&slot, session, |replica| {
+        self.with(session, |replica| {
             if let Some((watermark, bytes)) = image {
                 // The install reads the image back through its own
                 // checksums, and only then replaces the standby's.
                 if watermark > replica.image_at {
-                    install(watermark, bytes)?;
-                    truncate(replica, watermark)?;
+                    replica
+                        .image
+                        .install(bytes, watermark, faults)
+                        .map_err(|e| format!("repl range refused: image {e}"))?;
+                    replica.image_at = watermark;
+                    replica
+                        .journal
+                        .truncate_to(watermark)
+                        .map_err(|e| format!("replica truncate failed: {e}"))?;
                 }
             }
             let have = replica.journal.len() as u64;
@@ -693,7 +624,11 @@ impl ReplicaStore {
                 .journal
                 .append_all(fresh, faults)
                 .map_err(|e| format!("replica append failed: {e}"))?;
-            Ok(reply(replica))
+            Ok(format!(
+                "repl ranged {session} have={} image={}",
+                replica.journal.len(),
+                replica.image_at
+            ))
         })
     }
 
@@ -714,7 +649,7 @@ impl ReplicaStore {
         let mut rows: Vec<(String, u64, u64)> = slots
             .into_iter()
             .filter_map(|(id, slot)| {
-                let mut guard = recover(slot.replica.lock());
+                let mut guard = recover(slot.lock());
                 let replica = self.load(&mut guard, &id).ok()?;
                 Some((id, replica.journal.len() as u64, replica.image_at))
             })
@@ -746,20 +681,13 @@ impl ReplicaStore {
         .ok()
     }
 
-    /// Move the standby image of `session` to `to` — the promoted
-    /// owner's image — without rewriting it.
-    pub fn adopt_image(&self, session: &str, to: &SessionStore) -> io::Result<()> {
-        self.image_store(session).move_to(to)
-    }
-
     /// Drop `session`'s standby (the session was promoted here — the
     /// live journal takes over — or deliberately closed).
     pub fn remove(&self, session: &str) {
         let slot = recover(self.open.lock())
             .remove(session)
             .unwrap_or_default();
-        let _images = recover(slot.images.lock());
-        let loaded = recover(slot.replica.lock()).take();
+        let loaded = recover(slot.lock()).take();
         match loaded {
             Some(replica) => {
                 let _ = replica.journal.discard();
@@ -767,7 +695,7 @@ impl ReplicaStore {
             }
             None => {
                 let _ = std::fs::remove_file(Journal::path_for(&self.config.dir, session));
-                let _ = self.image_store(session).discard();
+                let _ = self.image_file(session).discard();
             }
         }
     }
@@ -896,7 +824,7 @@ mod tests {
         // Hold replica a's own lock, as a slow append would; an append
         // to b must still complete.
         let slot_a = replicas.slot("a");
-        let held = slot_a.replica.lock().unwrap();
+        let held = slot_a.lock().unwrap();
         let (tx, rx) = std::sync::mpsc::channel();
         let worker = {
             let replicas = Arc::clone(&replicas);
@@ -915,47 +843,6 @@ mod tests {
             replicas.status(),
             vec![("a".to_owned(), 0, 0), ("b".to_owned(), 1, 0)]
         );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn appends_flow_while_a_steady_state_image_is_written() {
-        let dir = temp_dir("image-lock");
-        let mut config = JournalConfig::new(&dir);
-        config.fsync = false;
-        let replicas = Arc::new(ReplicaStore::new(&config));
-        let none = FaultPlan::none();
-        replicas.subscribe("s1", 0).unwrap();
-        for seq in 0..3 {
-            replicas.append("s1", seq, rec("cmd"), &none).unwrap();
-        }
-        // Hold the standby's image lock, as a steady-state image write
-        // does: an append to the same standby must still complete.
-        let slot = replicas.slot("s1");
-        let writing = slot.images.lock().unwrap();
-        let (tx, rx) = std::sync::mpsc::channel();
-        let worker = {
-            let replicas = Arc::clone(&replicas);
-            std::thread::spawn(move || {
-                tx.send(replicas.append("s1", 3, rec("cmd"), &FaultPlan::none()))
-                    .unwrap();
-            })
-        };
-        let out = rx
-            .recv_timeout(std::time::Duration::from_secs(10))
-            .expect("append blocked behind the image write");
-        assert!(out.is_ok(), "{out:?}");
-        drop(writing);
-        worker.join().unwrap();
-        // The steady-state image itself: written, then the journal
-        // truncated at its watermark, the later record kept.
-        let frame = encode_frame(Some((2, &image("s1", 2))), &[]);
-        assert_eq!(
-            replicas.apply_range("s1", 2, &frame, &none),
-            Ok("repl ranged s1 have=4 image=2".to_owned())
-        );
-        let evidence = replicas.evidence("s1").unwrap();
-        assert_eq!((evidence.base, evidence.records.len()), (2, 2));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -995,6 +882,17 @@ mod tests {
         let evidence = replicas.evidence("s1").unwrap();
         assert_eq!((evidence.base, evidence.records.len()), (2, 1));
         assert_eq!(evidence.image.unwrap().watermark, 2);
+        // A steady-state image — alone, its records already held — keeps
+        // the records past it.
+        replicas.append("s1", 3, rec("cmd 3"), &none).unwrap();
+        let frame = encode_frame(Some((3, &image("s1", 3))), &[]);
+        assert_eq!(
+            replicas.apply_range("s1", 3, &frame, &none),
+            Ok("repl ranged s1 have=4 image=3".to_owned())
+        );
+        let evidence = replicas.evidence("s1").unwrap();
+        assert_eq!(evidence.base, 3);
+        assert_eq!(evidence.records, vec![rec("cmd 3")]);
         // An image ahead of the records empties the journal at it.
         let frame = encode_frame(Some((7, &image("s1", 7))), &[]);
         assert_eq!(

@@ -579,26 +579,29 @@ pub fn serve_lines(
             write_response(&mut writer, true, "")?;
             continue;
         }
-        let mut frame = Vec::new();
+        let mut frame = None;
         let (command, heredoc) = if let Some((command, len)) = frame_start(command) {
-            match len.filter(|&n| n <= max_frame_bytes) {
+            match len.filter(|&n| max_frame_bytes > 0 && n <= max_frame_bytes) {
                 Some(n) => {
                     // The connection died mid-frame: the command never
                     // ran, so nothing was applied.
-                    if !read_protocol_bytes(&mut reader, shutdown, read_timeout, n, &mut frame)? {
+                    let mut bytes = Vec::new();
+                    if !read_protocol_bytes(&mut reader, shutdown, read_timeout, n, &mut bytes)? {
                         return Ok(());
                     }
+                    frame = Some(bytes);
                     (command, None)
                 }
                 None => {
+                    let why = match max_frame_bytes {
+                        0 => "binary frames are not accepted here".to_owned(),
+                        max => format!("binary frame exceeds {max} bytes"),
+                    };
                     return write_response(
                         &mut writer,
                         false,
-                        &format!(
-                            "protocol error: binary frame exceeds {max_frame_bytes} bytes; \
-                             closing connection"
-                        ),
-                    )
+                        &format!("protocol error: {why}; closing connection"),
+                    );
                 }
             }
         } else {
@@ -638,10 +641,10 @@ pub fn serve_lines(
                 }
             }
         };
-        let body = match &heredoc {
-            Some(text) => Some(Body::Heredoc(text)),
-            None if !frame.is_empty() => Some(Body::Bytes(&frame)),
-            None => None,
+        let body = match (&heredoc, &frame) {
+            (Some(text), _) => Some(Body::Heredoc(text)),
+            (None, Some(bytes)) => Some(Body::Bytes(bytes)),
+            (None, None) => None,
         };
         let Some(reply) = handle(command, body) else {
             return Ok(());
@@ -814,7 +817,12 @@ fn serve_connection(
         config.read_timeout,
         config.max_line_bytes,
         config.max_heredoc_bytes,
-        MAX_FRAME_BYTES,
+        // Only a replicating backend takes `repl range` frames.
+        if registry.replicating() {
+            MAX_FRAME_BYTES
+        } else {
+            0
+        },
         |command, body| {
             let start = Instant::now();
             let reply = dispatch(&ctx, command, body, &mut attached);
@@ -878,6 +886,9 @@ fn dispatch(
         None => (command, None),
     };
     let words: Vec<&str> = command.split_whitespace().collect();
+    if matches!(body, Some(Body::Bytes(_))) && !matches!(words.as_slice(), ["repl", "range", ..]) {
+        return Reply::err("protocol error: only repl range takes a <<BYTES frame");
+    }
     match words.as_slice() {
         ["session", "new"] | ["session", "new", _] => {
             let requested = words.get(2).copied();
@@ -1152,6 +1163,15 @@ mod tests {
             heredoc: Option<&str>,
             attached: &mut Option<Arc<crate::session::Session>>,
         ) -> (bool, String, bool) {
+            self.dispatch_body(command, heredoc.map(Body::Heredoc), attached)
+        }
+
+        fn dispatch_body(
+            &self,
+            command: &str,
+            body: Option<Body<'_>>,
+            attached: &mut Option<Arc<crate::session::Session>>,
+        ) -> (bool, String, bool) {
             let reply = dispatch(
                 &DispatchCtx {
                     registry: &self.registry,
@@ -1162,7 +1182,7 @@ mod tests {
                     default_deadline: None,
                 },
                 command,
-                heredoc.map(Body::Heredoc),
+                body,
                 attached,
             );
             (reply.ok, reply.body, reply.close)
@@ -1469,6 +1489,60 @@ mod tests {
         let (ok, body, _) = ctx.dispatch("repl subscribe s1", None, &mut attached);
         assert!(!ok);
         assert!(body.starts_with("usage: repl"), "{body}");
+    }
+
+    #[test]
+    fn only_repl_range_takes_a_binary_frame() {
+        let dir = std::env::temp_dir().join(format!("iwb-frame-verbs-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let registry = SessionRegistry::new(8, Duration::from_secs(60))
+            .with_journal(crate::journal::JournalConfig::new(&dir))
+            .with_repl(crate::repl::ReplConfig {
+                peers: vec!["127.0.0.1:1".into(), "127.0.0.1:2".into()],
+                self_index: 0,
+            });
+        let ctx = Ctx::with_registry(registry, FaultPlan::none());
+        let mut attached = None;
+        let (ok, _, _) = ctx.dispatch("session new s1", None, &mut attached);
+        assert!(ok);
+        let schema = b"entity A { x : text }\n";
+        for command in [
+            "load er a",
+            "@0 load er a",
+            "repl append s1 0 load er a",
+            "session new s2",
+        ] {
+            let (ok, body, _) =
+                ctx.dispatch_body(command, Some(Body::Bytes(schema)), &mut attached);
+            assert!(!ok, "{command} must refuse a frame");
+            assert!(body.contains("only repl range"), "{command}: {body}");
+        }
+        // Nothing ran.
+        assert_eq!(ctx.registry.get("s1").unwrap().seq(), 0);
+        assert!(ctx.registry.get("s2").is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_backend_that_does_not_replicate_refuses_binary_frames() {
+        let handle = serve(ServerConfig {
+            workers: 2,
+            ..ServerConfig::default()
+        })
+        .unwrap();
+        for len in [0, 4] {
+            let mut client = crate::client::Client::connect(handle.addr()).unwrap();
+            let resp = client
+                .request_with_bytes("repl range s1 0", &b"abcd"[..len])
+                .unwrap();
+            assert!(!resp.ok);
+            assert_eq!(
+                resp.body,
+                "protocol error: binary frames are not accepted here; closing connection"
+            );
+        }
+        handle.shutdown();
+        handle.join();
     }
 
     #[test]

@@ -575,12 +575,19 @@ impl SessionRegistry {
             }
             None => format!("s{}", self.counter.fetch_add(1, Ordering::Relaxed) + 1),
         };
+        let full = {
+            let map = recover(self.sessions.lock());
+            if map.contains_key(&id) {
+                return Err(RegistryError::DuplicateId(id));
+            }
+            map.len() >= self.max_sessions
+        };
+        if full {
+            self.evict_idle();
+        }
         let mut map = recover(self.sessions.lock());
         if map.contains_key(&id) {
             return Err(RegistryError::DuplicateId(id));
-        }
-        if map.len() >= self.max_sessions {
-            self.evict_idle_locked(&mut map);
         }
         if map.len() >= self.max_sessions {
             return Err(RegistryError::AtCapacity(self.max_sessions));
@@ -630,31 +637,40 @@ impl SessionRegistry {
     }
 
     /// Evict every idle session (idle past the timeout and not
-    /// mid-command); returns the evicted ids.
+    /// mid-command); returns the evicted ids. Under a store each victim
+    /// is imaged first — a disk write and a ship to its successor — with
+    /// the session map unlocked, so lookups, attaches and promotions
+    /// never wait on it; a victim used meanwhile stays live.
     pub fn evict_idle(&self) -> Vec<String> {
-        let mut map = recover(self.sessions.lock());
-        self.evict_idle_locked(&mut map)
-    }
-
-    fn evict_idle_locked(&self, map: &mut HashMap<String, Arc<Session>>) -> Vec<String> {
-        let victims: Vec<String> = map
-            .iter()
-            .filter(|(_, s)| s.evictable(self.idle_timeout))
-            .map(|(id, _)| id.clone())
+        let idle: Vec<Arc<Session>> = recover(self.sessions.lock())
+            .values()
+            .filter(|s| s.evictable(self.idle_timeout))
+            .cloned()
             .collect();
-        for id in &victims {
-            if let Some(session) = map.remove(id) {
-                if session.images.is_some() {
-                    // Under a store, eviction persists instead of
-                    // forgetting: the image and journal stay on disk
-                    // so recovery restores the session.
-                    session.flush_image();
-                } else {
-                    session.discard_journal();
-                }
+        for session in &idle {
+            if session.images.is_some() {
+                // Under a store, eviction persists instead of
+                // forgetting: the image and journal stay on disk so
+                // recovery restores the session.
+                session.flush_image();
             }
         }
-        victims
+        let mut map = recover(self.sessions.lock());
+        let mut evicted = Vec::new();
+        for session in idle {
+            let still_idle = session.evictable(self.idle_timeout)
+                && map
+                    .get(session.id())
+                    .is_some_and(|live| Arc::ptr_eq(live, &session));
+            if still_idle {
+                map.remove(session.id());
+                if session.images.is_none() {
+                    session.discard_journal();
+                }
+                evicted.push(session.id().to_owned());
+            }
+        }
+        evicted
     }
 
     /// Live sessions right now.
@@ -700,6 +716,70 @@ mod tests {
         stats: &ServerStats,
     ) -> ExecOutcome {
         session.execute_command(command, heredoc, faults, 3, stats, None)
+    }
+
+    #[test]
+    fn eviction_ships_its_image_with_the_session_map_unlocked() {
+        use crate::repl::ReplConfig;
+        use iwb_store::fault::REPL_LAG;
+        // A successor that accepts connections and never answers.
+        let wedged = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let dir = std::env::temp_dir().join(format!("iwb-evict-ship-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let reg = Arc::new(
+            SessionRegistry::new(4, Duration::ZERO)
+                .with_journal(JournalConfig::new(&dir))
+                .with_store(StoreConfig {
+                    dir: dir.clone(),
+                    fsync: false,
+                    snapshot_every: 0,
+                })
+                .with_repl(ReplConfig {
+                    peers: vec![
+                        "127.0.0.1:1".into(),
+                        wedged.local_addr().unwrap().to_string(),
+                    ],
+                    self_index: 0,
+                }),
+        );
+        let stats = ServerStats::new();
+        // The command's own ship is skipped: only the eviction ships.
+        let lag = FaultSpec::seeded(1).at(REPL_LAG, &[0]).build();
+        let s = reg.create(Some("idle")).unwrap();
+        let out = exec(
+            &s,
+            "load er a",
+            Some("entity A { x : text }\n"),
+            &lag,
+            &stats,
+        );
+        assert!(matches!(out, ExecOutcome::Output(_)), "{out:?}");
+        drop(s);
+
+        let evictor = {
+            let reg = Arc::clone(&reg);
+            std::thread::spawn(move || reg.evict_idle())
+        };
+        // The eviction's image is on its way to the wedged successor.
+        let (held, _) = wedged.accept().unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let probe = {
+            let reg = Arc::clone(&reg);
+            std::thread::spawn(move || {
+                let found = reg.get("idle").is_some();
+                tx.send((found, reg.create(Some("other")).is_ok())).unwrap();
+            })
+        };
+        let seen = rx
+            .recv_timeout(Duration::from_secs(10))
+            .expect("a lookup waited on the eviction's ship");
+        assert_eq!(seen, (true, true));
+        drop(held); // the successor hangs up: the ship gives up
+        assert_eq!(evictor.join().unwrap(), vec!["idle".to_owned()]);
+        probe.join().unwrap();
+        assert!(reg.get("idle").is_none());
+        assert!(iwb_store::SessionStore::new(&dir, "idle").path().exists());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

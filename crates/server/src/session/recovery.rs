@@ -95,6 +95,21 @@ impl Images {
     pub(crate) fn store(&self) -> &SessionStore {
         &self.commits.store
     }
+
+    /// Put a promoted standby's verified image (`from`, at `watermark`)
+    /// in place as this session's, in turn with the session's commits:
+    /// an image committed meanwhile is newer and stays. `false` when the
+    /// image could not be moved; then no image counts as committed, so
+    /// the next capture commits whatever its watermark.
+    pub(crate) fn adopt(&self, from: &SessionStore, watermark: u64) -> bool {
+        let mut committed = recover(self.commits.committed.lock());
+        if *committed > watermark {
+            return true;
+        }
+        let moved = from.move_to(&self.commits.store).is_ok();
+        *committed = if moved { watermark } else { 0 };
+        moved
+    }
 }
 
 /// A session's image file and its commits, which run one at a time and
@@ -111,22 +126,23 @@ struct Commits {
 impl Commits {
     /// Commit `image` (write, read back, rename); on success drop the
     /// journal prefix it covers and ship it to the successor. An image
-    /// no newer than the one in place is skipped.
+    /// no newer than the one in place is skipped. `true` when an image
+    /// at least as new as `image` is in place.
     fn commit(
         &self,
         image: &SessionSnapshot,
         faults: &FaultPlan,
         journal: &Mutex<Option<Journal>>,
         repl: Option<&Replicator>,
-    ) {
+    ) -> bool {
         let mut committed = recover(self.committed.lock());
         if image.watermark <= *committed {
-            return;
+            return true;
         }
         let bytes = image.encode();
         if self.store.install(&bytes, image.watermark, faults).is_err() {
             self.stats.add(StoreCounter::VerifyFailed, 1);
-            return;
+            return false;
         }
         *committed = image.watermark;
         self.stats.add(StoreCounter::Committed, 1);
@@ -138,6 +154,7 @@ impl Commits {
         if let Some(repl) = repl {
             repl.ship_image(&image.session_id, journal, (image.watermark, &bytes));
         }
+        true
     }
 }
 
@@ -156,20 +173,25 @@ impl Session {
         let faults = faults.clone();
         let journal = Arc::clone(&self.journal);
         let repl = self.repl.clone();
-        worker.submit(move || commits.commit(&image, &faults, &journal, repl.as_deref()));
+        worker.submit(move || {
+            commits.commit(&image, &faults, &journal, repl.as_deref());
+        });
     }
 
     /// Capture and commit an image synchronously (eviction, release,
-    /// shutdown, a first promotion).
-    pub(super) fn flush_image(&self) {
-        let Some(images) = &self.images else { return };
+    /// shutdown, promotion); `true` when an image of the session as it
+    /// stands is in place.
+    pub(super) fn flush_image(&self) -> bool {
+        let Some(images) = &self.images else {
+            return false;
+        };
         let image = {
             let shell = recover(self.shell.lock());
             let Some(watermark) = recover(self.journal.lock())
                 .as_ref()
                 .map(|j| j.len() as u64)
             else {
-                return;
+                return false;
             };
             self.capture_image(&shell, watermark)
         };
@@ -178,7 +200,7 @@ impl Session {
             &FaultPlan::none(),
             &self.journal,
             self.repl.as_deref(),
-        );
+        )
     }
 
     /// Delete the session's image file, if any (deliberate close).
@@ -711,6 +733,65 @@ mod tests {
             assert_eq!(before, export_of(&recovered, &stats), "{spec}");
             let _ = std::fs::remove_dir_all(&dir);
         }
+
+        // An image corrupted on disk after it committed fails at
+        // recovery instead. Beside a journal truncated under it nothing
+        // else proves the first three records: the session is skipped,
+        // never rebuilt from the suffix alone.
+        let stats = ServerStats::new();
+        let dir = store_dir("flipped");
+        let reg = store_registry(&dir, 3);
+        let s = reg.create(Some("c")).unwrap();
+        for (cmd, heredoc) in &WARM_SCRIPT[..3] {
+            let out = exec(&s, cmd, *heredoc, &FaultPlan::none(), &stats);
+            assert!(matches!(out, ExecOutcome::Output(_)), "{cmd}: {out:?}");
+        }
+        let before = export_of(&s, &stats);
+        reg.drain_snapshots();
+        assert_eq!(reg.store_stats().get(StoreCounter::Truncated), 1);
+        drop(reg);
+        let path = SessionStore::new(&dir, "c").path();
+        let mut flipped = std::fs::read(&path).unwrap();
+        let mid = flipped.len() / 2;
+        flipped[mid] ^= 0x20;
+        std::fs::write(&path, &flipped).unwrap();
+        let fresh = store_registry(&dir, 1);
+        let report = fresh.recover(&stats).unwrap();
+        assert_eq!(
+            (report.sessions, report.skipped, report.snapshot_fallbacks),
+            (0, 1, 1),
+            "{report:?}"
+        );
+        assert!(fresh.get("c").is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+
+        // The same corrupt image beside a whole journal (base 0, no
+        // image ever committed): the journal alone rebuilds the session.
+        let dir = store_dir("flipped-whole");
+        let reg = store_registry(&dir, 0);
+        let s = reg.create(Some("c")).unwrap();
+        for (cmd, heredoc) in &WARM_SCRIPT[..3] {
+            let out = exec(&s, cmd, *heredoc, &FaultPlan::none(), &stats);
+            assert!(matches!(out, ExecOutcome::Output(_)), "{cmd}: {out:?}");
+        }
+        assert_eq!(export_of(&s, &stats), before);
+        drop(reg);
+        std::fs::write(SessionStore::new(&dir, "c").path(), &flipped).unwrap();
+        let fresh = store_registry(&dir, 1);
+        let report = fresh.recover(&stats).unwrap();
+        assert_eq!(
+            (
+                report.sessions,
+                report.images,
+                report.replayed,
+                report.snapshot_fallbacks
+            ),
+            (1, 0, 3, 1),
+            "{report:?}"
+        );
+        let recovered = fresh.get("c").expect("journal replay rebuilt the session");
+        assert_eq!(before, export_of(&recovered, &stats));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

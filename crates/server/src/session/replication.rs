@@ -8,9 +8,12 @@
 //! backend's own image and journal, or the standby a peer streamed here.
 //! Both are paired by [`History::pair`] and rebuilt by
 //! [`SessionRegistry::rebuild_session`]; a standby's image becomes the
-//! new owner's image, and a promotion without any image captures one.
-//! The new owner then ships image and suffix to its own successor in
-//! one frame, so the next failover is warm too.
+//! new owner's image (moved, or copied and verified where the rename
+//! fails; captured afresh if neither works), and a promotion without
+//! any image captures one. The standby is dropped only once the owner
+//! holds an image covering its journal's base. The new owner then
+//! ships image and suffix to its own successor in one frame, so the
+//! next failover is warm too.
 
 use super::recovery::History;
 use super::{recover, valid_id, RecoveryReport, Session, SessionRegistry};
@@ -191,6 +194,7 @@ impl SessionRegistry {
         let from_replica = replica_len > local_len;
         let history = if from_replica { replica } else { local }.expect("evidence present");
         let imaged = history.image.is_some();
+        let watermark = history.base;
         let lookup = started.elapsed();
         let times = self
             .rebuild_session(&config, id, history, &mut report, stats)
@@ -204,12 +208,13 @@ impl SessionRegistry {
             // The standby's image becomes the owner's; the rest of the
             // standby would only diverge from here, and this backend
             // now streams the session onward to its *own* successor.
-            if from_replica && imaged {
-                if let Some(to) = self.image_store(id) {
-                    let _ = replicas.adopt_image(id, &to);
-                }
+            // Until the owner holds an image at the journal's base, the
+            // standby is the only proof of the history below it.
+            let placed = !(from_replica && imaged)
+                || self.adopt_standby_image(&session, replicas, watermark);
+            if placed {
+                replicas.remove(id);
             }
-            replicas.remove(id);
         }
         if !imaged {
             // A first promotion before any image: capture one, so the
@@ -225,6 +230,26 @@ impl SessionRegistry {
         session.ship_replica(&FaultPlan::none());
         stats.record_promote(PromoteStage::Ship, started.elapsed());
         Ok(session.seq())
+    }
+
+    /// Make the standby image at `watermark` the promoted session's own:
+    /// moved into its store, or — when that fails — a fresh capture.
+    /// `false` when neither put an image in place.
+    fn adopt_standby_image(
+        &self,
+        session: &Session,
+        replicas: &ReplicaStore,
+        watermark: u64,
+    ) -> bool {
+        let from = replicas.image_file(session.id());
+        match &session.images {
+            Some(images) => images.adopt(&from, watermark) || session.flush_image(),
+            // Without a store the image lives beside the journal, and
+            // the session captures none of its own.
+            None => self
+                .image_store(session.id())
+                .is_some_and(|to| from.move_to(&to).is_ok()),
+        }
     }
 
     /// Release a live session for migration: persist its final image,
@@ -258,7 +283,7 @@ mod tests {
     use super::*;
     use crate::journal::{Journal, JournalConfig};
     use crate::session::{ExecOutcome, StoreConfig};
-    use std::path::PathBuf;
+    use std::path::{Path, PathBuf};
     use std::time::Duration;
 
     fn store_dir(tag: &str) -> PathBuf {
@@ -399,6 +424,115 @@ mod tests {
             "an id with no evidence must be refused"
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// An owner that ran the warm script with an image every
+    /// `snapshot_every` records: its export and its image file.
+    fn owner_image(dir: &PathBuf, snapshot_every: u64, stats: &ServerStats) -> (String, Vec<u8>) {
+        let owner = store_registry(dir, snapshot_every);
+        let s = owner.create(Some("p")).unwrap();
+        run_warm_script(&s, stats);
+        owner.drain_snapshots();
+        let (_, image) = iwb_store::SessionStore::new(dir, "p")
+            .load_bytes()
+            .unwrap()
+            .unwrap();
+        (export_of(&s, stats), image)
+    }
+
+    /// A sink whose journals (and standbys) live in `journal_dir` and
+    /// whose images live in `store_dir`.
+    fn sink_registry(journal_dir: &Path, store_dir: &Path) -> SessionRegistry {
+        SessionRegistry::new(4, Duration::from_secs(60))
+            .with_journal(JournalConfig::new(journal_dir))
+            .with_store(StoreConfig {
+                dir: store_dir.to_path_buf(),
+                fsync: false,
+                snapshot_every: 64,
+            })
+            .with_repl(ReplConfig {
+                peers: vec!["127.0.0.1:1".into(), "127.0.0.1:2".into()],
+                self_index: 1,
+            })
+    }
+
+    #[test]
+    fn promotion_moves_the_standby_image_into_a_separate_store_dir() {
+        let owner_dir = store_dir("split-owner");
+        let (journal_dir, image_dir) = (store_dir("split-journal"), store_dir("split-images"));
+        let stats = ServerStats::new();
+        let (before, image) = owner_image(&owner_dir, 6, &stats);
+        let sink = sink_registry(&journal_dir, &image_dir);
+        assert_eq!(sink.repl_subscribe("p", 6), Ok(0));
+        let frame = crate::repl::encode_frame(Some((6, &image)), &[]);
+        sink.repl_range("p", 6, &frame, &FaultPlan::none()).unwrap();
+
+        assert_eq!(sink.promote("p", 6, &stats), Ok(6));
+        let adopted = iwb_store::SessionStore::new(&image_dir, "p")
+            .load()
+            .unwrap();
+        assert_eq!(adopted.map(|i| i.watermark), Some(6));
+        assert!(
+            !iwb_store::SessionStore::new(journal_dir.join("replica"), "p")
+                .path()
+                .exists()
+        );
+        assert!(!sink.repl_status().unwrap().contains("replica id=p"));
+        drop(sink); // crash: the journal at base 6 and the adopted image
+
+        let fresh = sink_registry(&journal_dir, &image_dir);
+        let report = fresh.recover(&stats).unwrap();
+        assert_eq!(
+            (report.sessions, report.images, report.replayed),
+            (1, 1, 0),
+            "{report:?}"
+        );
+        assert_eq!(before, export_of(&fresh.get("p").unwrap(), &stats));
+        for dir in [owner_dir, journal_dir, image_dir] {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+
+    #[test]
+    fn a_standby_image_that_cannot_be_placed_keeps_the_standby() {
+        let owner_dir = store_dir("unplaced-owner");
+        let sink_dir = store_dir("unplaced-sink");
+        let stats = ServerStats::new();
+        let (before, image) = owner_image(&owner_dir, 6, &stats);
+        let sink = sink_registry(&sink_dir, &sink_dir);
+        sink.repl_subscribe("p", 6).unwrap();
+        let frame = crate::repl::encode_frame(Some((6, &image)), &[]);
+        sink.repl_range("p", 6, &frame, &FaultPlan::none()).unwrap();
+        // Nothing can take the owner's image path: neither the move nor a
+        // fresh capture puts an image in place.
+        let blocked = iwb_store::SessionStore::new(&sink_dir, "p").path();
+        std::fs::create_dir_all(blocked.join("in-the-way")).unwrap();
+
+        assert_eq!(sink.promote("p", 6, &stats), Ok(6));
+        assert_eq!(export_of(&sink.get("p").unwrap(), &stats), before);
+        // The journal now starts at 6 with no image under it, so the
+        // standby — the only proof of the first six records — stays.
+        let status = sink.repl_status().unwrap();
+        assert!(status.contains("replica id=p seq=6 image=6"), "{status}");
+        assert!(
+            sink.store_stats()
+                .get(crate::session::StoreCounter::VerifyFailed)
+                >= 1
+        );
+
+        // Once the path clears, the next capture commits even at the
+        // standby's watermark: the failed move left nothing counted.
+        std::fs::remove_dir_all(&blocked).unwrap();
+        assert_eq!(sink.flush_snapshots(), 1);
+        let placed = iwb_store::SessionStore::new(&sink_dir, "p").load().unwrap();
+        assert_eq!(placed.map(|i| i.watermark), Some(6));
+        drop(sink);
+        let fresh = sink_registry(&sink_dir, &sink_dir);
+        let report = fresh.recover(&stats).unwrap();
+        assert_eq!((report.sessions, report.images), (1, 1), "{report:?}");
+        assert_eq!(before, export_of(&fresh.get("p").unwrap(), &stats));
+        let _ = std::fs::remove_dir_all(&owner_dir);
+        let _ = std::fs::remove_dir_all(&sink_dir);
     }
 
     #[test]

@@ -160,9 +160,25 @@ impl SessionStore {
 
     /// Move this image to `to` (a promoted replica's image becomes the
     /// new owner's): a rename, so the verified bytes are not rewritten.
+    /// Where the rename fails — the two directories lie on different
+    /// filesystems — the image is installed in `to` as a verified copy
+    /// ([`Self::install`]) and only then removed here.
     pub fn move_to(&self, to: &SessionStore) -> io::Result<()> {
         std::fs::create_dir_all(&to.dir)?;
-        std::fs::rename(self.path(), to.path())
+        if std::fs::rename(self.path(), to.path()).is_err() {
+            self.copy_to(to)?;
+            self.discard()?;
+        }
+        Ok(())
+    }
+
+    /// Install a verified copy of this image in `to`.
+    fn copy_to(&self, to: &SessionStore) -> io::Result<()> {
+        let (watermark, image) = self
+            .load_bytes()
+            .map_err(into_io)?
+            .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "no image to move"))?;
+        to.install(&image, watermark, &FaultPlan::none())
     }
 
     /// Delete this session's image, if present (session close).
@@ -287,6 +303,39 @@ mod tests {
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(store.load().unwrap().is_none());
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_move_renames_or_falls_back_to_a_verified_copy() {
+        let (from_dir, to_dir) = (tmpdir("move-from"), tmpdir("move-to"));
+        let mut from = SessionStore::new(&from_dir, "s1");
+        from.fsync = false;
+        let mut to = SessionStore::new(&to_dir, "s1");
+        to.fsync = false;
+        let none = FaultPlan::none();
+        from.commit(&sample_snapshot(3), &none).unwrap();
+        from.move_to(&to).unwrap();
+        assert!(!from.path().exists());
+        assert_eq!(to.load().unwrap().unwrap().watermark, 3);
+        // The copy a failed rename falls back to reads the source through
+        // its checksums: a corrupt source never replaces `to`'s image.
+        from.commit(&sample_snapshot(5), &none).unwrap();
+        from.copy_to(&to).unwrap();
+        assert_eq!(to.load().unwrap().unwrap().watermark, 5);
+        from.commit(&sample_snapshot(7), &none).unwrap();
+        let mut bytes = std::fs::read(from.path()).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x08;
+        std::fs::write(from.path(), &bytes).unwrap();
+        assert!(from.copy_to(&to).is_err());
+        assert_eq!(to.load().unwrap().unwrap().watermark, 5);
+        // Nothing to move is an error, not an empty image.
+        from.discard().unwrap();
+        let err = from.move_to(&to).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::NotFound);
+        assert_eq!(to.load().unwrap().unwrap().watermark, 5);
+        std::fs::remove_dir_all(&from_dir).ok();
+        std::fs::remove_dir_all(&to_dir).ok();
     }
 
     #[test]

@@ -67,7 +67,7 @@ grep -q '"session_leaks": 0' target/BENCH_server_storm.json
 echo "== store suite (snapshot torn/bitflip/stale detection, roundtrips, rendezvous ranking)"
 cargo test -q --offline -p iwb-store
 
-echo "== store persistence suite (image restore, corrupt-image fallback, a torn image keeps the previous one, bad-journal refusal, truncated journals count the whole history, replica images and per-replica locks, image + suffix equals replay from record 0)"
+echo "== store persistence suite (image restore, corrupt-image fallback, a torn image keeps the previous one, bad-journal refusal, truncated journals count the whole history, replica images and per-replica locks, the standby image placed on promotion or the standby kept, eviction images with the session map unlocked, binary frames only for repl range on a replicating backend, image + suffix equals replay from record 0)"
 cargo test -q --offline -p iwb-server --lib -- \
     store_sessions_reopen_warm_after_restart \
     evicted_store_sessions_are_persisted_not_forgotten \
@@ -81,7 +81,11 @@ cargo test -q --offline -p iwb-server --lib -- \
     a_range_installs_a_newer_image_and_truncates_the_replica \
     a_torn_or_bit_flipped_frame_changes_nothing \
     an_append_to_one_replica_never_waits_for_another \
-    appends_flow_while_a_steady_state_image_is_written
+    promotion_moves_the_standby_image_into_a_separate_store_dir \
+    a_standby_image_that_cannot_be_placed_keeps_the_standby \
+    eviction_ships_its_image_with_the_session_map_unlocked \
+    only_repl_range_takes_a_binary_frame \
+    a_backend_that_does_not_replicate_refuses_binary_frames
 cargo test -q --offline -p iwb-eval --test image_restore
 
 echo "== incremental re-match determinism (byte-identical splice across threads/cache; learned re-matches re-score only the voters that read learned state, stay staged and bit-identical over 5 feedback rounds on every eval domain, and retry identically after an abort)"

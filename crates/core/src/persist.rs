@@ -96,12 +96,14 @@ fn encode_lines(lines: &[String]) -> Vec<u8> {
     w.varint(lines.len() as u64);
     let mut previous = "";
     for line in lines {
-        let shared = previous
-            .char_indices()
-            .zip(line.chars())
-            .take_while(|((_, a), b)| a == b)
-            .last()
-            .map_or(0, |((i, a), _)| i + a.len_utf8());
+        let mut shared = previous
+            .bytes()
+            .zip(line.bytes())
+            .take_while(|(a, b)| a == b)
+            .count();
+        while !line.is_char_boundary(shared) {
+            shared -= 1;
+        }
         w.varint(shared as u64);
         w.str(&line[shared..]);
         previous = line;
@@ -232,10 +234,20 @@ mod tests {
 
     #[test]
     fn front_coded_lines_round_trip() {
-        let lines: Vec<String> = ["", "  round 0: a→b", "  round 0: a→c", "ünïcode", "ü", ""]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
+        // "x→" and "x←" share the arrow's first two bytes, not the arrow.
+        let lines: Vec<String> = [
+            "",
+            "  round 0: a→b",
+            "  round 0: a→c",
+            "ünïcode",
+            "ü",
+            "",
+            "x→",
+            "x←",
+        ]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
         assert_eq!(decode_lines(&encode_lines(&lines)).unwrap(), lines);
     }
 

@@ -113,19 +113,19 @@ pub fn encode_entries<'a>(segments: impl IntoIterator<Item = (&'a str, &'a [u8])
     let payload_len = file.len() - HEADER_LEN;
 
     // Index: segment table, then per-page payload checksums.
+    let ends: Vec<usize> = entries.iter().map(|(_, o, l)| (o + l) as usize).collect();
+    let (page_sums, segment_sums) = checksums(&file[HEADER_LEN..], PAGE_SIZE, &ends);
     let mut index = ByteWriter::new();
     index.u32(entries.len() as u32);
-    for (name, offset, len) in &entries {
+    for ((name, offset, len), sum) in entries.iter().zip(segment_sums) {
         index.str(name);
         index.u64(*offset);
         index.u64(*len);
-        let start = HEADER_LEN + *offset as usize;
-        index.u64(fnv1a64(&file[start..start + *len as usize]));
+        index.u64(sum);
     }
-    let pages = file[HEADER_LEN..].chunks(PAGE_SIZE);
-    index.u32(pages.len() as u32);
-    for page in pages {
-        index.u64(fnv1a64(page));
+    index.u32(page_sums.len() as u32);
+    for sum in page_sums {
+        index.u64(sum);
     }
     let index = index.into_bytes();
 
@@ -144,6 +144,42 @@ pub fn encode_entries<'a>(segments: impl IntoIterator<Item = (&'a str, &'a [u8])
     file[..HEADER_LEN].copy_from_slice(&header);
     file.extend_from_slice(&index);
     file
+}
+
+/// The FNV-1a64 of every `page_size` page of `payload` and of every
+/// segment, given the segments' end offsets in order — the segments
+/// tile the payload. One pass runs both hashes side by side over each
+/// byte, which costs about as much as one hash.
+fn checksums(payload: &[u8], page_size: usize, segment_ends: &[usize]) -> (Vec<u64>, Vec<u64>) {
+    const SEED: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    let mut pages = Vec::with_capacity(payload.len().div_ceil(page_size));
+    let mut segments = Vec::with_capacity(segment_ends.len());
+    let (mut page, mut segment) = (SEED, SEED);
+    let mut ends = segment_ends.iter().copied().peekable();
+    let mut at = 0;
+    loop {
+        while ends.next_if_eq(&at).is_some() {
+            segments.push(segment);
+            segment = SEED;
+        }
+        if at == payload.len() {
+            return (pages, segments);
+        }
+        let page_end = (at / page_size + 1) * page_size;
+        let stop = page_end
+            .min(payload.len())
+            .min(ends.peek().copied().unwrap_or(payload.len()));
+        for &b in &payload[at..stop] {
+            page = (page ^ u64::from(b)).wrapping_mul(PRIME);
+            segment = (segment ^ u64::from(b)).wrapping_mul(PRIME);
+        }
+        at = stop;
+        if at == page_end || at == payload.len() {
+            pages.push(page);
+            page = SEED;
+        }
+    }
 }
 
 /// Apply any armed `snapshot-*` faults to an encoded file image. The
@@ -227,9 +263,10 @@ pub fn decode(file: &[u8]) -> Result<BTreeMap<String, Vec<u8>>, SnapshotError> {
 /// [`decode`] without copying: the verified segments borrow `file`.
 ///
 /// Verification order: length → magic → header checksum → version →
-/// index bounds and checksum → page checksums → segment bounds and
-/// checksums. The first failing layer names the error, so corruption
-/// tests can assert *which* guard caught the damage.
+/// index bounds and checksum → segment bounds (the segments must tile
+/// the payload in index order) → page checksums → segment checksums.
+/// The first failing layer names the error, so corruption tests can
+/// assert *which* guard caught the damage.
 pub fn verify(file: &[u8]) -> Result<BTreeMap<String, &[u8]>, SnapshotError> {
     if file.len() < HEADER_LEN {
         return Err(SnapshotError::Torn);
@@ -278,24 +315,29 @@ pub fn verify(file: &[u8]) -> Result<BTreeMap<String, &[u8]>, SnapshotError> {
     if page_size == 0 || page_count != payload.len().div_ceil(page_size) {
         return Err(SnapshotError::Corrupt("index"));
     }
-    for page in payload.chunks(page_size) {
-        let expected = r.u64()?;
-        if fnv1a64(page) != expected {
+    let mut ends = Vec::with_capacity(entries.len());
+    for (_, offset, len, _) in &entries {
+        match offset.checked_add(*len) {
+            Some(end) if *offset == ends.last().copied().unwrap_or(0) => ends.push(end),
+            _ => return Err(SnapshotError::Corrupt("segment")),
+        }
+    }
+    if ends.last().copied().unwrap_or(0) != payload.len() {
+        return Err(SnapshotError::Corrupt("segment"));
+    }
+    let (page_sums, segment_sums) = checksums(payload, page_size, &ends);
+    for sum in page_sums {
+        if sum != r.u64()? {
             return Err(SnapshotError::Corrupt("page"));
         }
     }
 
     let mut segments = BTreeMap::new();
-    for (name, offset, len, sum) in entries {
-        let end = offset.checked_add(len).filter(|&e| e <= payload.len());
-        let Some(end) = end else {
-            return Err(SnapshotError::Corrupt("segment"));
-        };
-        let seg = &payload[offset..end];
-        if fnv1a64(seg) != sum {
+    for ((name, offset, len, expected), sum) in entries.into_iter().zip(segment_sums) {
+        if sum != expected {
             return Err(SnapshotError::Corrupt("segment"));
         }
-        segments.insert(name, seg);
+        segments.insert(name, &payload[offset..offset + len]);
     }
     Ok(segments)
 }
@@ -407,6 +449,40 @@ mod tests {
             sample(),
             "previous file kept"
         );
+    }
+
+    #[test]
+    fn one_pass_checksums_equal_a_hash_per_page_and_segment() {
+        let payload: Vec<u8> = (0..3 * PAGE_SIZE as u32 + 100)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 11) as u8)
+            .collect();
+        let cuts: [&[usize]; 5] = [
+            &[],
+            &[PAGE_SIZE],
+            &[0, 0, 17, PAGE_SIZE - 1, PAGE_SIZE, 2 * PAGE_SIZE + 5],
+            &[1, 2, 3],
+            &[3 * PAGE_SIZE],
+        ];
+        for len in [0, 1, PAGE_SIZE - 1, PAGE_SIZE, PAGE_SIZE + 1, payload.len()] {
+            let payload = &payload[..len];
+            for cut in cuts {
+                let mut ends: Vec<usize> = cut.iter().copied().filter(|&e| e <= len).collect();
+                ends.push(len);
+                let (pages, segments) = checksums(payload, PAGE_SIZE, &ends);
+                let expect_pages: Vec<u64> = payload.chunks(PAGE_SIZE).map(fnv1a64).collect();
+                let mut start = 0;
+                let expect_segments: Vec<u64> = ends
+                    .iter()
+                    .map(|&end| {
+                        let sum = fnv1a64(&payload[start..end]);
+                        start = end;
+                        sum
+                    })
+                    .collect();
+                assert_eq!(pages, expect_pages, "len {len} cut {cut:?}");
+                assert_eq!(segments, expect_segments, "len {len} cut {cut:?}");
+            }
+        }
     }
 
     #[test]

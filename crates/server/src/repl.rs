@@ -486,7 +486,7 @@ impl ReplicaStore {
     }
 
     /// `session`'s standby image file.
-    pub fn image_file(&self, session: &str) -> SessionStore {
+    pub(crate) fn image_file(&self, session: &str) -> SessionStore {
         let mut store = SessionStore::new(&self.config.dir, session);
         store.fsync = self.config.fsync;
         store

@@ -24,7 +24,9 @@
 //! body follows after one `\n`. Length + checksum framing makes torn
 //! tails detectable: recovery replays records up to the first
 //! malformed/truncated one and drops the rest (at most the final
-//! unacknowledged command).
+//! unacknowledged command). A `repl range` frame (see [`crate::repl`])
+//! carries its records in this same framing, so this module is the one
+//! place that lays a record out.
 //!
 //! ## Compaction and the image watermark
 //!
@@ -98,7 +100,8 @@ impl JournalRecord {
         out
     }
 
-    fn encode(&self) -> Vec<u8> {
+    /// The record's framing, on disk and in a `repl range` frame alike.
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let payload = self.payload();
         let mut out = format!(
             "r {} {:016x} {}\n",
@@ -388,9 +391,9 @@ fn split_line(bytes: &[u8]) -> Option<(&[u8], &[u8])> {
     Some((&bytes[..pos], &bytes[pos + 1..]))
 }
 
-/// Parse one record off the front; `None` on any truncation or
-/// corruption (the caller stops there).
-fn parse_record(bytes: &[u8]) -> Option<(JournalRecord, &[u8])> {
+/// Parse one [`JournalRecord::encode`]d record off the front; `None` on
+/// any truncation or corruption (the caller stops there).
+pub(crate) fn parse_record(bytes: &[u8]) -> Option<(JournalRecord, &[u8])> {
     let (header, rest) = split_line(bytes)?;
     let header = std::str::from_utf8(header).ok()?;
     let mut words = header.split_whitespace();

@@ -56,9 +56,9 @@
 //! session current       the attached session id
 //! session release <id>  persist a session and drop it live (files kept)
 //! repl subscribe <id> <len>   replication handshake (backend → backend)
-//! repl append <id> <seq> <c>  stream one journal record to a replica
-//! repl range <id> <from> <<BYTES <n>  an image and/or records from
-//!                       <from> as one binary frame (n raw bytes)
+//! repl range <id> <from> <<BYTES <n>  every shipment to a replica: an
+//!                       optional image and the records from <from> as
+//!                       one binary frame (n raw bytes)
 //! repl status           per-session replication lag + standbys (length, image)
 //! repl promote <id> <min-seq> rebuild from the best local evidence, or
 //!                       refuse with STALE-REPLICA if provably behind

@@ -23,31 +23,30 @@
 //!   resumes streaming from `n`. A replica *longer* than the source has
 //!   diverged (the session was closed and recreated) and is discarded,
 //!   so the reply never points past real history.
-//! * `repl append <session> <seq> <command…>` (plus the usual heredoc
-//!   framing) — one record at logical index `seq`, the steady state of
-//!   one commit. The sink enforces the same exactly-once discipline as
-//!   the router's `@seq` stamp: `seq` below the replica length is
-//!   acknowledged as a structured `DUPLICATE` without re-appending,
-//!   above it refused with `SEQ-GAP` (the source re-handshakes rather
-//!   than forking replica history).
 //! * `repl range <session> <from> <<BYTES <n>` then exactly `n` raw
-//!   bytes ([`encode_frame`]): an optional session image, then the
-//!   records from logical index `from`, then an FNV-1a64 checksum of
-//!   the records (the image bytes carry page checksums of their own). A
-//!   source sends one frame, on the session's stream connection, for
-//!   every image it commits (with whatever records past it the
-//!   successor lacks) and for every catch-up of more than one record —
-//!   after a `subscribe` that found the replica behind, all of it: the
-//!   image plus the suffix, one round trip and one sink fsync. Nothing
-//!   changes unless the frame verifies: a torn or bit-flipped frame is
-//!   refused and the standby stays as it was. Under the standby's own
-//!   lock, a verified image newer than the sink's replaces it (write,
-//!   read back, rename) and truncates the replica journal at its
-//!   watermark; the records then append under the `DUPLICATE`/`SEQ-GAP`
-//!   rules above. Frames are bounded by [`MAX_FRAME_BYTES`]; a backend
-//!   that does not replicate refuses every `<<BYTES` frame, and any
-//!   command but `repl range` that carries one is refused. The reply is
-//!   `repl ranged <session> have=<n> image=<w>`.
+//!   bytes ([`encode_frame`]) — every shipment: an optional session
+//!   image, then the records from logical index `from` in the journal's
+//!   own record framing ([`crate::journal`]), then an FNV-1a64 checksum
+//!   of everything but the image bytes (which carry page checksums of
+//!   their own). A source sends one frame, on the session's stream
+//!   connection, for each commit's record, for every catch-up — after a
+//!   `subscribe` that found the replica behind, all of it: the image
+//!   plus the suffix, one round trip and one sink fsync — and for every
+//!   image it commits, with whatever records past it the successor
+//!   lacks. Nothing changes unless the frame verifies: a torn or
+//!   bit-flipped frame is refused and the standby stays as it was.
+//!   Under the standby's own lock, a verified image newer than the
+//!   sink's replaces it (write, read back, rename) and truncates the
+//!   replica journal at its watermark. The records then pass the
+//!   replica's one exactly-once guard, the discipline of the router's
+//!   `@seq` stamp: records below the replica's length are skipped as
+//!   already held (a redelivered frame appends nothing and answers the
+//!   held length), and a frame that starts past that length is refused
+//!   with `SEQ-GAP` (the source re-handshakes rather than forking
+//!   replica history). Frames are bounded by [`MAX_FRAME_BYTES`]; a
+//!   backend that does not replicate refuses every `<<BYTES` frame, and
+//!   any command but `repl range` that carries one is refused. The
+//!   reply is `repl ranged <session> have=<n> image=<w>`.
 //! * `repl status` — one `source id=<id> seq=<n> acked=<n> lag=<n>`
 //!   row per live journaled session and one
 //!   `replica id=<id> seq=<n> image=<w>` row per standby (`image=0`:
@@ -71,9 +70,9 @@
 //! the successor before the client sees `ok`) but **best-effort**: a
 //! dead or slow successor degrades durability (the replica lags, and
 //! `repl status` says by how much) instead of availability. Every
-//! retry path re-handshakes, and the sink's `DUPLICATE` guard makes
-//! redelivery idempotent, so a crash anywhere in the stream never
-//! duplicates or reorders replica history.
+//! retry path re-handshakes, and the sink skips the records it already
+//! holds, so redelivery is idempotent and a crash anywhere in the
+//! stream never duplicates or reorders replica history.
 //!
 //! Fault injection: [`REPL_DISCONNECT`] drops the stream connection
 //! before shipping (the commit still acks; the replica falls behind),
@@ -82,7 +81,7 @@
 //! safety check to take the `STALE-REPLICA` path.
 
 use crate::client::Client;
-use crate::journal::{Journal, JournalConfig, JournalRecord};
+use crate::journal::{parse_record, Journal, JournalConfig, JournalRecord};
 use iwb_store::codec::{ByteReader, ByteWriter};
 use iwb_store::fault::{fnv1a64, fnv1a64_extend, FaultPlan, REPL_DISCONNECT, REPL_LAG};
 use iwb_store::{rendezvous, SessionSnapshot, SessionStore};
@@ -105,9 +104,9 @@ fn recover<'a, T>(
 }
 
 /// Encode a `repl range` frame: an optional image (a snapshot file
-/// image and its watermark), the records, and an FNV-1a64 checksum of
-/// everything but the image bytes, which carry page checksums of their
-/// own.
+/// image and its watermark), the records in the journal's framing, and
+/// an FNV-1a64 checksum of everything but the image bytes, which carry
+/// page checksums of their own.
 pub fn encode_frame(image: Option<(u64, &[u8])>, records: &[JournalRecord]) -> Vec<u8> {
     let mut head = ByteWriter::new();
     match image {
@@ -118,19 +117,11 @@ pub fn encode_frame(image: Option<(u64, &[u8])>, records: &[JournalRecord]) -> V
             head.u32(bytes.len() as u32);
         }
     }
-    let mut tail = ByteWriter::new();
-    tail.u32(records.len() as u32);
+    let mut tail = (records.len() as u32).to_le_bytes().to_vec();
     for record in records {
-        tail.str(&record.command);
-        match &record.heredoc {
-            None => tail.u8(0),
-            Some(body) => {
-                tail.u8(1);
-                tail.str(body);
-            }
-        }
+        tail.extend_from_slice(&record.encode());
     }
-    let (head, tail) = (head.into_bytes(), tail.into_bytes());
+    let head = head.into_bytes();
     let sum = fnv1a64_extend(fnv1a64(&head), &tail);
     let image = image.map_or(&[][..], |(_, bytes)| bytes);
     let mut frame = Vec::with_capacity(head.len() + image.len() + tail.len() + 8);
@@ -159,7 +150,17 @@ pub fn decode_frame(frame: &[u8]) -> Result<(FrameImage<'_>, Vec<JournalRecord>)
     if fnv1a64_extend(fnv1a64(&body[..head]), &body[tail..]).to_le_bytes() != sum {
         return Err(corrupt("frame checksum mismatch"));
     }
-    let records = read_records(&mut r).map_err(|e| corrupt(&e.to_string()))?;
+    let count = r.u32().map_err(|e| corrupt(&e.to_string()))?;
+    let mut rest = &body[tail + 4..];
+    let mut records = Vec::new();
+    for _ in 0..count {
+        let (record, after) = parse_record(rest).ok_or_else(|| corrupt("record torn"))?;
+        records.push(record);
+        rest = after;
+    }
+    if !rest.is_empty() {
+        return Err(corrupt("bytes past the last record"));
+    }
     Ok((image, records))
 }
 
@@ -172,20 +173,6 @@ fn read_image<'a>(r: &mut ByteReader<'a>) -> Result<FrameImage<'a>, iwb_store::C
             Some((watermark, r.bytes()?))
         }
     })
-}
-
-/// The records part of a frame body.
-fn read_records(r: &mut ByteReader<'_>) -> Result<Vec<JournalRecord>, iwb_store::CodecError> {
-    let mut records = Vec::new();
-    for _ in 0..r.u32()? {
-        let command = r.str()?;
-        let heredoc = match r.u8()? {
-            0 => None,
-            _ => Some(r.str()?),
-        };
-        records.push(JournalRecord { command, heredoc });
-    }
-    Ok(records)
 }
 
 /// Fleet membership as seen by one backend: the full ordered peer
@@ -270,7 +257,8 @@ impl Replicator {
     /// pending for the next ship — the commit already acked, so only
     /// replication lag grows, never client-visible latency or errors.
     /// A successor behind the journal's base needs the image that
-    /// covers it, which only [`Replicator::ship_with`] can send.
+    /// covers it, which only the session's own ship (`ship_with`) can
+    /// send.
     pub fn ship(&self, session: &str, journal: &Mutex<Option<Journal>>, faults: &FaultPlan) {
         self.ship_with(session, journal, None, faults);
     }
@@ -278,7 +266,7 @@ impl Replicator {
     /// [`Replicator::ship`] for a session whose images live in `images`:
     /// a successor behind the journal's base is caught up with the
     /// image plus the suffix in one frame.
-    pub fn ship_with(
+    pub(crate) fn ship_with(
         &self,
         session: &str,
         journal: &Mutex<Option<Journal>>,
@@ -300,10 +288,17 @@ impl Replicator {
     /// Ship a just-committed image — its watermark and encoded bytes —
     /// on the session's stream, with the records past it the successor
     /// lacks, so the successor's standby restarts from it.
-    pub fn ship_image(&self, session: &str, journal: &Mutex<Option<Journal>>, image: (u64, &[u8])) {
+    pub(crate) fn ship_image(
+        &self,
+        session: &str,
+        journal: &Mutex<Option<Journal>>,
+        image: (u64, &[u8]),
+    ) {
         self.stream(session, journal, None, Some(image));
     }
 
+    /// Send the successor one `repl range` frame holding what it lacks
+    /// (re-handshaking first when there is no connection).
     fn stream(
         &self,
         session: &str,
@@ -377,41 +372,23 @@ impl Replicator {
                     .unwrap_or_default()
                     .to_vec()
             };
-            let frame =
-                (image.is_some() || pending.len() > 1).then(|| encode_frame(image, &pending));
-            if frame.as_ref().is_some_and(|f| f.len() > MAX_FRAME_BYTES) {
+            let frame = encode_frame(image, &pending);
+            if frame.len() > MAX_FRAME_BYTES {
                 return;
             }
             let mut conn = st.conn.take().expect("stream connection present");
-            let reply = match frame {
-                None => {
-                    let record = &pending[0];
-                    let line = format!("repl append {session} {from} {}", record.command);
-                    match &record.heredoc {
-                        Some(body) => conn.request_with_heredoc(&line, body),
-                        None => conn.request(&line),
-                    }
-                    .map(|resp| (resp, from + 1))
-                }
-                Some(frame) => conn
-                    .request_with_bytes(&format!("repl range {session} {from}"), &frame)
-                    .map(|resp| {
-                        let have = parse_field(&resp.body, "have=").unwrap_or(from);
-                        (resp, have)
-                    }),
-            };
-            match reply {
-                // `ok` covers fresh appends and DUPLICATE acks alike —
-                // either way the sink holds the records.
-                Ok((resp, have)) if resp.ok => {
-                    st.acked = have;
+            match conn.request_with_bytes(&format!("repl range {session} {from}"), &frame) {
+                // The sink holds every record below `have=`, whether
+                // this frame appended them or an earlier delivery did.
+                Ok(resp) if resp.ok => {
+                    st.acked = parse_field(&resp.body, "have=").unwrap_or(from);
                     st.conn = Some(conn);
                     fresh = None;
                 }
                 // The sink is missing history we thought it had (it
                 // crashed and healed a torn tail): re-handshake from
                 // its healed length.
-                Ok((resp, _)) if resp.body.starts_with("SEQ-GAP") => {}
+                Ok(resp) if resp.body.starts_with("SEQ-GAP") => {}
                 // Connection dropped or the frame was refused: the next
                 // ship re-handshakes.
                 Ok(_) | Err(_) => return,
@@ -550,42 +527,14 @@ impl ReplicaStore {
         Ok(self.load(&mut guard, session)?.journal.len() as u64)
     }
 
-    /// Append one streamed record at logical index `seq`. Returns the
-    /// `ok` reply body, or an `Err` body the server frames as `err` —
-    /// the same DUPLICATE/SEQ-GAP discipline as the router's `@seq`
-    /// stamp, so redelivery after any crash is idempotent.
-    pub fn append(
-        &self,
-        session: &str,
-        seq: u64,
-        record: JournalRecord,
-        faults: &FaultPlan,
-    ) -> Result<String, String> {
-        self.with(session, |replica| {
-            let have = replica.journal.len() as u64;
-            if seq < have {
-                return Ok(iwb_core::proto::RetryableError::Duplicate { seq }.to_string());
-            }
-            if seq > have {
-                return Err(iwb_core::proto::RetryableError::SeqGap {
-                    expected: have,
-                    got: seq,
-                }
-                .to_string());
-            }
-            replica
-                .journal
-                .append(record, faults)
-                .map_err(|e| format!("replica append failed: {e}"))?;
-            Ok(format!("repl appended {session} seq={seq}"))
-        })
-    }
-
     /// Apply one `repl range` frame (see the module docs) under the
-    /// standby's lock: verify it whole, install a newer image and
-    /// truncate the replica journal at its watermark, then append the
-    /// records from `from` with one fsync. Nothing changes unless the
-    /// frame verifies.
+    /// standby's lock — the only way anything reaches a replica: verify
+    /// it whole, install a newer image and truncate the replica journal
+    /// at its watermark, then append the records from `from` the
+    /// replica lacks with one fsync. Records it already holds are
+    /// skipped, and a frame starting past its length is refused with
+    /// `SEQ-GAP`, so redelivery after any crash is idempotent. Nothing
+    /// changes unless the frame verifies.
     pub fn apply_range(
         &self,
         session: &str,
@@ -735,6 +684,17 @@ mod tests {
         }
     }
 
+    /// Apply `records` to `session`'s replica as one frame from `from`.
+    fn ship(
+        replicas: &ReplicaStore,
+        session: &str,
+        from: u64,
+        records: &[JournalRecord],
+        faults: &FaultPlan,
+    ) -> Result<String, String> {
+        replicas.apply_range(session, from, &encode_frame(None, records), faults)
+    }
+
     #[test]
     fn replica_append_enforces_duplicate_and_gap_guards() {
         let dir = temp_dir("guards");
@@ -742,20 +702,27 @@ mod tests {
         config.fsync = false;
         let replicas = ReplicaStore::new(&config);
         let none = FaultPlan::none();
+        let held = |have: u64| Ok(format!("repl ranged s1 have={have} image=0"));
 
         assert_eq!(replicas.subscribe("s1", 0).unwrap(), 0);
-        assert!(replicas.append("s1", 0, rec("load er a"), &none).is_ok());
-        assert!(replicas.append("s1", 1, rec("match a b"), &none).is_ok());
-        // Redelivery of an already-held record: acknowledged, not
-        // re-appended.
-        let dup = replicas.append("s1", 0, rec("load er a"), &none).unwrap();
-        assert!(dup.starts_with("DUPLICATE"), "{dup}");
+        assert_eq!(
+            ship(&replicas, "s1", 0, &[rec("load er a")], &none),
+            held(1)
+        );
+        assert_eq!(
+            ship(&replicas, "s1", 1, &[rec("match a b")], &none),
+            held(2)
+        );
+        // Redelivery of an already-held record appends nothing and
+        // answers the held length.
+        assert_eq!(
+            ship(&replicas, "s1", 0, &[rec("load er a")], &none),
+            held(2)
+        );
         assert_eq!(replicas.status(), vec![("s1".to_owned(), 2, 0)]);
-        // A record past the replica's length would fork history.
-        let gap = replicas
-            .append("s1", 5, rec("accept a.x b.y"), &none)
-            .unwrap_err();
-        assert!(gap.starts_with("SEQ-GAP"), "{gap}");
+        // A frame past the replica's length would fork history.
+        let gap = ship(&replicas, "s1", 5, &[rec("accept a.x b.y")], &none).unwrap_err();
+        assert!(gap.starts_with("SEQ-GAP expected=2 got=5"), "{gap}");
         assert_eq!(
             replicas.evidence("s1").unwrap().records,
             vec![rec("load er a"), rec("match a b")]
@@ -769,11 +736,9 @@ mod tests {
         let mut config = JournalConfig::new(&dir);
         config.fsync = false;
         let replicas = ReplicaStore::new(&config);
-        let none = FaultPlan::none();
         replicas.subscribe("s1", 0).unwrap();
-        for i in 0..3u64 {
-            let _ = replicas.append("s1", i, rec("cmd"), &none);
-        }
+        let records = [rec("cmd"), rec("cmd"), rec("cmd")];
+        ship(&replicas, "s1", 0, &records, &FaultPlan::none()).unwrap();
         // The source restarted the session: its journal is shorter
         // than our replica, so ours is a different history.
         assert_eq!(replicas.subscribe("s1", 1).unwrap(), 0);
@@ -789,23 +754,22 @@ mod tests {
             let replicas = ReplicaStore::new(&config);
             let torn = FaultSpec::parse("seed=1, journal-torn@1").unwrap().build();
             replicas.subscribe("s1", 0).unwrap();
-            replicas.append("s1", 0, rec("load er a"), &torn).unwrap();
+            ship(&replicas, "s1", 0, &[rec("load er a")], &torn).unwrap();
             // Torn mid-write: disk holds a prefix of this record.
-            replicas.append("s1", 1, rec("match a b"), &torn).unwrap();
+            ship(&replicas, "s1", 1, &[rec("match a b")], &torn).unwrap();
             // Simulate a crash before the heal-on-next-append: drop
             // the store with the tear still on disk.
         }
         let replicas = ReplicaStore::new(&config);
+        let none = FaultPlan::none();
         // Reopen heals: the torn record is dropped, have=1, and the
         // source re-ships from there without duplicating record 0.
         assert_eq!(replicas.subscribe("s1", 2).unwrap(), 1);
-        let dup = replicas
-            .append("s1", 0, rec("load er a"), &FaultPlan::none())
-            .unwrap();
-        assert!(dup.starts_with("DUPLICATE"), "{dup}");
-        replicas
-            .append("s1", 1, rec("match a b"), &FaultPlan::none())
-            .unwrap();
+        assert_eq!(
+            ship(&replicas, "s1", 0, &[rec("load er a")], &none),
+            Ok("repl ranged s1 have=1 image=0".to_owned())
+        );
+        ship(&replicas, "s1", 1, &[rec("match a b")], &none).unwrap();
         assert_eq!(
             replicas.evidence("s1").unwrap().records,
             vec![rec("load er a"), rec("match a b")]
@@ -829,7 +793,7 @@ mod tests {
         let worker = {
             let replicas = Arc::clone(&replicas);
             std::thread::spawn(move || {
-                let out = replicas.append("b", 0, rec("load er b"), &FaultPlan::none());
+                let out = ship(&replicas, "b", 0, &[rec("load er b")], &FaultPlan::none());
                 tx.send(out).unwrap();
             })
         };
@@ -884,7 +848,7 @@ mod tests {
         assert_eq!(evidence.image.unwrap().watermark, 2);
         // A steady-state image — alone, its records already held — keeps
         // the records past it.
-        replicas.append("s1", 3, rec("cmd 3"), &none).unwrap();
+        ship(&replicas, "s1", 3, &[rec("cmd 3")], &none).unwrap();
         let frame = encode_frame(Some((3, &image("s1", 3))), &[]);
         assert_eq!(
             replicas.apply_range("s1", 3, &frame, &none),
@@ -940,6 +904,27 @@ mod tests {
         }
         assert_eq!(replicas.evidence("s1").unwrap().image.unwrap().watermark, 1);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_frame_carries_each_record_byte_for_byte() {
+        let heredoc = |command: &str, body: &str| JournalRecord {
+            command: command.to_owned(),
+            heredoc: Some(body.to_owned()),
+        };
+        let records = vec![
+            rec("accept  a.x   b.y"),
+            heredoc(
+                "load er po",
+                "entity A  { x : text }\n\nentity B { y : text }",
+            ),
+            heredoc("load er empty", ""),
+        ];
+        let image = image("s1", 3);
+        for image in [None, Some((3, &image[..]))] {
+            let frame = encode_frame(image, &records);
+            assert_eq!(decode_frame(&frame), Ok((image, records.clone())));
+        }
     }
 
     #[test]

@@ -36,7 +36,7 @@
 //! session state stays exactly as before the command.
 
 use crate::client::Response;
-use crate::journal::{JournalConfig, JournalRecord};
+use crate::journal::JournalConfig;
 use crate::repl::{ReplConfig, MAX_FRAME_BYTES};
 use crate::session::{ExecOutcome, RecoveryReport, SessionRegistry, StoreConfig};
 use crate::stats::{CommandClass, ServerCounter, ServerStats};
@@ -141,10 +141,6 @@ pub struct ServerConfig {
     pub snapshot_every: u64,
     /// Replay journals found in `journal_dir` on startup.
     pub recover: bool,
-    /// fsync each journal record before acknowledging the command.
-    pub journal_fsync: bool,
-    /// Rewrite a session's journal after this many appends.
-    pub journal_compact_every: u64,
     /// Deterministic fault injection (default: inject nothing).
     pub faults: FaultPlan,
     /// Default wall-clock deadline applied to every shell command
@@ -180,8 +176,6 @@ impl Default for ServerConfig {
             store_dir: None,
             snapshot_every: 64,
             recover: false,
-            journal_fsync: true,
-            journal_compact_every: 256,
             faults: FaultPlan::none(),
             default_deadline: None,
             max_pending: 64,
@@ -330,16 +324,12 @@ pub fn serve(config: ServerConfig) -> io::Result<ServerHandle> {
         .clone()
         .or_else(|| config.store_dir.clone());
     if let Some(dir) = &journal_dir {
-        registry = registry.with_journal(JournalConfig {
-            dir: dir.clone(),
-            fsync: config.journal_fsync,
-            compact_every: config.journal_compact_every,
-        });
+        registry = registry.with_journal(JournalConfig::new(dir));
     }
     if let Some(dir) = &config.store_dir {
         registry = registry.with_store(StoreConfig {
             dir: dir.clone(),
-            fsync: config.journal_fsync,
+            fsync: true,
             snapshot_every: config.snapshot_every,
         });
     }
@@ -847,17 +837,6 @@ struct DispatchCtx<'a> {
     default_deadline: Option<Duration>,
 }
 
-/// Strip the leading `words` (each preceded by arbitrary whitespace)
-/// off `raw` and return the remainder with its own leading whitespace
-/// trimmed — how `repl append` recovers the embedded command verbatim
-/// instead of re-joining split words.
-fn strip_words<'a>(mut raw: &'a str, words: &[&str]) -> Option<&'a str> {
-    for word in words {
-        raw = raw.trim_start().strip_prefix(word)?;
-    }
-    Some(raw.trim_start())
-}
-
 /// Execute one protocol command.
 fn dispatch(
     ctx: &DispatchCtx<'_>,
@@ -999,27 +978,9 @@ fn dispatch(
             },
             Err(_) => Reply::err("usage: repl subscribe <session> <source-len>"),
         },
-        // One streamed journal record at logical index <seq>. The
-        // embedded command is the raw remainder of the line (plus the
-        // usual heredoc framing), so any journaled command replicates
-        // byte-identically.
-        ["repl", "append", id, seq, _, ..] => match seq.parse::<u64>() {
-            Ok(seq_no) => {
-                let inner = strip_words(command, &["repl", "append", id, seq])
-                    .expect("matched words are prefixes of the line");
-                let record = JournalRecord {
-                    command: inner.to_owned(),
-                    heredoc: heredoc.map(str::to_owned),
-                };
-                match registry.repl_append(id, seq_no, record, ctx.faults) {
-                    Ok(body) => Reply::ok(body),
-                    Err(e) => Reply::err(e),
-                }
-            }
-            Err(_) => Reply::err("usage: repl append <session> <seq> <command>"),
-        },
-        // A binary frame: an optional image plus a range of records
-        // from logical index <from> (see `crate::repl`).
+        // Every shipment to a standby: a binary frame holding an
+        // optional image plus the records from logical index <from>
+        // (see `crate::repl`).
         ["repl", "range", id, from] => match (from.parse::<u64>(), body) {
             (Ok(from), Some(Body::Bytes(frame))) => {
                 match registry.repl_range(id, from, frame, ctx.faults) {
@@ -1053,9 +1014,8 @@ fn dispatch(
             Err(e) => Reply::err(e),
         },
         ["repl", ..] => Reply::err(
-            "usage: repl subscribe <session> <source-len> | append <session> <seq> <command> \
-             | range <session> <from> <<BYTES <n> | status | promote <session> <min-seq> \
-             | drop <session>",
+            "usage: repl subscribe <session> <source-len> | range <session> <from> <<BYTES <n> \
+             | status | promote <session> <min-seq> | drop <session>",
         ),
         ["cancel", id] => match registry.get(id) {
             Some(session) => {
@@ -1125,6 +1085,7 @@ fn dispatch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::JournalRecord;
     use iwb_store::fault::{FaultSpec, EXEC_PANIC};
 
     struct Ctx {
@@ -1355,16 +1316,27 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    #[test]
-    fn strip_words_preserves_the_embedded_command_verbatim() {
-        assert_eq!(
-            strip_words(
-                "repl append s1 4 accept  a.x  b.y",
-                &["repl", "append", "s1", "4"]
-            ),
-            Some("accept  a.x  b.y")
-        );
-        assert_eq!(strip_words("repl append", &["repl", "append", "s1"]), None);
+    /// `dispatch` one `repl range` frame carrying `records` from `from`.
+    fn ship(
+        ctx: &Ctx,
+        id: &str,
+        from: u64,
+        records: &[JournalRecord],
+        attached: &mut Option<Arc<crate::session::Session>>,
+    ) -> (bool, String, bool) {
+        let frame = crate::repl::encode_frame(None, records);
+        ctx.dispatch_body(
+            &format!("repl range {id} {from}"),
+            Some(Body::Bytes(&frame)),
+            attached,
+        )
+    }
+
+    fn record(command: &str, heredoc: Option<&str>) -> JournalRecord {
+        JournalRecord {
+            command: command.to_owned(),
+            heredoc: heredoc.map(str::to_owned),
+        }
     }
 
     #[test]
@@ -1392,17 +1364,18 @@ mod tests {
         assert!(ok, "{body}");
         assert_eq!(body, "repl subscribed r1 have=0");
 
-        let doc = Some("entity A { x : text }\n");
-        let (ok, body, _) = ctx.dispatch("repl append r1 0 load er a", doc, &mut attached);
+        let load = record("load er a", Some("entity A { x : text }\n"));
+        let (ok, body, _) = ship(&ctx, "r1", 0, std::slice::from_ref(&load), &mut attached);
         assert!(ok, "{body}");
-        assert_eq!(body, "repl appended r1 seq=0");
-        let (ok, body, _) = ctx.dispatch("repl append r1 1 match a a", None, &mut attached);
+        assert_eq!(body, "repl ranged r1 have=1 image=0");
+        let (ok, body, _) = ship(&ctx, "r1", 1, &[record("match a a", None)], &mut attached);
         assert!(ok, "{body}");
-        // Redelivery acks as DUPLICATE; a gap is refused.
-        let (ok, body, _) = ctx.dispatch("repl append r1 0 load er a", doc, &mut attached);
+        // Redelivery appends nothing and answers the held length; a gap
+        // is refused.
+        let (ok, body, _) = ship(&ctx, "r1", 0, &[load], &mut attached);
         assert!(ok, "{body}");
-        assert!(body.starts_with("DUPLICATE seq=0"), "{body}");
-        let (ok, body, _) = ctx.dispatch("repl append r1 9 match a a", None, &mut attached);
+        assert_eq!(body, "repl ranged r1 have=2 image=0");
+        let (ok, body, _) = ship(&ctx, "r1", 9, &[record("match a a", None)], &mut attached);
         assert!(!ok);
         assert!(body.starts_with("SEQ-GAP expected=2 got=9"), "{body}");
 
@@ -1453,7 +1426,7 @@ mod tests {
         let ctx = Ctx::with_registry(registry, FaultPlan::none());
         let mut attached = None;
         ctx.dispatch("repl subscribe d1 1", None, &mut attached);
-        let (ok, body, _) = ctx.dispatch("repl append d1 0 match a a", None, &mut attached);
+        let (ok, body, _) = ship(&ctx, "d1", 0, &[record("match a a", None)], &mut attached);
         assert!(ok, "{body}");
 
         let (ok, body, _) = ctx.dispatch("repl drop d1", None, &mut attached);
@@ -1476,19 +1449,18 @@ mod tests {
     fn dispatch_refuses_repl_commands_when_replication_is_off() {
         let ctx = Ctx::new();
         let mut attached = None;
-        for command in [
-            "repl subscribe s1 0",
-            "repl append s1 0 load er a",
-            "repl status",
-            "repl drop s1",
-        ] {
+        for command in ["repl subscribe s1 0", "repl status", "repl drop s1"] {
             let (ok, body, _) = ctx.dispatch(command, None, &mut attached);
             assert!(!ok, "{command} must be refused");
             assert!(body.contains("replication disabled"), "{command}: {body}");
         }
-        let (ok, body, _) = ctx.dispatch("repl subscribe s1", None, &mut attached);
-        assert!(!ok);
-        assert!(body.starts_with("usage: repl"), "{body}");
+        // `repl range` is the only shipment verb: the per-record
+        // `append` verb it replaced is unknown, like a malformed one.
+        for args in ["subscribe s1", "append s1 0 load er a"] {
+            let (ok, body, _) = ctx.dispatch(&format!("repl {args}"), None, &mut attached);
+            assert!(!ok);
+            assert!(body.starts_with("usage: repl"), "{args}: {body}");
+        }
     }
 
     #[test]
@@ -1506,12 +1478,7 @@ mod tests {
         let (ok, _, _) = ctx.dispatch("session new s1", None, &mut attached);
         assert!(ok);
         let schema = b"entity A { x : text }\n";
-        for command in [
-            "load er a",
-            "@0 load er a",
-            "repl append s1 0 load er a",
-            "session new s2",
-        ] {
+        for command in ["load er a", "@0 load er a", "session new s2"] {
             let (ok, body, _) =
                 ctx.dispatch_body(command, Some(Body::Bytes(schema)), &mut attached);
             assert!(!ok, "{command} must refuse a frame");

@@ -524,8 +524,8 @@ pub struct SessionRegistry {
     idle_timeout: Duration,
     counter: AtomicU64,
     journal: Option<JournalConfig>,
-    store: Option<StoreConfig>,
-    store_worker: Option<Arc<BackgroundWorker>>,
+    /// The image store and the worker its background commits run on.
+    store: Option<(StoreConfig, Arc<BackgroundWorker>)>,
     store_stats: Arc<StoreStats>,
     /// Outbound journal streaming (fleet mode).
     replicator: Option<Arc<Replicator>>,
@@ -544,7 +544,6 @@ impl SessionRegistry {
             counter: AtomicU64::new(0),
             journal: None,
             store: None,
-            store_worker: None,
             store_stats: Arc::new(StoreStats::default()),
             replicator: None,
             replicas: None,

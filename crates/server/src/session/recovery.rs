@@ -85,7 +85,7 @@ pub type StoreStats = Counters<StoreCounter, 3>;
 /// Where one session's images go: the shared worker background
 /// commits run on, the cadence, and the commits themselves.
 pub(crate) struct Images {
-    worker: Option<Arc<BackgroundWorker>>,
+    worker: Arc<BackgroundWorker>,
     pub(super) every: u64,
     commits: Arc<Commits>,
 }
@@ -168,12 +168,11 @@ impl Session {
     /// Commit a captured image on the registry's background worker.
     pub(super) fn schedule_image(&self, image: SessionSnapshot, faults: &FaultPlan) {
         let Some(images) = &self.images else { return };
-        let Some(worker) = &images.worker else { return };
         let commits = Arc::clone(&images.commits);
         let faults = faults.clone();
         let journal = Arc::clone(&self.journal);
         let repl = self.repl.clone();
-        worker.submit(move || {
+        images.worker.submit(move || {
             commits.commit(&image, &faults, &journal, repl.as_deref());
         });
     }
@@ -295,8 +294,7 @@ impl SessionRegistry {
     /// shutdown, and [`SessionRegistry::recover`] restores them.
     /// Requires journaling — images cover a journal watermark.
     pub fn with_store(mut self, config: StoreConfig) -> Self {
-        self.store_worker = Some(Arc::new(BackgroundWorker::new("iwb-snapshot")));
-        self.store = Some(config);
+        self.store = Some((config, Arc::new(BackgroundWorker::new("iwb-snapshot"))));
         self
     }
 
@@ -307,7 +305,7 @@ impl SessionRegistry {
 
     /// Block until every scheduled background image commit has run.
     pub fn drain_snapshots(&self) {
-        if let Some(worker) = &self.store_worker {
+        if let Some((_, worker)) = &self.store {
             worker.drain();
         }
     }
@@ -332,7 +330,7 @@ impl SessionRegistry {
     /// still needs a home beside its journal).
     fn image_dir(&self) -> Option<(&Path, bool)> {
         match (&self.store, &self.journal) {
-            (Some(store), _) => Some((&store.dir, store.fsync)),
+            (Some((store, _)), _) => Some((&store.dir, store.fsync)),
             (None, Some(journal)) => Some((&journal.dir, journal.fsync)),
             (None, None) => None,
         }
@@ -349,9 +347,9 @@ impl SessionRegistry {
     /// The per-session image handle, when a store is configured;
     /// `committed` is the watermark of the image already in place.
     pub(super) fn images_for(&self, id: &str, committed: u64) -> Option<Arc<Images>> {
-        let config = self.store.as_ref()?;
+        let (config, worker) = self.store.as_ref()?;
         Some(Arc::new(Images {
-            worker: self.store_worker.clone(),
+            worker: Arc::clone(worker),
             every: config.snapshot_every,
             commits: Arc::new(Commits {
                 store: self.image_store(id)?,

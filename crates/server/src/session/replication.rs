@@ -1,6 +1,6 @@
 //! The replication source and the fleet's ownership verbs: shipping a
 //! session's commits and images to its rendezvous successor, the sink
-//! side of `repl subscribe|append|range|drop|status` (delegating to
+//! side of `repl subscribe|range|drop|status` (delegating to
 //! [`ReplicaStore`]), and the two ownership changes — `repl promote`
 //! and `session release`.
 //!
@@ -17,7 +17,6 @@
 
 use super::recovery::History;
 use super::{recover, valid_id, RecoveryReport, Session, SessionRegistry};
-use crate::journal::JournalRecord;
 use crate::repl::{stale_replica, ReplConfig, ReplicaStore, Replicator};
 use crate::stats::{PromoteStage, ServerStats};
 use iwb_store::fault::FaultPlan;
@@ -76,21 +75,9 @@ impl SessionRegistry {
             .map_err(|e| format!("replica journal unavailable: {e}"))
     }
 
-    /// Accept one streamed record at logical index `seq` into `id`'s
-    /// standby journal (DUPLICATE/SEQ-GAP guarded — see
-    /// [`ReplicaStore::append`]).
-    pub fn repl_append(
-        &self,
-        id: &str,
-        seq: u64,
-        record: JournalRecord,
-        faults: &FaultPlan,
-    ) -> Result<String, String> {
-        self.replicas(id)?.append(id, seq, record, faults)
-    }
-
     /// Accept one `repl range` frame — an optional image and the
-    /// records from `from` (see [`ReplicaStore::apply_range`]).
+    /// records from `from` — into `id`'s standby (held records skipped,
+    /// gaps refused: see [`ReplicaStore::apply_range`]).
     pub fn repl_range(
         &self,
         id: &str,
@@ -281,7 +268,7 @@ impl SessionRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::journal::{Journal, JournalConfig};
+    use crate::journal::{Journal, JournalConfig, JournalRecord};
     use crate::session::{ExecOutcome, StoreConfig};
     use std::path::{Path, PathBuf};
     use std::time::Duration;

@@ -1,12 +1,13 @@
 //! Streamed-replication integration tests over live `workbenchd`
 //! pairs: a source backend ships every journaled commit to its
-//! successor's standby journal, and the stream survives sink crashes —
-//! including a crash that tears the *replica* journal mid-`repl
-//! append`. Deterministic fault seeds throughout.
+//! successor's standby journal as a `repl range` frame, and the stream
+//! survives sink crashes — including a crash that tears the *replica*
+//! journal mid-append. Deterministic fault seeds throughout.
 
 use iwb_server::client::Client;
-use iwb_server::repl::ReplConfig;
-use iwb_server::server::{serve, ServerConfig, ServerHandle};
+use iwb_server::journal::JournalRecord;
+use iwb_server::repl::{encode_frame, ReplConfig};
+use iwb_server::server::{serve, ServerConfig, ServerHandle, MAX_LINE_BYTES};
 use iwb_store::fault::{FaultPlan, FaultSpec};
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
@@ -102,9 +103,9 @@ fn observable_state(c: &mut Client) -> String {
 /// The satellite scenario end to end: the successor crashes with a
 /// torn record at the tail of its *replica* journal, restarts, heals
 /// the tear on reopen, and the source resubscribes from the healed
-/// length — record 0 is never re-appended (the `@seq` guard answers
-/// `DUPLICATE`), and promotion from the caught-up replica reproduces
-/// the source session byte for byte.
+/// length — record 0 is never re-appended (the sink skips the records
+/// it holds), and promotion from the caught-up replica reproduces the
+/// source session byte for byte.
 #[test]
 fn torn_replica_tail_heals_on_sink_restart_and_catchup_is_exact() {
     let store_src = TempDir::new("torn-src");
@@ -152,12 +153,22 @@ fn torn_replica_tail_heals_on_sink_restart_and_catchup_is_exact() {
     );
 
     // The healed replica still refuses to fork or duplicate history:
-    // redelivery of record 0 is acknowledged without re-appending, a
-    // record from the future is refused.
+    // a redelivered frame of record 0 appends nothing and answers the
+    // held length, a frame from the future is refused.
     let mut raw = Client::connect(&peers[1]).unwrap();
-    let dup = raw.request("repl append rs 0 match a b").unwrap();
-    assert!(dup.ok && dup.body.starts_with("DUPLICATE"), "{}", dup.body);
-    let gap = raw.request("repl append rs 7 match a b").unwrap();
+    let record = |command: &str, heredoc: Option<&str>| JournalRecord {
+        command: command.to_owned(),
+        heredoc: heredoc.map(|body| format!("{body}\n")),
+    };
+    let frame = encode_frame(None, &[record("load er a", Some(SCHEMA_A))]);
+    let dup = raw.request_with_bytes("repl range rs 0", &frame).unwrap();
+    assert!(
+        dup.ok && dup.body == "repl ranged rs have=1 image=0",
+        "{}",
+        dup.body
+    );
+    let frame = encode_frame(None, &[record("match a b", None)]);
+    let gap = raw.request_with_bytes("repl range rs 7", &frame).unwrap();
     assert!(!gap.ok && gap.body.starts_with("SEQ-GAP"), "{}", gap.body);
     assert!(
         repl_status(&peers[1]).contains("replica id=rs seq=1"),
@@ -232,6 +243,44 @@ fn repl_lag_fault_shows_in_status_and_heals_at_the_next_commit() {
         repl_status(&peers[0])
     );
     assert!(repl_status(&peers[1]).contains("replica id=lg seq=3"));
+
+    source.shutdown();
+    source.join();
+    sink.shutdown();
+    sink.join();
+}
+
+/// A mutating line within a few bytes of the owner's line bound reaches
+/// the successor before its `ok` returns: the record rides a
+/// `repl range` frame, so no longer text line can overflow the sink's
+/// own bound and leave the acked record behind until the next commit.
+#[test]
+fn a_record_at_the_line_bound_is_on_the_successor_when_its_ok_returns() {
+    let store_src = TempDir::new("bound-src");
+    let store_sink = TempDir::new("bound-sink");
+    let peers = vec![reserve_addr(), reserve_addr()];
+    let source = spawn(&peers[0], &store_src.0, &peers, 0, FaultPlan::none());
+    let sink = spawn(&peers[1], &store_sink.0, &peers, 1, FaultPlan::none());
+
+    let mut c = Client::connect(&peers[0]).unwrap();
+    c.session_new(Some("wide")).unwrap();
+    let command = format!("load er {}", "n".repeat(65_520));
+    let line = format!("{command} <<EOF");
+    assert!(line.len() <= MAX_LINE_BYTES && MAX_LINE_BYTES - line.len() < 30);
+    c.request_with_heredoc(&command, SCHEMA_A)
+        .unwrap()
+        .expect_ok()
+        .unwrap();
+    assert!(
+        repl_status(&peers[0]).contains("source id=wide seq=1 acked=1 lag=0"),
+        "the acked record must already be on the successor: {}",
+        repl_status(&peers[0])
+    );
+    assert!(
+        repl_status(&peers[1]).contains("replica id=wide seq=1 "),
+        "{}",
+        repl_status(&peers[1])
+    );
 
     source.shutdown();
     source.join();

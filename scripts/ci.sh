@@ -115,8 +115,10 @@ cargo test -q --offline -p iwb-server --lib -- \
     dispatch_sequences_release_and_repl_promote_a_session \
     dispatch_answers_probes_without_a_session
 
-echo "== streamed-replication suite (torn replica tail heals on restart, lag visible + drains)"
+echo "== streamed-replication suite (torn replica tail heals on restart, lag visible + drains, every shipment one repl range frame: a record at the owner's line bound is on the successor when its ok returns)"
 cargo test -q --offline -p iwb-server --test repl_stream
+cargo test -q --offline -p iwb-server --test repl_stream -- \
+    a_record_at_the_line_bound_is_on_the_successor_when_its_ok_returns
 
 echo "== bench_server fleet smoke (replicated failover, zero session loss, bounded lag)"
 cargo run -q --release --offline -p iwb-bench --bin bench_server -- \

@@ -237,8 +237,10 @@ impl WorkbenchManager {
             trace.push(format!("round {round} (suppressed): {event}"));
             all_events.push(event);
         }
+        // Each event was formatted once, above; its session-trace line
+        // is the report line with a two-space indent.
         self.session_trace
-            .extend(trace.iter().map(|t| format!("  {t}")));
+            .extend(trace.iter().map(|t| ["  ", t.as_str()].concat()));
         let tool = self.tools[idx].name();
         Ok(InvokeReport {
             tool,

@@ -9,7 +9,7 @@
 
 use iwb_harmony::matrix::matchable_ids;
 use iwb_harmony::Confidence;
-use iwb_model::{ElementId, SchemaGraph, SchemaId};
+use iwb_model::{ElementId, Positions, SchemaGraph, SchemaId};
 use iwb_store::artifacts::{decode_ids, encode_ids};
 use iwb_store::codec::{ByteReader, ByteWriter, CodecError};
 use std::fmt::Write;
@@ -51,12 +51,18 @@ pub struct ColMeta {
 }
 
 /// The mapping matrix between one source and one target schema.
+///
+/// Each side keeps a [`Positions`] table, built with the matrix and
+/// when it is decoded, so finding a cell, a row's or a column's
+/// annotations by element id is one array read per side.
 #[derive(Debug, Clone)]
 pub struct MappingMatrix {
     source: SchemaId,
     target: SchemaId,
     rows: Vec<ElementId>,
     cols: Vec<ElementId>,
+    row_pos: Positions,
+    col_pos: Positions,
     row_meta: Vec<RowMeta>,
     col_meta: Vec<ColMeta>,
     cells: Vec<Cell>,
@@ -76,6 +82,8 @@ impl MappingMatrix {
             row_meta: vec![RowMeta::default(); rows.len()],
             col_meta: vec![ColMeta::default(); cols.len()],
             cells: vec![Cell::default(); rows.len() * cols.len()],
+            row_pos: Positions::of(&rows),
+            col_pos: Positions::of(&cols),
             rows,
             cols,
             code: None,
@@ -165,6 +173,8 @@ impl MappingMatrix {
         Ok(MappingMatrix {
             source,
             target,
+            row_pos: Positions::of(&rows),
+            col_pos: Positions::of(&cols),
             rows,
             cols,
             row_meta,
@@ -194,49 +204,55 @@ impl MappingMatrix {
         &self.cols
     }
 
-    fn row_index(&self, row: ElementId) -> Option<usize> {
-        self.rows.iter().position(|&r| r == row)
-    }
-
-    fn col_index(&self, col: ElementId) -> Option<usize> {
-        self.cols.iter().position(|&c| c == col)
+    /// The cell of a pair, by index into `cells`.
+    fn cell_index(&self, row: ElementId, col: ElementId) -> Option<usize> {
+        Some(self.row_pos.get(row)? * self.cols.len() + self.col_pos.get(col)?)
     }
 
     /// Read a cell; default (unknown, machine) outside the matrix.
     pub fn cell(&self, row: ElementId, col: ElementId) -> Cell {
-        match (self.row_index(row), self.col_index(col)) {
-            (Some(r), Some(c)) => self.cells[r * self.cols.len() + c],
-            _ => Cell::default(),
+        match self.cell_index(row, col) {
+            Some(i) => self.cells[i],
+            None => Cell::default(),
         }
     }
 
     /// Write a cell. Returns false when the pair is outside the matrix.
     pub fn set_cell(&mut self, row: ElementId, col: ElementId, cell: Cell) -> bool {
-        match (self.row_index(row), self.col_index(col)) {
-            (Some(r), Some(c)) => {
-                let cols = self.cols.len();
-                self.cells[r * cols + c] = cell;
+        match self.cell_index(row, col) {
+            Some(i) => {
+                self.cells[i] = cell;
                 true
             }
-            _ => false,
+            None => false,
         }
     }
 
     /// Set a machine-suggested confidence (does not touch user cells;
     /// §4.3: decided links are frozen). Returns true if written.
     pub fn suggest(&mut self, row: ElementId, col: ElementId, confidence: Confidence) -> bool {
-        let current = self.cell(row, col);
-        if current.user_defined {
-            return false;
+        match self.cell_index(row, col) {
+            Some(i) if !self.cells[i].user_defined => {
+                self.cells[i] = Cell {
+                    confidence,
+                    user_defined: false,
+                };
+                true
+            }
+            _ => false,
         }
-        self.set_cell(
-            row,
-            col,
-            Cell {
-                confidence,
-                user_defined: false,
-            },
-        )
+    }
+
+    /// The user-decided cells as `(row, col, confidence)`, row-major.
+    pub(crate) fn user_cells(
+        &self,
+    ) -> impl Iterator<Item = (ElementId, ElementId, Confidence)> + '_ {
+        let cols = self.cols.len();
+        self.cells
+            .iter()
+            .enumerate()
+            .filter(|(_, cell)| cell.user_defined)
+            .map(move |(i, cell)| (self.rows[i / cols], self.cols[i % cols], cell.confidence))
     }
 
     /// Record a user decision (±1).
@@ -257,22 +273,22 @@ impl MappingMatrix {
 
     /// Row metadata.
     pub fn row_meta(&self, row: ElementId) -> Option<&RowMeta> {
-        self.row_index(row).map(|r| &self.row_meta[r])
+        self.row_pos.get(row).map(|r| &self.row_meta[r])
     }
 
     /// Mutable row metadata.
     pub fn row_meta_mut(&mut self, row: ElementId) -> Option<&mut RowMeta> {
-        self.row_index(row).map(move |r| &mut self.row_meta[r])
+        self.row_pos.get(row).map(move |r| &mut self.row_meta[r])
     }
 
     /// Column metadata.
     pub fn col_meta(&self, col: ElementId) -> Option<&ColMeta> {
-        self.col_index(col).map(|c| &self.col_meta[c])
+        self.col_pos.get(col).map(|c| &self.col_meta[c])
     }
 
     /// Mutable column metadata.
     pub fn col_meta_mut(&mut self, col: ElementId) -> Option<&mut ColMeta> {
-        self.col_index(col).map(move |c| &mut self.col_meta[c])
+        self.col_pos.get(col).map(move |c| &mut self.col_meta[c])
     }
 
     /// Accepted pairs (confidence exactly +1).
@@ -452,6 +468,120 @@ mod tests {
         assert_eq!(m.cell(root, t.root()), Cell::default());
         assert!(!m.set_cell(root, t.root(), Cell::default()));
         assert!(m.row_meta(root).is_none());
+    }
+
+    /// The linear scan the position tables replaced: they must answer
+    /// every id as it did.
+    fn scan(ids: &[ElementId], id: ElementId) -> Option<usize> {
+        ids.iter().position(|&x| x == id)
+    }
+
+    /// A matrix with suggestions, decisions and annotations, plus ids
+    /// the matrix does not hold: ids of the other schema, an id past
+    /// the end of either position table, and non-matchable ids (the
+    /// roots and a key).
+    fn probed() -> (MappingMatrix, Vec<ElementId>) {
+        let (s, _) = schemas();
+        let t = SchemaBuilder::new("inv", Metamodel::Relational)
+            .open("shippingInfo")
+            .attr("name", DataType::Text)
+            .attr("total", DataType::Decimal)
+            .key("pk", &["name"])
+            .close()
+            .open("lineItem")
+            .attr("sku", DataType::Text)
+            .attr("quantity", DataType::Integer)
+            .attr("price", DataType::Decimal)
+            .close()
+            .build();
+        let mut m = MappingMatrix::new(&s, &t);
+        for (i, (&row, &col)) in m
+            .rows()
+            .to_vec()
+            .iter()
+            .zip(m.cols().to_vec().iter())
+            .enumerate()
+        {
+            m.suggest(row, col, Confidence::engine(0.1 * i as f64 - 0.2));
+        }
+        let (row, col) = (m.rows()[1], m.cols()[2]);
+        m.decide(row, col, true);
+        m.row_meta_mut(row).unwrap().variable = Some("v".into());
+        m.col_meta_mut(col).unwrap().code = Some("data($v)".into());
+        let mut probes: Vec<ElementId> = t.iter().map(|(id, _)| id).collect();
+        probes.extend([
+            s.root(),
+            t.root(),
+            t.find_by_name("pk").unwrap(),
+            ElementId::from_index(s.len().max(t.len()) + 3),
+        ]);
+        (m, probes)
+    }
+
+    #[test]
+    fn position_tables_answer_every_id_as_the_scan_did() {
+        let (m, probes) = probed();
+        let (rows, cols) = (m.rows().to_vec(), m.cols().to_vec());
+        let past_end = *probes.last().unwrap();
+        assert!(scan(&rows, past_end).is_none() && scan(&cols, past_end).is_none());
+        for &x in &probes {
+            for (row, col) in [(x, cols[2]), (rows[1], x), (x, x)] {
+                let at = match (scan(&rows, row), scan(&cols, col)) {
+                    (Some(r), Some(c)) => Some(r * cols.len() + c),
+                    _ => None,
+                };
+                let expected = at.map_or(Cell::default(), |i| m.cells[i]);
+                assert_eq!(m.cell(row, col), expected, "cell {row}×{col}");
+                let mut suggested = m.clone();
+                let wrote = suggested.suggest(row, col, Confidence::engine(0.3));
+                assert_eq!(
+                    wrote,
+                    at.is_some() && !expected.user_defined,
+                    "suggest {row}×{col}"
+                );
+                let mut decided = m.clone();
+                assert_eq!(
+                    decided.decide(row, col, false),
+                    at.is_some(),
+                    "decide {row}×{col}"
+                );
+                if at.is_none() {
+                    assert_eq!(suggested.cells, m.cells, "a refused suggest writes nothing");
+                    assert_eq!(decided.cells, m.cells, "a refused decision writes nothing");
+                }
+            }
+            assert_eq!(
+                m.row_meta(x),
+                scan(&rows, x).map(|r| &m.row_meta[r]),
+                "row_meta {x}"
+            );
+            assert_eq!(
+                m.col_meta(x),
+                scan(&cols, x).map(|c| &m.col_meta[c]),
+                "col_meta {x}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_decoded_matrix_answers_every_cell_as_the_original() {
+        let (m, probes) = probed();
+        let mut w = ByteWriter::new();
+        m.encode(&mut w);
+        let bytes = w.into_bytes();
+        let decoded = MappingMatrix::decode(&mut ByteReader::new(&bytes)).unwrap();
+        let rows = m.rows().iter().chain(&probes);
+        for &row in rows {
+            for &col in m.cols().iter().chain(&probes) {
+                assert_eq!(decoded.cell(row, col), m.cell(row, col), "cell {row}×{col}");
+            }
+            assert_eq!(decoded.row_meta(row), m.row_meta(row), "row_meta {row}");
+            assert_eq!(decoded.col_meta(row), m.col_meta(row), "col_meta {row}");
+        }
+        assert_eq!(
+            decoded.user_cells().collect::<Vec<_>>(),
+            m.user_cells().collect::<Vec<_>>()
+        );
     }
 
     #[test]

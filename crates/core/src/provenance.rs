@@ -9,6 +9,7 @@
 use iwb_model::{ElementId, SchemaId};
 use iwb_store::codec::{ByteReader, ByteWriter, CodecError};
 use std::fmt;
+use std::sync::Arc;
 
 /// What a provenance record describes.
 #[derive(Debug, Clone, PartialEq)]
@@ -43,8 +44,9 @@ pub enum ProvenanceKind {
 pub struct ProvenanceRecord {
     /// Monotonic sequence number within the log.
     pub seq: u64,
-    /// The acting tool.
-    pub tool: String,
+    /// The acting tool. The log shares one name per tool among its
+    /// records, so recording a cell allocates no tool name.
+    pub tool: Arc<str>,
     /// The matrix (by schema pair).
     pub source: SchemaId,
     /// Target schema of the pair.
@@ -83,6 +85,8 @@ impl fmt::Display for ProvenanceRecord {
 #[derive(Debug, Clone, Default)]
 pub struct ProvenanceLog {
     records: Vec<ProvenanceRecord>,
+    /// Every tool name recorded so far, shared by the records.
+    tools: Vec<Arc<str>>,
 }
 
 impl ProvenanceLog {
@@ -91,18 +95,25 @@ impl ProvenanceLog {
         Self::default()
     }
 
-    /// Append a record; assigns the next sequence number.
+    /// Append a record; assigns the next sequence number. The tool's
+    /// name is allocated once per log, at its first record.
     pub fn record(
         &mut self,
-        tool: impl Into<String>,
+        tool: &str,
         source: SchemaId,
         target: SchemaId,
         kind: ProvenanceKind,
     ) -> u64 {
+        let known = self.tools.iter().position(|t| &**t == tool);
+        let i = known.unwrap_or_else(|| {
+            self.tools.push(Arc::from(tool));
+            self.tools.len() - 1
+        });
+        let tool = Arc::clone(&self.tools[i]);
         let seq = self.records.len() as u64 + 1;
         self.records.push(ProvenanceRecord {
             seq,
-            tool: tool.into(),
+            tool,
             source,
             target,
             kind,
@@ -129,7 +140,7 @@ impl ProvenanceLog {
                 .count();
             let tool = tools
                 .iter()
-                .position(|&t| t == first.tool)
+                .position(|&t| t == &*first.tool)
                 .unwrap_or_else(|| {
                     tools.push(&first.tool);
                     tools.len() - 1
@@ -217,7 +228,7 @@ impl ProvenanceLog {
                     4 => ProvenanceKind::MatrixCodeSet,
                     t => return Err(CodecError::BadTag("provenance kind", t)),
                 };
-                log.record(tool.clone(), source.clone(), target.clone(), kind);
+                log.record(tool, source.clone(), target.clone(), kind);
             }
         }
         Ok(log)
@@ -241,7 +252,7 @@ impl ProvenanceLog {
 
     /// Records produced by a tool.
     pub fn by_tool(&self, tool: &str) -> Vec<&ProvenanceRecord> {
-        self.records.iter().filter(|r| r.tool == tool).collect()
+        self.records.iter().filter(|r| &*r.tool == tool).collect()
     }
 
     /// Number of records.

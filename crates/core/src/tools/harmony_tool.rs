@@ -143,25 +143,20 @@ impl HarmonyTool {
         let mut locked = HashMap::new();
         let mut fresh_feedback = Vec::new();
         if let Some(matrix) = bb.matrix(source, target) {
-            for &row in matrix.rows() {
-                for &col in matrix.cols() {
-                    let cell = matrix.cell(row, col);
-                    if cell.user_defined {
-                        locked.insert((row, col), cell.confidence);
-                        let key = (
-                            source.clone(),
-                            target.clone(),
-                            src_graph.name_path(row),
-                            tgt_graph.name_path(col),
-                        );
-                        if self.learned.insert(key) {
-                            fresh_feedback.push(Feedback {
-                                src: row,
-                                tgt: col,
-                                accepted: cell.confidence == Confidence::ACCEPT,
-                            });
-                        }
-                    }
+            for (row, col, confidence) in matrix.user_cells() {
+                locked.insert((row, col), confidence);
+                let key = (
+                    source.clone(),
+                    target.clone(),
+                    src_graph.name_path(row),
+                    tgt_graph.name_path(col),
+                );
+                if self.learned.insert(key) {
+                    fresh_feedback.push(Feedback {
+                        src: row,
+                        tgt: col,
+                        accepted: confidence == Confidence::ACCEPT,
+                    });
                 }
             }
         }

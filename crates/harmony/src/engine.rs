@@ -19,6 +19,16 @@
 //! **bit-identical** to the sequential one — no float reassociation, no
 //! scheduling-dependent order (asserted by `tests/determinism.rs`).
 //!
+//! The merge and flooding kernels read cells by position, not by id.
+//! Once per run the engine resolves what they read to row-major
+//! offsets: the locked cells, and for flooding a plan (`FloodPlan`) of
+//! each row's and column's child and parent positions plus a
+//! locked-cell mask. Each merge kernel call looks every voter's weight
+//! up once. Per cell, a kernel then only reads score slabs by offset:
+//! no hashing, no id lookup, no allocation. `tests/determinism.rs`
+//! keeps the id-addressed definitions as a reference and checks the
+//! kernels against them bit for bit.
+//!
 //! # Feature caching
 //!
 //! With [`MatchConfig::cache`] on (default), the engine keeps a
@@ -52,7 +62,7 @@ use crate::cache::{fingerprint, CacheStats, FeatureCache};
 use crate::confidence::Confidence;
 use crate::context::MatchContext;
 use crate::feedback::Feedback;
-use crate::flooding::{flood_budgeted, flood_rows, FloodingConfig};
+use crate::flooding::{fixpoint, flood_planned, flood_rows, FloodPlan, FloodingConfig};
 use crate::matrix::{matchable_ids, ScoreMatrix};
 use crate::merger::VoteMerger;
 use crate::voter::MatchVoter;
@@ -544,31 +554,18 @@ impl HarmonyEngine {
         };
 
         // Stage 3: merge (locked cells pass through unchanged).
+        let pinned = pinned_cells(&matrix, locked);
         let dirty_rows = match &stages.remerge {
             Some(rows) => {
+                let cols = tgt_ids.len();
                 for &row in rows {
-                    let slab = merge_rows(
-                        &per_voter,
-                        &self.merger,
-                        locked,
-                        &src_ids,
-                        &tgt_ids,
-                        row,
-                        row + 1,
-                    );
+                    let slab = merge_rows(&per_voter, &self.merger, &pinned, cols, row, row + 1);
                     matrix.splice_rows(row, &slab);
                 }
                 rows.len()
             }
             None => {
-                self.merge_all(
-                    &mut per_voter,
-                    locked,
-                    &src_ids,
-                    &tgt_ids,
-                    &mut matrix,
-                    budget,
-                )?;
+                self.merge_all(&mut per_voter, pinned, &mut matrix, budget)?;
                 src_ids.len()
             }
         };
@@ -580,19 +577,11 @@ impl HarmonyEngine {
         // The next staged run splices into the pre-flooding merge, so
         // snapshot it before flooding mutates the matrix.
         let merged = matrix.clone();
-        let locked_set: HashSet<(ElementId, ElementId)> = locked.keys().copied().collect();
-        let threads = self.effective_threads().min(src_ids.len().max(1));
-        let flooding_iterations = if threads <= 1 {
-            flood_budgeted(
-                &mut matrix,
-                source,
-                target,
-                &locked_set,
-                &self.flooding,
-                budget,
-            )?
+        let flooding_iterations = if self.flooding.enable_up || self.flooding.enable_down {
+            let plan = FloodPlan::new(&matrix, source, target, locked.keys().copied());
+            self.flood(&mut matrix, plan, budget)?
         } else {
-            self.flood_parallel(&mut matrix, source, target, &locked_set, threads, budget)?
+            0
         };
 
         let ctx = match ctx {
@@ -744,34 +733,31 @@ impl HarmonyEngine {
     fn merge_all(
         &mut self,
         per_voter: &mut Vec<(String, ScoreMatrix)>,
-        locked: &Locked,
-        src_ids: &Arc<Vec<ElementId>>,
-        tgt_ids: &Arc<Vec<ElementId>>,
+        pinned: Vec<(usize, f64)>,
         matrix: &mut ScoreMatrix,
         budget: &Budget,
     ) -> Result<(), Interrupt> {
-        let rows = src_ids.len();
+        let (rows, cols) = (matrix.src_ids().len(), matrix.tgt_ids().len());
         let threads = self.effective_threads().min(rows.max(1));
         if threads <= 1 {
-            let slab = merge_rows(per_voter, &self.merger, locked, src_ids, tgt_ids, 0, rows);
+            let slab = merge_rows(per_voter, &self.merger, &pinned, cols, 0, rows);
             matrix.splice_rows(0, &slab);
             return Ok(());
         }
         let shards = shard_ranges(rows, threads);
         let shared = Arc::new(std::mem::take(per_voter));
         let merger = Arc::new(self.merger.clone());
-        let locked_arc = Arc::new(locked.clone());
+        let pinned = Arc::new(pinned);
         let (tx, rx) = mpsc::channel();
         let jobs: Vec<Box<dyn FnOnce() + Send>> = shards
             .iter()
             .enumerate()
             .map(|(i, &(lo, hi))| {
                 let (shared, merger) = (Arc::clone(&shared), Arc::clone(&merger));
-                let locked = Arc::clone(&locked_arc);
-                let (src_ids, tgt_ids) = (Arc::clone(src_ids), Arc::clone(tgt_ids));
+                let pinned = Arc::clone(&pinned);
                 let tx = tx.clone();
                 Box::new(move || {
-                    let slab = merge_rows(&shared, &merger, &locked, &src_ids, &tgt_ids, lo, hi);
+                    let slab = merge_rows(&shared, &merger, &pinned, cols, lo, hi);
                     tx.send((i, slab)).expect("merge shard channel");
                 }) as Box<dyn FnOnce() + Send>
             })
@@ -788,58 +774,53 @@ impl HarmonyEngine {
         Ok(())
     }
 
-    /// The flooding fixpoint loop with each iteration's rows sharded
-    /// across the pool. Mirrors [`flood`] exactly: same kernel, same
-    /// snapshot, same convergence test. Takes the graphs directly (not
-    /// a built [`MatchContext`]) so a staged run that scores no voter
-    /// floods without building a context at all.
-    fn flood_parallel(
+    /// The flooding fixpoint loop over `plan`, with each iteration's
+    /// rows sharded across the pool when there is more than one thread.
+    /// Both ways run [`flood_rows`] inside the same
+    /// [`crate::flooding::fixpoint`] loop as [`crate::flooding::flood`]:
+    /// same kernel, same snapshot, same convergence test. The plan is
+    /// built from the graphs, not from a [`MatchContext`], so a staged
+    /// run that scores no voter floods without building a context at all.
+    fn flood(
         &mut self,
         matrix: &mut ScoreMatrix,
-        source: &SchemaGraph,
-        target: &SchemaGraph,
-        locked: &HashSet<(ElementId, ElementId)>,
-        threads: usize,
+        plan: FloodPlan,
         budget: &Budget,
     ) -> Result<usize, Interrupt> {
         let config = self.flooding;
-        if !config.enable_up && !config.enable_down {
-            return Ok(0);
+        let (rows, cols) = (plan.rows(), plan.cols());
+        let threads = self.effective_threads().min(rows.max(1));
+        if threads <= 1 {
+            return flood_planned(matrix, &plan, &config, budget);
         }
-        let rows = matrix.src_ids().len();
         let shards = shard_ranges(rows, threads);
-        let locked = Arc::new(locked.clone());
-        let source = Arc::new(source.clone());
-        let target = Arc::new(target.clone());
-        for iteration in 0..config.max_iterations {
-            budget.check()?;
-            let before = Arc::new(matrix.clone());
+        let plan = Arc::new(plan);
+        let pool = self.pool(threads);
+        fixpoint(matrix, &config, budget, |before, after| {
             let (tx, rx) = mpsc::channel();
             let jobs: Vec<Box<dyn FnOnce() + Send>> = shards
                 .iter()
                 .enumerate()
                 .map(|(i, &(lo, hi))| {
-                    let (before, locked) = (Arc::clone(&before), Arc::clone(&locked));
-                    let (source, target) = (Arc::clone(&source), Arc::clone(&target));
+                    let (plan, before) = (Arc::clone(&plan), Arc::clone(before));
                     let tx = tx.clone();
                     Box::new(move || {
-                        let slab = flood_rows(&before, &source, &target, &locked, &config, lo, hi);
+                        let mut slab = vec![0.0; (hi - lo) * cols];
+                        flood_rows(&plan, &config, &before, lo, hi, &mut slab);
                         tx.send((i, slab)).expect("flood shard channel");
                     }) as Box<dyn FnOnce() + Send>
                 })
                 .collect();
-            let outcome = self.pool(threads).run_all_budgeted(jobs, budget);
+            let outcome = pool.run_all_budgeted(jobs, budget);
             drop(tx);
             let collected: Vec<_> = rx.into_iter().collect();
             outcome?;
             for (i, slab) in collected {
-                matrix.splice_rows(shards[i].0, &slab);
+                let start = shards[i].0 * cols;
+                after[start..start + slab.len()].copy_from_slice(&slab);
             }
-            if matrix.mean_abs_diff(&before) < config.epsilon {
-                return Ok(iteration + 1);
-            }
-        }
-        Ok(config.max_iterations)
+            Ok(())
+        })
     }
 
     /// Feed user decisions back into the engine (§4.3): each voter
@@ -935,31 +916,46 @@ fn score_rows(
     out
 }
 
-/// Stage-3 kernel: merged scores for source rows `lo..hi`. The votes
-/// buffer is hoisted and reused across cells — no per-pair allocation.
+/// The locked cells inside `matrix` as `(row-major offset, value)`,
+/// sorted by offset: what the merge passes through unchanged.
+fn pinned_cells(matrix: &ScoreMatrix, locked: &Locked) -> Vec<(usize, f64)> {
+    let mut pinned: Vec<(usize, f64)> = locked
+        .iter()
+        .filter_map(|(&(s, t), c)| Some((matrix.offset(s, t)?, c.value())))
+        .collect();
+    pinned.sort_unstable_by_key(|&(i, _)| i);
+    pinned
+}
+
+/// Stage-3 kernel: merged scores for source rows `lo..hi` of a
+/// `cols`-column matrix. Each voter's weight is looked up once per call
+/// and its votes are read by offset; the `pinned` cells (see
+/// [`pinned_cells`]) in range are then written over their merge.
 fn merge_rows(
     per_voter: &[(String, ScoreMatrix)],
     merger: &VoteMerger,
-    locked: &Locked,
-    src_ids: &[ElementId],
-    tgt_ids: &[ElementId],
+    pinned: &[(usize, f64)],
+    cols: usize,
     lo: usize,
     hi: usize,
 ) -> Vec<f64> {
-    let mut out = Vec::with_capacity((hi - lo) * tgt_ids.len());
-    let mut votes: Vec<(&str, Confidence)> = Vec::with_capacity(per_voter.len());
-    for &s in &src_ids[lo..hi] {
-        for &t in tgt_ids {
-            if let Some(&c) = locked.get(&(s, t)) {
-                out.push(c.value());
-                continue;
-            }
-            votes.clear();
-            for (name, m) in per_voter {
-                votes.push((name.as_str(), m.get(s, t)));
-            }
-            out.push(merger.merge(&votes).value());
-        }
+    let weights: Vec<f64> = per_voter
+        .iter()
+        .map(|(name, _)| merger.weight(name))
+        .collect();
+    let (start, end) = (lo * cols, hi * cols);
+    let mut out: Vec<f64> = (start..end)
+        .map(|i| {
+            let votes = weights
+                .iter()
+                .zip(per_voter)
+                .map(|(&w, (_, m))| (w, Confidence::raw(m.scores()[i])));
+            merger.merge_weighted(votes).value()
+        })
+        .collect();
+    let first = pinned.partition_point(|&(i, _)| i < start);
+    for &(i, value) in pinned[first..].iter().take_while(|&&(i, _)| i < end) {
+        out[i - start] = value;
     }
     out
 }

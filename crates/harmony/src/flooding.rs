@@ -21,10 +21,11 @@
 //! engine will not try to modify that link").
 
 use crate::confidence::Confidence;
-use crate::matrix::ScoreMatrix;
+use crate::matrix::{mean_abs_diff, ScoreMatrix};
 use iwb_model::{ElementId, SchemaGraph};
 use iwb_pool::{Budget, Interrupt};
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// Flooding parameters.
 #[derive(Debug, Clone, Copy)]
@@ -67,81 +68,187 @@ impl FloodingConfig {
     }
 }
 
-/// Compute one flooding iteration for source rows `lo..hi` against the
-/// pre-iteration snapshot, returning the new row-major values. Locked
-/// cells keep their snapshot value. This per-row kernel is the single
-/// code path behind both the sequential [`flood`] loop and the engine's
-/// sharded parallel loop, so the two are bit-identical by construction.
+/// A row or column of a [`FloodPlan`]: what flooding reads of its
+/// element's neighbourhood, as positions on the same side.
+#[derive(Debug)]
+struct Node {
+    /// The positions of its children that the matrix holds, in graph
+    /// order.
+    children: Vec<u32>,
+    /// How many children it has in all, inside the matrix or not (keys,
+    /// domain values).
+    child_count: u32,
+    /// Its parent's position, if the matrix holds the parent.
+    parent: Option<u32>,
+}
+
+/// The [`Node`] of each of `ids`, positions taken by `position`.
+fn nodes(
+    ids: &[ElementId],
+    graph: &SchemaGraph,
+    position: impl Fn(ElementId) -> Option<usize>,
+) -> Vec<Node> {
+    let pos = |id| position(id).map(|p| p as u32);
+    ids.iter()
+        .map(|&id| {
+            let children = graph.children(id);
+            Node {
+                children: children.iter().filter_map(|&(_, c)| pos(c)).collect(),
+                child_count: children.len() as u32,
+                parent: graph.parent(id).and_then(|(_, p)| pos(p)),
+            }
+        })
+        .collect()
+}
+
+/// What a flooding run reads besides the scores, resolved to positions
+/// once per run: each row's and column's children and parent, and the
+/// locked cells. The fixpoint iterations then read the row-major score
+/// slab by offset only.
+#[derive(Debug)]
+pub(crate) struct FloodPlan {
+    rows: Vec<Node>,
+    cols: Vec<Node>,
+    /// Per cell, row-major: true when user-locked.
+    locked: Vec<bool>,
+}
+
+impl FloodPlan {
+    /// The plan for flooding `matrix` over the two graphs, with the
+    /// `locked` pairs pinned (pairs outside the matrix are ignored).
+    pub(crate) fn new(
+        matrix: &ScoreMatrix,
+        source: &SchemaGraph,
+        target: &SchemaGraph,
+        locked: impl IntoIterator<Item = (ElementId, ElementId)>,
+    ) -> FloodPlan {
+        let mut mask = vec![false; matrix.len()];
+        for (s, t) in locked {
+            if let Some(i) = matrix.offset(s, t) {
+                mask[i] = true;
+            }
+        }
+        FloodPlan {
+            rows: nodes(matrix.src_ids(), source, |id| matrix.row_of(id)),
+            cols: nodes(matrix.tgt_ids(), target, |id| matrix.col_of(id)),
+            locked: mask,
+        }
+    }
+
+    /// Number of source rows.
+    pub(crate) fn rows(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Number of target columns.
+    pub(crate) fn cols(&self) -> usize {
+        self.cols.len()
+    }
+}
+
+/// Compute one flooding iteration for source rows `lo..hi` from the
+/// pre-iteration slab `before`, writing the new row-major values into
+/// `out` (`(hi - lo)` rows long). Locked cells keep their value. This
+/// kernel is the single code path behind both the sequential [`flood`]
+/// loop and the engine's sharded parallel loop, so the two are
+/// bit-identical by construction.
+///
+/// It computes what the id-addressed definition in the module docs
+/// does when a cell outside the matrix reads 0:
+///
+/// * a child outside the matrix (a key, a domain value) counts in the
+///   up average with score 0: only the children the matrix holds are
+///   read, but the average divides by every child;
+/// * a target child outside the matrix would read 0, which never
+///   changes a best match that counts (a positive one);
+/// * a parent outside the matrix would read 0, which never drags a
+///   child down.
 pub(crate) fn flood_rows(
-    before: &ScoreMatrix,
-    source: &SchemaGraph,
-    target: &SchemaGraph,
-    locked: &HashSet<(ElementId, ElementId)>,
+    plan: &FloodPlan,
     config: &FloodingConfig,
+    before: &[f64],
     lo: usize,
     hi: usize,
-) -> Vec<f64> {
-    let src_ids = before.src_ids();
-    let tgt_ids = before.tgt_ids();
-    let mut out = Vec::with_capacity((hi - lo) * tgt_ids.len());
-    // Children lists are per-row (source) and per-column (target), not
-    // per-cell: hoist the column lists once per kernel call.
-    let t_children: Vec<Vec<ElementId>> = if config.enable_up {
-        tgt_ids
-            .iter()
-            .map(|&t| target.children(t).iter().map(|&(_, c)| c).collect())
-            .collect()
-    } else {
-        Vec::new()
-    };
-    for &s in &src_ids[lo..hi] {
-        let s_children: Vec<ElementId> = if config.enable_up {
-            source.children(s).iter().map(|&(_, c)| c).collect()
-        } else {
-            Vec::new()
-        };
-        for (col, &t) in tgt_ids.iter().enumerate() {
-            let current = before.get(s, t).value();
-            if locked.contains(&(s, t)) {
-                out.push(current);
+    out: &mut [f64],
+) {
+    let cols = plan.cols();
+    if cols == 0 {
+        return;
+    }
+    let read = |i: usize| Confidence::raw(before[i]).value();
+    for (row, out) in (lo..hi).zip(out.chunks_mut(cols)) {
+        let s = &plan.rows[row];
+        for ((col, t), slot) in plan.cols.iter().enumerate().zip(out) {
+            let i = row * cols + col;
+            let current = read(i);
+            if plan.locked[i] {
+                *slot = current;
                 continue;
             }
             let mut adjusted = current;
 
-            if config.enable_up {
-                let t_children = &t_children[col];
-                if !s_children.is_empty() && !t_children.is_empty() {
-                    let mut total = 0.0;
-                    let mut counted = 0usize;
-                    for &cs in &s_children {
-                        let best = t_children
-                            .iter()
-                            .map(|&ct| before.get(cs, ct).value())
-                            .fold(f64::NEG_INFINITY, f64::max);
-                        if best.is_finite() && best > 0.0 {
-                            total += best;
-                        }
-                        counted += 1;
-                    }
-                    if counted > 0 {
-                        adjusted += config.up_coefficient * (total / counted as f64);
+            if config.enable_up && s.child_count > 0 && t.child_count > 0 {
+                let mut total = 0.0;
+                for &cs in &s.children {
+                    let base = cs as usize * cols;
+                    let best = t
+                        .children
+                        .iter()
+                        .map(|&ct| read(base + ct as usize))
+                        .fold(f64::NEG_INFINITY, f64::max);
+                    if best.is_finite() && best > 0.0 {
+                        total += best;
                     }
                 }
+                adjusted += config.up_coefficient * (total / s.child_count as f64);
             }
 
             if config.enable_down {
-                if let (Some((_, ps)), Some((_, pt))) = (source.parent(s), target.parent(t)) {
-                    let parent_score = before.get(ps, pt).value();
+                if let (Some(ps), Some(pt)) = (s.parent, t.parent) {
+                    let parent_score = read(ps as usize * cols + pt as usize);
                     if parent_score < 0.0 {
                         adjusted += config.down_coefficient * parent_score;
                     }
                 }
             }
 
-            out.push(Confidence::engine(adjusted).value());
+            *slot = Confidence::engine(adjusted).value();
         }
     }
-    out
+}
+
+/// The flooding fixpoint loop over `matrix`: before each iteration it
+/// checks `budget`, then `step` computes every row of the next slab
+/// from the current one (shared read-only, so a step may hand it to
+/// worker threads). The loop stops when the mean absolute change drops
+/// below [`FloodingConfig::epsilon`], or after
+/// [`FloodingConfig::max_iterations`]. Returns the iterations run.
+/// An interrupted loop leaves `matrix` as it was.
+pub(crate) fn fixpoint(
+    matrix: &mut ScoreMatrix,
+    config: &FloodingConfig,
+    budget: &Budget,
+    mut step: impl FnMut(&Arc<Vec<f64>>, &mut [f64]) -> Result<(), Interrupt>,
+) -> Result<usize, Interrupt> {
+    if !config.enable_up && !config.enable_down {
+        return Ok(0);
+    }
+    let mut before = Arc::new(matrix.scores().to_vec());
+    let mut after = vec![0.0; before.len()];
+    let mut iterations = config.max_iterations;
+    for iteration in 0..config.max_iterations {
+        budget.check()?;
+        step(&before, &mut after)?;
+        let change = mean_abs_diff(&after, &before);
+        let spare = Arc::try_unwrap(before).unwrap_or_else(|shared| shared.to_vec());
+        before = Arc::new(std::mem::replace(&mut after, spare));
+        if change < config.epsilon {
+            iterations = iteration + 1;
+            break;
+        }
+    }
+    matrix.splice_rows(0, &before);
+    Ok(iterations)
 }
 
 /// Run flooding in place. `locked` cells keep their value. Returns the
@@ -160,9 +267,8 @@ pub fn flood(
 /// [`flood`] under a cooperative [`Budget`], checked before every
 /// iteration. The fixpoint loop is already bounded by the explicit,
 /// deterministic [`FloodingConfig::max_iterations`] budget; the
-/// interruption budget only aborts it earlier, and an abort leaves the
-/// matrix mid-fixpoint only in the caller's local copy — the engine
-/// discards it, so no partial result is ever observed.
+/// interruption budget only aborts it earlier, and an aborted run leaves
+/// the matrix as it was.
 pub fn flood_budgeted(
     matrix: &mut ScoreMatrix,
     source: &SchemaGraph,
@@ -174,17 +280,23 @@ pub fn flood_budgeted(
     if !config.enable_up && !config.enable_down {
         return Ok(0);
     }
-    let rows = matrix.src_ids().len();
-    for iteration in 0..config.max_iterations {
-        budget.check()?;
-        let before = matrix.clone();
-        let values = flood_rows(&before, source, target, locked, config, 0, rows);
-        matrix.splice_rows(0, &values);
-        if matrix.mean_abs_diff(&before) < config.epsilon {
-            return Ok(iteration + 1);
-        }
-    }
-    Ok(config.max_iterations)
+    let plan = FloodPlan::new(matrix, source, target, locked.iter().copied());
+    flood_planned(matrix, &plan, config, budget)
+}
+
+/// The sequential fixpoint loop over a built plan: one [`flood_rows`]
+/// call over every row per iteration.
+pub(crate) fn flood_planned(
+    matrix: &mut ScoreMatrix,
+    plan: &FloodPlan,
+    config: &FloodingConfig,
+    budget: &Budget,
+) -> Result<usize, Interrupt> {
+    let rows = plan.rows();
+    fixpoint(matrix, config, budget, |before, after| {
+        flood_rows(plan, config, before, 0, rows, after);
+        Ok(())
+    })
 }
 
 #[cfg(test)]

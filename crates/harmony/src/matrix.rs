@@ -1,8 +1,7 @@
 //! Dense score matrices over the matchable elements of two schemata.
 
 use crate::confidence::Confidence;
-use iwb_model::{ElementId, ElementKind, SchemaGraph};
-use std::collections::HashMap;
+use iwb_model::{ElementId, ElementKind, Positions, SchemaGraph};
 
 /// The element kinds that participate in matching. Keys and domain
 /// values are excluded: keys are structural artifacts, and domain values
@@ -28,13 +27,20 @@ pub fn matchable_ids(graph: &SchemaGraph) -> Vec<ElementId> {
         .collect()
 }
 
-/// A dense source × target matrix of confidence scores.
+/// A dense source × target matrix of confidence scores, stored row-major
+/// (row = source position, column = target position).
+///
+/// Each side keeps a [`Positions`] table, so turning an element id into
+/// its row ([`Self::row_of`]) or column ([`Self::col_of`]) is one array
+/// read, and a cell read by id is two. The engine's kernels go further
+/// and read [`Self::scores`] by offset, with the positions resolved once
+/// per run.
 #[derive(Debug, Clone)]
 pub struct ScoreMatrix {
     src_ids: Vec<ElementId>,
     tgt_ids: Vec<ElementId>,
-    src_index: HashMap<ElementId, usize>,
-    tgt_index: HashMap<ElementId, usize>,
+    src_pos: Positions,
+    tgt_pos: Positions,
     scores: Vec<f64>,
 }
 
@@ -46,16 +52,8 @@ impl ScoreMatrix {
 
     /// A zero matrix over explicit row/column element id sets.
     pub fn new(src_ids: Vec<ElementId>, tgt_ids: Vec<ElementId>) -> Self {
-        let src_index = src_ids.iter().enumerate().map(|(i, &e)| (e, i)).collect();
-        let tgt_index = tgt_ids.iter().enumerate().map(|(i, &e)| (e, i)).collect();
         let scores = vec![0.0; src_ids.len() * tgt_ids.len()];
-        ScoreMatrix {
-            src_ids,
-            tgt_ids,
-            src_index,
-            tgt_index,
-            scores,
-        }
+        Self::from_raw(src_ids, tgt_ids, scores).expect("a zero slab fits its dimensions")
     }
 
     /// Rebuild a matrix from its id sets and a row-major score slab
@@ -70,13 +68,11 @@ impl ScoreMatrix {
         if scores.len() != src_ids.len() * tgt_ids.len() {
             return None;
         }
-        let src_index = src_ids.iter().enumerate().map(|(i, &e)| (e, i)).collect();
-        let tgt_index = tgt_ids.iter().enumerate().map(|(i, &e)| (e, i)).collect();
         Some(ScoreMatrix {
+            src_pos: Positions::of(&src_ids),
+            tgt_pos: Positions::of(&tgt_ids),
             src_ids,
             tgt_ids,
-            src_index,
-            tgt_index,
             scores,
         })
     }
@@ -91,6 +87,16 @@ impl ScoreMatrix {
         &self.tgt_ids
     }
 
+    /// The row of a source element, if the matrix has one.
+    pub fn row_of(&self, src: ElementId) -> Option<usize> {
+        self.src_pos.get(src)
+    }
+
+    /// The column of a target element, if the matrix has one.
+    pub fn col_of(&self, tgt: ElementId) -> Option<usize> {
+        self.tgt_pos.get(tgt)
+    }
+
     /// Number of cells.
     pub fn len(&self) -> usize {
         self.scores.len()
@@ -101,10 +107,9 @@ impl ScoreMatrix {
         self.scores.is_empty()
     }
 
-    fn offset(&self, src: ElementId, tgt: ElementId) -> Option<usize> {
-        let r = *self.src_index.get(&src)?;
-        let c = *self.tgt_index.get(&tgt)?;
-        Some(r * self.tgt_ids.len() + c)
+    /// The row-major offset of a cell in [`Self::scores`].
+    pub(crate) fn offset(&self, src: ElementId, tgt: ElementId) -> Option<usize> {
+        Some(self.row_of(src)? * self.tgt_ids.len() + self.col_of(tgt)?)
     }
 
     /// The score of a cell; `UNKNOWN` for ids outside the matrix.
@@ -129,15 +134,19 @@ impl ScoreMatrix {
 
     /// Iterate `(src, tgt, score)` over every cell, row-major.
     pub fn iter(&self) -> impl Iterator<Item = (ElementId, ElementId, Confidence)> + '_ {
-        self.src_ids
-            .iter()
-            .flat_map(move |&s| self.tgt_ids.iter().map(move |&t| (s, t, self.get(s, t))))
+        let rows = self.scores.chunks(self.tgt_ids.len().max(1));
+        self.src_ids.iter().zip(rows).flat_map(move |(&s, row)| {
+            self.tgt_ids
+                .iter()
+                .zip(row)
+                .map(move |(&t, &v)| (s, t, Confidence::raw(v)))
+        })
     }
 
     /// The column with the maximal score in a row, with the score
     /// (`None` for an unknown row or empty target side).
     pub fn best_for_src(&self, src: ElementId) -> Option<(ElementId, Confidence)> {
-        let r = *self.src_index.get(&src)?;
+        let r = self.row_of(src)?;
         let base = r * self.tgt_ids.len();
         self.tgt_ids
             .iter()
@@ -149,7 +158,7 @@ impl ScoreMatrix {
 
     /// The row with the maximal score in a column, with the score.
     pub fn best_for_tgt(&self, tgt: ElementId) -> Option<(ElementId, Confidence)> {
-        let c = *self.tgt_index.get(&tgt)?;
+        let c = self.col_of(tgt)?;
         self.src_ids
             .iter()
             .enumerate()
@@ -192,18 +201,22 @@ impl ScoreMatrix {
     /// # Panics
     /// If shapes differ.
     pub fn mean_abs_diff(&self, other: &ScoreMatrix) -> f64 {
-        assert_eq!(self.scores.len(), other.scores.len(), "shape mismatch");
-        if self.scores.is_empty() {
-            return 0.0;
-        }
-        let total: f64 = self
-            .scores
-            .iter()
-            .zip(other.scores.iter())
-            .map(|(a, b)| (a - b).abs())
-            .sum();
-        total / self.scores.len() as f64
+        mean_abs_diff(&self.scores, &other.scores)
     }
+}
+
+/// Mean absolute difference of two equally long score slabs (0 for
+/// empty ones), summed in slab order.
+///
+/// # Panics
+/// If the lengths differ.
+pub(crate) fn mean_abs_diff(a: &[f64], b: &[f64]) -> f64 {
+    assert_eq!(a.len(), b.len(), "shape mismatch");
+    if a.is_empty() {
+        return 0.0;
+    }
+    let total: f64 = a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum();
+    total / a.len() as f64
 }
 
 #[cfg(test)]

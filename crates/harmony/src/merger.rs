@@ -85,19 +85,32 @@ impl VoteMerger {
     /// Merge one cell's votes. `votes` pairs each voter name with its
     /// confidence.
     pub fn merge(&self, votes: &[(&str, Confidence)]) -> Confidence {
-        if votes.is_empty() {
+        self.merge_weighted(votes.iter().map(|&(voter, c)| (self.weight(voter), c)))
+    }
+
+    /// Merge one cell's votes, each paired with its voter's weight
+    /// ([`Self::weight`]). This is [`Self::merge`] with the weights
+    /// looked up by the caller: the engine's merge kernel looks them up
+    /// once per call, not once per cell, and runs this same arithmetic
+    /// in the same order.
+    pub(crate) fn merge_weighted(
+        &self,
+        votes: impl ExactSizeIterator<Item = (f64, Confidence)>,
+    ) -> Confidence {
+        let n = votes.len();
+        if n == 0 {
             return Confidence::UNKNOWN;
         }
         match self.strategy {
             MergeStrategy::UniformAverage => {
-                let sum: f64 = votes.iter().map(|(_, c)| c.value()).sum();
-                Confidence::engine(sum / votes.len() as f64)
+                let sum: f64 = votes.map(|(_, c)| c.value()).sum();
+                Confidence::engine(sum / n as f64)
             }
             MergeStrategy::MagnitudeWeighted => {
                 let mut num = 0.0;
                 let mut den = 0.0;
-                for (voter, c) in votes {
-                    let w = self.weight(voter) * c.magnitude();
+                for (weight, c) in votes {
+                    let w = weight * c.magnitude();
                     num += w * c.value();
                     den += w;
                 }

@@ -11,6 +11,7 @@
 //! and machines.
 
 use iwb_eval::domains::{default_knobs, domains, generate_case, DomainKnobs};
+use iwb_harmony::flooding::flood;
 use iwb_harmony::voters::default_suite;
 use iwb_harmony::{
     cupid_like_engine, Budget, CancelToken, Confidence, Deadline, Feedback, FloodingConfig,
@@ -18,10 +19,10 @@ use iwb_harmony::{
     VoteMerger,
 };
 use iwb_ling::Thesaurus;
-use iwb_model::{DataType, ElementId, Metamodel, SchemaBuilder};
+use iwb_model::{DataType, ElementId, ElementKind, Metamodel, SchemaBuilder, SchemaGraph};
 use iwb_registry::perturb::{perturb_schema, PerturbConfig};
 use iwb_registry::{generate_registry, GeneratorConfig, SchemaPair};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -601,4 +602,269 @@ fn distinct_seeds_produce_distinct_matrices() {
     let ra = run_with(&a, 1, false, &locked);
     let rb = run_with(&b, 1, false, &locked);
     assert_ne!(bits(&ra.matrix), bits(&rb.matrix));
+}
+
+/// The id-addressed definition of one flooding iteration, kept as the
+/// reference for the engine's positional kernel: every cell, its
+/// children's cells and its parents' cell are read through
+/// [`ScoreMatrix::get`], which answers 0 for a pair outside the matrix.
+fn reference_flood_iteration(
+    before: &ScoreMatrix,
+    source: &SchemaGraph,
+    target: &SchemaGraph,
+    locked: &HashSet<(ElementId, ElementId)>,
+    config: &FloodingConfig,
+) -> Vec<f64> {
+    let children = |graph: &SchemaGraph, id| -> Vec<ElementId> {
+        graph.children(id).iter().map(|&(_, c)| c).collect()
+    };
+    let mut out = Vec::with_capacity(before.len());
+    for &s in before.src_ids() {
+        let s_children = children(source, s);
+        for &t in before.tgt_ids() {
+            let current = before.get(s, t).value();
+            if locked.contains(&(s, t)) {
+                out.push(current);
+                continue;
+            }
+            let mut adjusted = current;
+            if config.enable_up {
+                let t_children = children(target, t);
+                if !s_children.is_empty() && !t_children.is_empty() {
+                    let mut total = 0.0;
+                    let mut counted = 0usize;
+                    for &cs in &s_children {
+                        let best = t_children
+                            .iter()
+                            .map(|&ct| before.get(cs, ct).value())
+                            .fold(f64::NEG_INFINITY, f64::max);
+                        if best.is_finite() && best > 0.0 {
+                            total += best;
+                        }
+                        counted += 1;
+                    }
+                    adjusted += config.up_coefficient * (total / counted as f64);
+                }
+            }
+            if config.enable_down {
+                if let (Some((_, ps)), Some((_, pt))) = (source.parent(s), target.parent(t)) {
+                    let parent_score = before.get(ps, pt).value();
+                    if parent_score < 0.0 {
+                        adjusted += config.down_coefficient * parent_score;
+                    }
+                }
+            }
+            out.push(Confidence::engine(adjusted).value());
+        }
+    }
+    out
+}
+
+/// The reference fixpoint loop around [`reference_flood_iteration`].
+fn reference_flood(
+    matrix: &mut ScoreMatrix,
+    source: &SchemaGraph,
+    target: &SchemaGraph,
+    locked: &HashSet<(ElementId, ElementId)>,
+    config: &FloodingConfig,
+) -> usize {
+    if !config.enable_up && !config.enable_down {
+        return 0;
+    }
+    for iteration in 0..config.max_iterations {
+        let before = matrix.clone();
+        let values = reference_flood_iteration(&before, source, target, locked, config);
+        matrix.splice_rows(0, &values);
+        if matrix.mean_abs_diff(&before) < config.epsilon {
+            return iteration + 1;
+        }
+    }
+    config.max_iterations
+}
+
+/// The reference merge: one [`VoteMerger::merge`] per cell over the
+/// votes read by id, locked cells passed through.
+fn reference_merge(result: &MatchResult, merger: &VoteMerger, locked: &Locked) -> Vec<f64> {
+    let m = &result.matrix;
+    let mut out = Vec::with_capacity(m.len());
+    for &s in m.src_ids() {
+        for &t in m.tgt_ids() {
+            if let Some(c) = locked.get(&(s, t)) {
+                out.push(c.value());
+                continue;
+            }
+            let votes: Vec<(&str, Confidence)> = result
+                .per_voter
+                .iter()
+                .map(|(name, vm)| (name.as_str(), vm.get(s, t)))
+                .collect();
+            out.push(merger.merge(&votes).value());
+        }
+    }
+    out
+}
+
+fn as_bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Locked cells on two container rows (tables, entities, elements) and
+/// two attribute rows: an accept and a reject on each, against the
+/// first columns of matching kind.
+fn locked_on_entity_and_attribute_rows(pair: &SchemaPair, m: &ScoreMatrix) -> Locked {
+    let is_attr = |g: &SchemaGraph, id| g.element(id).kind == ElementKind::Attribute;
+    let mut locked = HashMap::new();
+    for attrs in [false, true] {
+        let rows = m
+            .src_ids()
+            .iter()
+            .filter(|&&s| is_attr(&pair.source, s) == attrs);
+        let cols = m
+            .tgt_ids()
+            .iter()
+            .filter(|&&t| is_attr(&pair.target, t) == attrs);
+        for ((&s, &t), c) in rows
+            .zip(cols.skip(1))
+            .zip([Confidence::ACCEPT, Confidence::REJECT])
+        {
+            locked.insert((s, t), c);
+        }
+    }
+    assert_eq!(locked.len(), 4, "two entity rows and two attribute rows");
+    locked
+}
+
+/// True when some row or column element has a child the matrix does
+/// not hold (a key or a domain value).
+fn has_children_outside(pair: &SchemaPair, m: &ScoreMatrix) -> bool {
+    let outside = |graph: &SchemaGraph, ids: &[ElementId]| {
+        ids.iter()
+            .flat_map(|&id| graph.children(id))
+            .any(|&(_, c)| !ids.contains(&c))
+    };
+    outside(&pair.source, m.src_ids()) && outside(&pair.target, m.tgt_ids())
+}
+
+#[test]
+fn positional_kernels_match_the_id_addressed_reference() {
+    // The merge and flooding kernels read cells by position through a
+    // per-run plan. Against the id-addressed definitions above they must
+    // agree bit for bit: on a seeded registry pair, whose keys and
+    // domain values are children outside the matrix, and on every eval
+    // domain; with locked cells on entity and attribute rows; for
+    // default, up-only and down-only flooding; at 1 and 4 threads; and
+    // after a learn round has moved the merger's weights.
+    let mut inputs = vec![("seeded".to_owned(), seeded_pair(41, 8))];
+    for spec in domains() {
+        let knobs = DomainKnobs {
+            entities: 6,
+            attrs_per_entity: 3.0,
+            ..default_knobs(spec)
+        };
+        inputs.push((spec.name.to_owned(), generate_case(spec, &knobs, 4343).pair));
+    }
+    let floods = [
+        ("default", FloodingConfig::default()),
+        (
+            "up-only",
+            FloodingConfig {
+                enable_down: false,
+                ..FloodingConfig::default()
+            },
+        ),
+        (
+            "down-only",
+            FloodingConfig {
+                enable_up: false,
+                ..FloodingConfig::default()
+            },
+        ),
+    ];
+    for (name, pair) in &inputs {
+        let (src, tgt) = (&pair.source, &pair.target);
+        for threads in [1, 4] {
+            let what = |step: &str| format!("{name} threads={threads}: {step}");
+            // An engine that does not flood returns the merge.
+            let merging = |merger: VoteMerger| {
+                let engine =
+                    HarmonyEngine::new(default_suite(), merger, FloodingConfig::disabled());
+                configured(engine, threads, true)
+            };
+            let mut engine = merging(VoteMerger::default());
+            let first = engine.run(src, tgt, &HashMap::new());
+            if name == "seeded" {
+                assert!(
+                    has_children_outside(pair, &first.matrix),
+                    "the seeded pair has keys or domain values under its rows and columns"
+                );
+            }
+            let mut locked = locked_on_entity_and_attribute_rows(pair, &first.matrix);
+            let merged = engine.run(src, tgt, &locked);
+            assert_eq!(
+                as_bits(merged.matrix.scores()),
+                as_bits(&reference_merge(&merged, engine.merger(), &locked)),
+                "{}",
+                what("merge")
+            );
+            let feedback = oracle_round(pair, &merged, &mut locked);
+            engine.learn(src, tgt, &merged, &feedback);
+            assert!(
+                engine.merger().weights().values().any(|&w| w != 1.0),
+                "{}",
+                what("the learn round moves a weight")
+            );
+            let learned = engine.run(src, tgt, &locked);
+            assert_eq!(
+                as_bits(learned.matrix.scores()),
+                as_bits(&reference_merge(&learned, engine.merger(), &locked)),
+                "{}",
+                what("merge after learning")
+            );
+
+            let pinned: HashSet<(ElementId, ElementId)> = locked.keys().copied().collect();
+            for (flooding, config) in floods {
+                let mut expected = learned.matrix.clone();
+                let iterations = reference_flood(&mut expected, src, tgt, &pinned, &config);
+                let mut flooded = learned.matrix.clone();
+                assert_eq!(
+                    flood(&mut flooded, src, tgt, &pinned, &config),
+                    iterations,
+                    "{}",
+                    what(flooding)
+                );
+                assert_eq!(bits(&flooded), bits(&expected), "{}", what(flooding));
+                // The engine's own flooding, sequential or sharded, over
+                // the same merge under the same learned weights.
+                let mut flooding_engine =
+                    HarmonyEngine::new(default_suite(), engine.merger().clone(), config);
+                flooding_engine.restore_state(engine.state());
+                let run = flooding_engine.run(src, tgt, &locked);
+                assert_eq!(run.flooding_iterations, iterations, "{}", what(flooding));
+                assert_eq!(bits(&run.matrix), bits(&expected), "{}", what(flooding));
+            }
+        }
+    }
+}
+
+#[test]
+fn locked_cells_pass_through_a_suite_without_voters() {
+    let pair = seeded_pair(43, 4);
+    let m = ScoreMatrix::for_schemas(&pair.source, &pair.target);
+    let locked = locked_on_entity_and_attribute_rows(&pair, &m);
+    for threads in [1, 4] {
+        let engine = HarmonyEngine::new(
+            Vec::new(),
+            VoteMerger::default(),
+            FloodingConfig::disabled(),
+        );
+        let result = configured(engine, threads, true).run(&pair.source, &pair.target, &locked);
+        for (s, t, c) in result.matrix.iter() {
+            let expected = locked.get(&(s, t)).copied().unwrap_or(Confidence::UNKNOWN);
+            assert_eq!(
+                c.value().to_bits(),
+                expected.value().to_bits(),
+                "threads={threads}"
+            );
+        }
+    }
 }

@@ -17,15 +17,26 @@ use std::collections::{BTreeMap, HashMap};
 /// associative — with a hash map, two vectors built from the same
 /// tokens could produce cosines differing in the last bits, breaking
 /// the match engine's bit-identical determinism contract.
-#[derive(Debug, Clone, Default, PartialEq)]
+///
+/// The Euclidean norm is computed once, when the vector is built, by
+/// the same term-order sum every build uses (the empty and `Default`
+/// vectors included), so [`cosine`] reads it instead of recomputing it
+/// per pair.
+#[derive(Debug, Clone, PartialEq)]
 pub struct TermVector {
     weights: BTreeMap<String, f64>,
+    norm: f64,
 }
 
 impl TermVector {
     /// An empty vector.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    fn from_weights(weights: BTreeMap<String, f64>) -> Self {
+        let norm = weights.values().map(|w| w * w).sum::<f64>().sqrt();
+        TermVector { weights, norm }
     }
 
     /// The weight of `term` (0 if absent).
@@ -48,25 +59,44 @@ impl TermVector {
         self.weights.iter().map(|(t, &w)| (t.as_str(), w))
     }
 
-    /// Euclidean norm.
+    /// Euclidean norm (computed at construction).
     pub fn norm(&self) -> f64 {
-        self.weights.values().map(|w| w * w).sum::<f64>().sqrt()
+        self.norm
+    }
+}
+
+impl Default for TermVector {
+    fn default() -> Self {
+        Self::from_weights(BTreeMap::new())
     }
 }
 
 impl<S: Into<String>> FromIterator<(S, f64)> for TermVector {
     fn from_iter<T: IntoIterator<Item = (S, f64)>>(iter: T) -> Self {
-        TermVector {
-            weights: iter.into_iter().map(|(t, w)| (t.into(), w)).collect(),
-        }
+        Self::from_weights(iter.into_iter().map(|(t, w)| (t.into(), w)).collect())
     }
 }
 
 /// Cosine similarity of two term vectors, in [0, 1] for non-negative
 /// weights. Zero if either vector is empty.
+///
+/// The dot product runs over the smaller vector's terms in term order,
+/// with a cursor walking the larger one alongside: a term the larger
+/// vector lacks adds `w × 0`, exactly as a lookup of its weight would.
 pub fn cosine(a: &TermVector, b: &TermVector) -> f64 {
     let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    let dot: f64 = small.iter().map(|(t, w)| w * large.weight(t)).sum();
+    let mut cursor = large.weights.iter().peekable();
+    let dot: f64 = small
+        .iter()
+        .map(|(t, w)| {
+            while cursor.next_if(|(lt, _)| lt.as_str() < t).is_some() {}
+            let other = match cursor.peek() {
+                Some((lt, &lw)) if lt.as_str() == t => lw,
+                _ => 0.0,
+            };
+            w * other
+        })
+        .sum();
     let denom = a.norm() * b.norm();
     if denom == 0.0 {
         0.0

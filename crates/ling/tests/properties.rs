@@ -1,8 +1,8 @@
 //! Property-based tests for the linguistic substrate.
 
 use iwb_ling::{
-    dice_coefficient, jaro_winkler, levenshtein, normalized_levenshtein, porter_stem, soundex,
-    split_identifier, Corpus,
+    cosine, dice_coefficient, jaro_winkler, levenshtein, normalized_levenshtein, porter_stem,
+    soundex, split_identifier, Corpus, TermVector,
 };
 use proptest::prelude::*;
 
@@ -108,4 +108,62 @@ proptest! {
         let c = iwb_ling::cosine(&v1, &v2);
         prop_assert!((0.0..=1.0 + 1e-12).contains(&c));
     }
+
+    /// A vector's norm is computed once, at construction, and equals
+    /// the term-order sum it replaced bit for bit, for empty vectors too.
+    #[test]
+    fn cached_norm_equals_the_recomputed_one(
+        terms in proptest::collection::vec(("[a-f]{1,3}", 0.0f64..8.0), 0..12)
+    ) {
+        let v: TermVector = terms.into_iter().collect();
+        prop_assert_eq!(v.norm().to_bits(), recomputed_norm(&v).to_bits());
+    }
+
+    /// The cursor walk in `cosine` adds exactly the products a lookup
+    /// of each of the smaller vector's terms in the larger one adds,
+    /// `w × 0` for a missing term included, in the same order.
+    #[test]
+    fn cursor_cosine_equals_the_lookup_dot_product(
+        a in proptest::collection::vec(("[a-f]{1,2}", 0.0f64..8.0), 0..10),
+        b in proptest::collection::vec(("[a-h]{1,3}", 0.0f64..8.0), 0..24)
+    ) {
+        let (a, b): (TermVector, TermVector) = (a.into_iter().collect(), b.into_iter().collect());
+        prop_assert_eq!(cosine(&a, &b).to_bits(), lookup_cosine(&a, &b).to_bits());
+        prop_assert_eq!(cosine(&b, &a).to_bits(), lookup_cosine(&b, &a).to_bits());
+    }
+}
+
+/// The norm as `cosine` used to compute it for every pair.
+fn recomputed_norm(v: &TermVector) -> f64 {
+    v.iter().map(|(_, w)| w * w).sum::<f64>().sqrt()
+}
+
+/// `cosine` as it was: the smaller vector's terms looked up one by one
+/// in the larger, both norms recomputed.
+fn lookup_cosine(a: &TermVector, b: &TermVector) -> f64 {
+    let (small, large) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    let dot: f64 = small.iter().map(|(t, w)| w * large.weight(t)).sum();
+    let denom = recomputed_norm(a) * recomputed_norm(b);
+    if denom == 0.0 {
+        0.0
+    } else {
+        dot / denom
+    }
+}
+
+#[test]
+fn empty_and_default_vectors_keep_the_bits_of_an_empty_sum() {
+    let empty_sum = std::iter::empty::<f64>().sum::<f64>().sqrt();
+    for v in [
+        TermVector::new(),
+        TermVector::default(),
+        Vec::<(String, f64)>::new().into_iter().collect(),
+    ] {
+        assert!(v.is_empty());
+        assert_eq!(v.norm().to_bits(), empty_sum.to_bits());
+        assert_eq!(v.norm().to_bits(), recomputed_norm(&v).to_bits());
+    }
+    assert_eq!(TermVector::default(), TermVector::new());
+    let some: TermVector = [("x", 1.0)].into_iter().collect();
+    assert_eq!(cosine(&TermVector::default(), &some), 0.0);
 }

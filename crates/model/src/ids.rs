@@ -38,6 +38,39 @@ impl fmt::Display for ElementId {
     }
 }
 
+/// Where each id of a list sits in that list, looked up by the id's
+/// dense [`ElementId::index`]: one slot of 4 bytes per element of the
+/// issuing graph, so a lookup is one bounds-checked array read. Score
+/// and mapping matrices keep one table per side to turn an element id
+/// into a row or column.
+///
+/// An id the list does not hold, or one past the end of the table, has
+/// no position. A repeated id keeps its first position.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Positions(Vec<u32>);
+
+impl Positions {
+    const ABSENT: u32 = u32::MAX;
+
+    /// The position table of `ids`.
+    pub fn of(ids: &[ElementId]) -> Positions {
+        let len = ids.iter().map(|id| id.index() + 1).max().unwrap_or(0);
+        let mut table = vec![Self::ABSENT; len];
+        for (i, id) in ids.iter().enumerate().rev() {
+            table[id.index()] = u32::try_from(i).expect("id list exceeds u32");
+        }
+        Positions(table)
+    }
+
+    /// The position of `id` in the list, if it holds it.
+    pub fn get(&self, id: ElementId) -> Option<usize> {
+        match self.0.get(id.index()) {
+            Some(&p) if p != Self::ABSENT => Some(p as usize),
+            _ => None,
+        }
+    }
+}
+
 /// Globally unique identifier of a schema within a workbench instance.
 ///
 /// The blackboard keys its schema repository by `SchemaId`; loaders derive
@@ -93,6 +126,22 @@ mod tests {
     #[test]
     fn element_ids_order_by_index() {
         assert!(ElementId::from_index(1) < ElementId::from_index(2));
+    }
+
+    #[test]
+    fn positions_find_listed_ids_only() {
+        let id = ElementId::from_index;
+        let table = Positions::of(&[id(4), id(1), id(7), id(1)]);
+        assert_eq!(table.get(id(4)), Some(0));
+        assert_eq!(
+            table.get(id(1)),
+            Some(1),
+            "a repeated id keeps its first position"
+        );
+        assert_eq!(table.get(id(7)), Some(2));
+        assert_eq!(table.get(id(0)), None, "inside the table, not listed");
+        assert_eq!(table.get(id(8)), None, "past the end of the table");
+        assert_eq!(Positions::of(&[]).get(id(0)), None);
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub use domain::{Domain, DomainValue};
 pub use edge::{Edge, EdgeKind};
 pub use element::{DataType, ElementKind, SchemaElement};
 pub use graph::SchemaGraph;
-pub use ids::{ElementId, SchemaId};
+pub use ids::{ElementId, Positions, SchemaId};
 pub use metamodel::Metamodel;
 pub use path::ElementPath;
 pub use validate::{validate, ValidationError};

@@ -63,8 +63,11 @@ pub struct MatchContext {
     thesaurus: Arc<Thesaurus>,
     /// Document-frequency corpus built over both schemata's elements.
     pub corpus: Corpus,
-    source_features: HashMap<ElementId, ElementFeatures>,
-    target_features: HashMap<ElementId, ElementFeatures>,
+    /// Every element's features, indexed by [`ElementId::index`] (a
+    /// graph's ids are dense), so a voter's per-pair lookup is an array
+    /// read.
+    source_features: Vec<ElementFeatures>,
+    target_features: Vec<ElementFeatures>,
     /// Optional per-attribute instance samples (§2: instance data is
     /// "sometimes available and sometimes not"; when it is, the
     /// instance voter uses it).
@@ -166,20 +169,21 @@ impl MatchContext {
         // Second pass: vectors against the complete corpus.
         let features =
             |graph: &SchemaGraph, text: HashMap<ElementId, Arc<TextFeatures>>, corpus: &Corpus| {
-                let mut map = HashMap::with_capacity(text.len());
-                for (id, _) in graph.iter() {
-                    let t = text[&id].clone();
-                    let all: Vec<&str> = t
-                        .name
-                        .stems
-                        .iter()
-                        .chain(t.doc.stems.iter())
-                        .map(String::as_str)
-                        .collect();
-                    let vector = corpus.vector(all);
-                    map.insert(id, ElementFeatures { text: t, vector });
-                }
-                map
+                graph
+                    .iter()
+                    .map(|(id, _)| {
+                        let t = text[&id].clone();
+                        let all: Vec<&str> = t
+                            .name
+                            .stems
+                            .iter()
+                            .chain(t.doc.stems.iter())
+                            .map(String::as_str)
+                            .collect();
+                        let vector = corpus.vector(all);
+                        ElementFeatures { text: t, vector }
+                    })
+                    .collect()
             };
         let source_features = features(&source, source_text, &corpus);
         let target_features = features(&target, target_text, &corpus);
@@ -244,12 +248,12 @@ impl MatchContext {
 
     /// Features of a source element.
     pub fn src(&self, id: ElementId) -> &ElementFeatures {
-        &self.source_features[&id]
+        &self.source_features[id.index()]
     }
 
     /// Features of a target element.
     pub fn tgt(&self, id: ElementId) -> &ElementFeatures {
-        &self.target_features[&id]
+        &self.target_features[id.index()]
     }
 
     /// A context over the same schemas, thesaurus and text features,
@@ -257,10 +261,11 @@ impl MatchContext {
     /// [`MatchContext::build`] with that corpus, but neither schema is
     /// tokenised again.
     pub(crate) fn with_corpus(&self, corpus: Corpus) -> MatchContext {
-        let text = |features: &HashMap<ElementId, ElementFeatures>| {
+        let text = |features: &[ElementFeatures]| {
             features
                 .iter()
-                .map(|(&id, f)| (id, Arc::clone(&f.text)))
+                .enumerate()
+                .map(|(i, f)| (ElementId::from_index(i), Arc::clone(&f.text)))
                 .collect()
         };
         MatchContext::from_parts(

@@ -18,7 +18,7 @@
 //! is skipped there (a ~50 ms pair is too small to amortise the worker
 //! pool), but byte-identity and the `--strict` cache gate still apply.
 
-use iwb_bench::standard_pairs;
+use iwb_eval::harness::standard_pairs;
 use iwb_harmony::{HarmonyEngine, MatchConfig, MatchResult};
 use iwb_registry::perturb::PerturbConfig;
 use iwb_registry::SchemaPair;

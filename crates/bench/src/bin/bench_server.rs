@@ -43,22 +43,6 @@
 //! cargo run --release -p iwb-bench --bin bench_server -- \
 //!     --cancel-storm --sessions 8
 //! ```
-//!
-//! With `--fleet` the tool spins up three `--no-recover` backends —
-//! each with its **own** store directory, streaming every committed
-//! journal record to its rendezvous successor — behind two in-process
-//! `workbench-router`s, runs the session workload twice (a baseline
-//! pass, then a pass with the most-loaded backend hard-killed
-//! mid-run so failover must promote from the successors' local
-//! replicas), and writes `BENCH_fleet.json` gating **zero session
-//! loss** and **bounded steady-state replication lag**, reporting
-//! command p50/p99 with vs without failover plus replication-lag
-//! percentiles sampled from `repl status`. `--quick` shrinks it to a
-//! CI smoke.
-//!
-//! ```sh
-//! cargo run --release -p iwb-bench --bin bench_server -- --fleet
-//! ```
 
 use iwb_loaders::to_er_text;
 use iwb_registry::GeneratorConfig;
@@ -85,13 +69,6 @@ struct Args {
     max_pending: Option<usize>,
     /// Run the cancel-storm workload instead of the load mix.
     cancel_storm: bool,
-    /// Run the fleet workload (3 backends behind a `workbench-router`)
-    /// instead of the load mix: a baseline pass, then a pass with the
-    /// most-loaded backend hard-killed mid-run, gating zero session
-    /// loss and reporting p50/p99 with vs without failover.
-    fleet: bool,
-    /// Shrink the fleet workload to a CI smoke.
-    quick: bool,
     out: String,
 }
 
@@ -108,8 +85,6 @@ impl Default for Args {
             deadline_ms: None,
             max_pending: None,
             cancel_storm: false,
-            fleet: false,
-            quick: false,
             out: "BENCH_server.json".to_owned(),
         }
     }
@@ -119,8 +94,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: bench_server [--sessions N] [--commands N] [--workers N] \
          [--seed N] [--scale F] [--addr HOST:PORT] [--faults SPEC] \
-         [--deadline-ms N] [--max-pending N] [--cancel-storm] \
-         [--fleet [--quick]] [--out FILE]"
+         [--deadline-ms N] [--max-pending N] [--cancel-storm] [--out FILE]"
     );
     std::process::exit(2);
 }
@@ -141,17 +115,11 @@ fn parse_args() -> Args {
             "--deadline-ms" => out.deadline_ms = Some(value().parse().unwrap_or_else(|_| usage())),
             "--max-pending" => out.max_pending = Some(value().parse().unwrap_or_else(|_| usage())),
             "--cancel-storm" => out.cancel_storm = true,
-            "--fleet" => out.fleet = true,
-            "--quick" => out.quick = true,
             "--out" => out.out = value(),
             _ => usage(),
         }
     }
     if out.sessions == 0 || out.commands < 4 {
-        usage();
-    }
-    if out.fleet && (out.addr.is_some() || out.cancel_storm || out.faults.is_some()) {
-        eprintln!("--fleet spins up its own in-process fleet; it cannot combine with --addr, --cancel-storm, or --faults");
         usage();
     }
     if out.addr.is_some() && (out.faults.is_some() || out.cancel_storm || out.deadline_ms.is_some())
@@ -460,408 +428,6 @@ fn run_cancel_storm(args: &Args, handle: &ServerHandle) -> StormReport {
     }
 }
 
-/// Fixed tiny schema pair for the fleet workload: the measurement
-/// target is routing and failover latency, not matcher throughput.
-const FLEET_SCHEMA_A: &str =
-    "entity SHIPMENT \"An outgoing shipment.\" { ship_dt : date \"Date shipped.\" }";
-const FLEET_SCHEMA_B: &str =
-    "entity DELIVERY \"A delivery record.\" { deliver_dt : date \"Date delivered.\" }";
-
-/// What one fleet pass observed client-side.
-struct FleetPhase {
-    /// Per-command round-trip latencies (successful commands only).
-    latencies: Vec<Duration>,
-    errors: u64,
-    elapsed: Duration,
-}
-
-/// Reserve `n` concrete loopback addresses: replication peers must be
-/// known before any backend starts, so ephemeral `:0` binding is not
-/// an option. Each listener is dropped immediately; the tiny window
-/// until the backend rebinds is safe on loopback in a single process.
-fn reserve_addrs(n: usize) -> Vec<String> {
-    (0..n)
-        .map(|_| {
-            std::net::TcpListener::bind("127.0.0.1:0")
-                .expect("reserve addr")
-                .local_addr()
-                .expect("local addr")
-                .to_string()
-        })
-        .collect()
-}
-
-/// Spawn one replicating fleet backend per peer address, each with its
-/// own store under `scratch` (no startup sweep — the router promotes
-/// each session where it routes it, from the successor's streamed
-/// replica).
-fn fleet_backends(scratch: &std::path::Path, peers: &[String]) -> Vec<Option<ServerHandle>> {
-    use iwb_server::repl::ReplConfig;
-    peers
-        .iter()
-        .enumerate()
-        .map(|(slot, addr)| {
-            let store = scratch.join(format!("b{slot}"));
-            let deadline = Instant::now() + Duration::from_secs(10);
-            loop {
-                match serve(ServerConfig {
-                    addr: addr.clone(),
-                    store_dir: Some(store.clone()),
-                    recover: false,
-                    repl: Some(ReplConfig {
-                        peers: peers.to_vec(),
-                        self_index: slot,
-                    }),
-                    ..ServerConfig::default()
-                }) {
-                    Ok(handle) => break Some(handle),
-                    Err(_) if Instant::now() < deadline => {
-                        thread::sleep(Duration::from_millis(25));
-                    }
-                    Err(e) => panic!("bind fleet backend {addr}: {e}"),
-                }
-            }
-        })
-        .collect()
-}
-
-/// Poll every backend's `repl status` and collect each source row's
-/// replication lag (records committed locally but not yet acknowledged
-/// by the successor's replica). Dead backends are skipped, not errors
-/// — the sampler outlives the kill.
-fn sample_repl_lag(peers: &[String], stop: &std::sync::atomic::AtomicBool) -> Vec<u64> {
-    use std::sync::atomic::Ordering;
-    let mut samples = Vec::new();
-    while !stop.load(Ordering::Relaxed) {
-        for addr in peers {
-            let Ok(mut c) = Client::connect(addr.as_str()) else {
-                continue;
-            };
-            let Ok(resp) = c.request("repl status") else {
-                continue;
-            };
-            if !resp.ok {
-                continue;
-            }
-            for line in resp.body.lines() {
-                let Some(fields) = line.trim().strip_prefix("source ") else {
-                    continue;
-                };
-                if let Some(lag) = fields
-                    .split_whitespace()
-                    .find_map(|f| f.strip_prefix("lag="))
-                    .and_then(|v| v.parse::<u64>().ok())
-                {
-                    samples.push(lag);
-                }
-            }
-        }
-        thread::sleep(Duration::from_millis(5));
-    }
-    samples
-}
-
-/// Percentile over an unsorted integer sample set (sorts in place).
-fn pctl_u64(samples: &mut [u64], p: f64) -> u64 {
-    if samples.is_empty() {
-        return 0;
-    }
-    samples.sort_unstable();
-    let idx = ((samples.len() - 1) as f64 * p).round() as usize;
-    samples[idx]
-}
-
-/// Drive `sessions` concurrent sessions through the routers (session
-/// `i` uses router `i % routers`): per session one unmeasured warm-up
-/// (two loads and a match), then `commands` measured commands, every
-/// 4th mutating. `progress` counts measured commands fleet-wide so
-/// the caller can time a kill.
-fn run_fleet_phase(
-    addrs: Arc<Vec<SocketAddr>>,
-    sessions: usize,
-    commands: usize,
-    progress: Arc<std::sync::atomic::AtomicU64>,
-) -> FleetPhase {
-    use std::sync::atomic::Ordering;
-    let started = Instant::now();
-    let joins: Vec<_> = (0..sessions)
-        .map(|i| {
-            let progress = Arc::clone(&progress);
-            let addr = addrs[i % addrs.len()];
-            thread::spawn(move || {
-                let mut latencies = Vec::with_capacity(commands);
-                let mut errors = 0u64;
-                let mut c = Client::connect(addr).expect("connect router");
-                c.session_new(Some(&format!("f{i}")))
-                    .expect("place session");
-                for (cmd, body) in [
-                    ("load er a", Some(FLEET_SCHEMA_A)),
-                    ("load er b", Some(FLEET_SCHEMA_B)),
-                    ("match a b", None),
-                ] {
-                    let resp = match body {
-                        Some(b) => c.request_with_heredoc(cmd, b),
-                        None => c.request(cmd),
-                    };
-                    resp.expect("warm-up request").expect_ok().expect("warm-up");
-                }
-                for k in 0..commands {
-                    let cmd = if k % 4 == 0 {
-                        "match a b"
-                    } else {
-                        "show coverage"
-                    };
-                    let t = Instant::now();
-                    match c.request(cmd) {
-                        Ok(resp) if resp.ok => latencies.push(t.elapsed()),
-                        _ => errors += 1,
-                    }
-                    progress.fetch_add(1, Ordering::Relaxed);
-                }
-                (latencies, errors)
-            })
-        })
-        .collect();
-    let mut latencies = Vec::new();
-    let mut errors = 0u64;
-    for j in joins {
-        let (lat, err) = j.join().expect("fleet session thread");
-        latencies.extend(lat);
-        errors += err;
-    }
-    FleetPhase {
-        latencies,
-        errors,
-        elapsed: started.elapsed(),
-    }
-}
-
-/// Percentile in microseconds over a sorted-in-place sample set.
-fn pctl_us(samples: &mut [Duration], p: f64) -> u128 {
-    if samples.is_empty() {
-        return 0;
-    }
-    samples.sort_unstable();
-    let idx = ((samples.len() - 1) as f64 * p).round() as usize;
-    samples[idx].as_micros()
-}
-
-/// Router-side counters summed over every router in a pass.
-#[derive(Default)]
-struct PassCounters {
-    failovers: u64,
-    promotions: u64,
-    stale_replica_refusals: u64,
-    duplicate_acks: u64,
-}
-
-/// The fleet workload: a baseline pass (3 replicating `--no-recover`
-/// backends, one store each, behind 2 in-process routers), then an
-/// identical pass with the most-loaded backend hard-killed once half
-/// the measured commands have completed — failover must promote from
-/// the successors' streamed replicas. Gates zero session loss, at least one failover and
-/// promotion, no stale-replica refusals, and bounded steady-state
-/// replication lag; reports p50/p99 with vs without failover plus
-/// replication-lag percentiles.
-fn run_fleet(args: &Args) {
-    use iwb_router::router::{serve as serve_router, RouterConfig};
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-
-    let backends_n = 3usize;
-    let routers_n = 2usize;
-    let (sessions, commands) = if args.quick {
-        (4, 16)
-    } else {
-        (args.sessions, args.commands)
-    };
-    let out = if args.out == "BENCH_server.json" {
-        "BENCH_fleet.json".to_owned()
-    } else {
-        args.out.clone()
-    };
-    println!(
-        "bench_server: fleet, {sessions} sessions x {commands} commands over \
-         {backends_n} replicating backends / {routers_n} routers"
-    );
-
-    let scratch = std::env::temp_dir().join(format!("iwb-bench-fleet-{}", std::process::id()));
-
-    let run_pass = |tag: &str, kill: bool| -> (FleetPhase, PassCounters, Vec<u64>, usize) {
-        let pass_dir = scratch.join(tag);
-        let _ = std::fs::remove_dir_all(&pass_dir);
-        let peers = reserve_addrs(backends_n);
-        let mut backends = fleet_backends(&pass_dir, &peers);
-        let routers: Vec<_> = (0..routers_n)
-            .map(|_| {
-                serve_router(RouterConfig {
-                    backends: peers.clone(),
-                    ..RouterConfig::default()
-                })
-                .expect("bind router")
-            })
-            .collect();
-        let addrs = Arc::new(routers.iter().map(|r| r.addr()).collect::<Vec<_>>());
-
-        // Replication-lag sampler: polls `repl status` on every live
-        // backend for the whole pass.
-        let stop = Arc::new(AtomicBool::new(false));
-        let sampler = {
-            let peers = peers.clone();
-            let stop = Arc::clone(&stop);
-            thread::spawn(move || sample_repl_lag(&peers, &stop))
-        };
-
-        let progress = Arc::new(AtomicU64::new(0));
-        let phase = {
-            let progress = Arc::clone(&progress);
-            let addrs = Arc::clone(&addrs);
-            thread::spawn(move || run_fleet_phase(addrs, sessions, commands, progress))
-        };
-        if kill {
-            let mut owned = vec![0usize; backends_n];
-            for i in 0..sessions {
-                owned[iwb_store::rendezvous::rank(&format!("f{i}"), backends_n)[0]] += 1;
-            }
-            let victim = (0..backends_n).max_by_key(|&b| owned[b]).unwrap();
-            let half = (sessions * commands) as u64 / 2;
-            while progress.load(Ordering::Relaxed) < half {
-                thread::sleep(Duration::from_millis(2));
-            }
-            println!(
-                "  [{tag}] killing backend {victim} (owns {} of {sessions} sessions)",
-                owned[victim]
-            );
-            backends[victim].take().unwrap().kill();
-        }
-        let phase = phase.join().expect("fleet phase");
-        stop.store(true, Ordering::Relaxed);
-        let lag_samples = sampler.join().expect("lag sampler");
-
-        // Zero-loss sweep: every session must re-attach and export
-        // (through either router — use the first).
-        let mut lost = 0usize;
-        for i in 0..sessions {
-            let id = format!("f{i}");
-            let survived = Client::connect(addrs[0])
-                .ok()
-                .and_then(|mut c| {
-                    c.session_attach(&id).ok()?;
-                    c.request("export").ok().filter(|r| r.ok)
-                })
-                .is_some();
-            if !survived {
-                eprintln!("  [{tag}] LOST session {id}");
-                lost += 1;
-            }
-        }
-        let mut counters = PassCounters::default();
-        for r in &routers {
-            counters.failovers += r.stats().failovers_count();
-            counters.promotions += r.stats().promotions_count();
-            counters.stale_replica_refusals += r.stats().stale_replica_refusals_count();
-            counters.duplicate_acks += r.stats().duplicate_acks_count();
-        }
-        for r in routers {
-            r.shutdown();
-            r.join();
-        }
-        for b in backends.into_iter().flatten() {
-            b.shutdown();
-            b.join();
-        }
-        let _ = std::fs::remove_dir_all(&pass_dir);
-        (phase, counters, lag_samples, lost)
-    };
-
-    let (mut base, _, mut base_lag, base_lost) = run_pass("baseline", false);
-    let (mut fail, counters, mut fail_lag, lost) = run_pass("failover", true);
-    let _ = std::fs::remove_dir_all(&scratch);
-
-    let base_p50 = pctl_us(&mut base.latencies, 0.50);
-    let base_p99 = pctl_us(&mut base.latencies, 0.99);
-    let fail_p50 = pctl_us(&mut fail.latencies, 0.50);
-    let fail_p99 = pctl_us(&mut fail.latencies, 0.99);
-    let errors = base.errors + fail.errors;
-    // Steady-state lag comes from the healthy baseline pass; the
-    // failover pass also reports its max, which includes sources whose
-    // successor was the victim (their lag grows until the pass ends —
-    // expected, and visible rather than hidden).
-    let lag_p50 = pctl_u64(&mut base_lag, 0.50);
-    let lag_p99 = pctl_u64(&mut base_lag, 0.99);
-    let lag_max = base_lag.last().copied().unwrap_or(0);
-    let fail_lag_max = pctl_u64(&mut fail_lag, 1.0);
-    println!(
-        "  baseline: p50 {base_p50} us, p99 {base_p99} us over {} commands ({:.3}s)",
-        base.latencies.len(),
-        base.elapsed.as_secs_f64()
-    );
-    println!(
-        "  failover: p50 {fail_p50} us, p99 {fail_p99} us over {} commands ({:.3}s), \
-         {} failovers, {} promotions, {} stale refusals, {} duplicate acks",
-        fail.latencies.len(),
-        fail.elapsed.as_secs_f64(),
-        counters.failovers,
-        counters.promotions,
-        counters.stale_replica_refusals,
-        counters.duplicate_acks
-    );
-    println!(
-        "  replication lag (records): p50 {lag_p50}, p99 {lag_p99}, max {lag_max} over {} \
-         samples (failover-pass max {fail_lag_max})",
-        base_lag.len()
-    );
-    println!("  sessions lost: {lost} (baseline {base_lost})");
-
-    let json = format!(
-        "{{\n  \"mode\": \"fleet\",\n  \"backends\": {backends_n},\n  \"routers\": {routers_n},\n  \
-         \"sessions\": {sessions},\n  \
-         \"commands_per_session\": {commands},\n  \"baseline_p50_us\": {base_p50},\n  \
-         \"baseline_p99_us\": {base_p99},\n  \"failover_p50_us\": {fail_p50},\n  \
-         \"failover_p99_us\": {fail_p99},\n  \"failovers\": {},\n  \
-         \"promotions\": {},\n  \"stale_replica_refusals\": {},\n  \
-         \"duplicate_acks\": {},\n  \"protocol_errors\": {errors},\n  \
-         \"repl_lag_samples\": {},\n  \"repl_lag_p50\": {lag_p50},\n  \
-         \"repl_lag_p99\": {lag_p99},\n  \"repl_lag_max\": {lag_max},\n  \
-         \"failover_repl_lag_max\": {fail_lag_max},\n  \
-         \"sessions_lost\": {}\n}}\n",
-        counters.failovers,
-        counters.promotions,
-        counters.stale_replica_refusals,
-        counters.duplicate_acks,
-        base_lag.len(),
-        lost + base_lost,
-    );
-    std::fs::write(&out, &json).expect("write report");
-    println!("report written to {out}");
-
-    // Shipping is synchronous with the commit, so a healthy fleet's
-    // lag should hover at zero; a small allowance covers samples taken
-    // inside the commit window. STALE-REPLICA must never fire here:
-    // every acked mutation was offered to the successor before its ack.
-    let lag_bound = 4u64;
-    if lost + base_lost > 0
-        || counters.failovers == 0
-        || counters.promotions == 0
-        || counters.stale_replica_refusals > 0
-        || errors > 0
-        || lag_max > lag_bound
-    {
-        eprintln!(
-            "bench_server: FAILED — fleet invariants violated (lost={}, failovers={}, \
-             promotions={}, stale={}, errors={errors}, lag_max={lag_max} bound {lag_bound})",
-            lost + base_lost,
-            counters.failovers,
-            counters.promotions,
-            counters.stale_replica_refusals,
-        );
-        std::process::exit(1);
-    }
-    println!(
-        "bench_server: ok — fleet failover from streamed replicas, zero session loss, \
-         steady-state lag <= {lag_bound}"
-    );
-}
-
 fn mean_max_us(samples: &[Duration]) -> (u128, u128) {
     if samples.is_empty() {
         return (0, 0);
@@ -885,11 +451,6 @@ fn main() {
     let chaos = fault_plan.as_ref().is_some_and(|p| p.is_active());
     if chaos {
         iwb_server::quiet_injected_panics();
-    }
-
-    if args.fleet {
-        run_fleet(&args);
-        return;
     }
 
     if args.cancel_storm {

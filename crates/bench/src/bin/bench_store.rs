@@ -17,9 +17,9 @@
 //!     --seed 42 --entities 30 --scale 0.05 --repeats 3 --out BENCH_store.json
 //! ```
 
-use iwb_bench::standard_pairs;
 use iwb_core::persist;
 use iwb_core::shell::Shell;
+use iwb_eval::harness::standard_pairs;
 use iwb_harmony::{Confidence, HarmonyEngine, MatchConfig, MatchResult};
 use iwb_loaders::export::to_er_text;
 use iwb_registry::perturb::PerturbConfig;

@@ -5,7 +5,7 @@
 //! survives — the quantified version of "filters that help the
 //! integration engineer focus her attention".
 
-use iwb_bench::standard_pairs;
+use iwb_eval::harness::standard_pairs;
 use iwb_harmony::filters::{FilterSet, LinkFilter, NodeFilter, Side};
 use iwb_harmony::HarmonyEngine;
 use iwb_registry::perturb::PerturbConfig;

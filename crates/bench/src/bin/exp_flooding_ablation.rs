@@ -5,7 +5,7 @@
 //! scores trickle down". This experiment runs the full engine with
 //! flooding off, up-only, down-only, and both, and reports F1.
 
-use iwb_bench::{micro_average, standard_pairs};
+use iwb_eval::harness::{micro_average, predict, standard_pairs};
 use iwb_harmony::{FloodingConfig, HarmonyEngine, VoteMerger};
 use iwb_registry::perturb::PerturbConfig;
 
@@ -61,7 +61,7 @@ fn main() {
             let metrics: Vec<_> = pairs
                 .iter()
                 .map(|p| {
-                    let (links, it) = iwb_bench::predict(&mut engine, p, 0.25);
+                    let (links, it) = predict(&mut engine, p, 0.25);
                     iters = iters.max(it);
                     p.gold.score(&p.source, &p.target, &links)
                 })

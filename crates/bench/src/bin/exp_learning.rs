@@ -8,7 +8,7 @@
 //! gold found, and the voter-weight trajectory. Finally the whole
 //! schema is marked complete and the §4.3 progress bar reads 100%.
 
-use iwb_bench::standard_pairs;
+use iwb_eval::harness::standard_pairs;
 use iwb_harmony::eval::GoldStandard;
 use iwb_harmony::filters::{FilterSet, LinkFilter};
 use iwb_harmony::MatchSession;

@@ -7,7 +7,7 @@
 //! reports P/R/F1 for each single voter and the merged engine
 //! (magnitude-weighted and uniform-average ablation).
 
-use iwb_bench::{micro_average, score, standard_pairs, with_doc_density};
+use iwb_eval::harness::{micro_average, score, standard_pairs, with_doc_density};
 use iwb_harmony::voters::{
     AcronymVoter, DataTypeVoter, DocumentationVoter, DomainVoter, NameVoter, StructureVoter,
     ThesaurusVoter,

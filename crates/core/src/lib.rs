@@ -49,11 +49,6 @@ pub mod tool;
 pub mod tools;
 pub mod version;
 
-// The shared worker-pool primitive, re-exported so workbench hosts
-// (shell, daemon) name one pool type without depending on the crate
-// directly.
-pub use iwb_pool as pool;
-
 pub use blackboard::Blackboard;
 pub use context::SharedContext;
 pub use deploy::{DeployedApplication, IntegrationSolution, OperationalConstraints};

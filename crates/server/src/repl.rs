@@ -50,8 +50,8 @@
 //! * `repl status` — one `source id=<id> seq=<n> acked=<n> lag=<n>`
 //!   row per live journaled session and one
 //!   `replica id=<id> seq=<n> image=<w>` row per standby (`image=0`:
-//!   none yet). The router's promotion safety check and the bench's lag
-//!   percentiles both read this.
+//!   none yet). The router's promotion safety check and the fleet
+//!   benchmark's `server.repl_lag_max` both read this.
 //! * `repl promote <session> <min-seq>` — rebuild the session from the
 //!   best local evidence (own image and journal, else the standby). If
 //!   the best candidate is provably behind `min-seq` — the last seq the

@@ -992,7 +992,7 @@ fn dispatch(
         },
         // Per-session replication lag (source rows) and standby
         // lengths and image watermarks (replica rows) — the router's promotion safety check
-        // and the bench's lag percentiles both read this.
+        // and the fleet benchmark's `server.repl_lag_max` both read this.
         ["repl", "status"] => match registry.repl_status() {
             Some(body) => Reply::ok(body),
             None => Reply::err("replication disabled (start workbenchd with --repl-peers)"),

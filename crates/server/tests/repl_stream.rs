@@ -287,3 +287,98 @@ fn a_record_at_the_line_bound_is_on_the_successor_when_its_ok_returns() {
     sink.shutdown();
     sink.join();
 }
+
+/// Every acknowledged record is on the successor, with sessions
+/// committing side by side: four sessions on one owner, driven in
+/// parallel, each make 80 mutations (two loads, then alternating
+/// accept and reject). That crosses the 64-record image cadence, so
+/// image ships run beside the commits. Each `ok` finds its record
+/// acknowledged (`lag=0` for that session), a sampler polling the
+/// owner's `repl status` throughout never sees a `source` row lag by
+/// more than 4 records, and the successor ends up holding every
+/// session's whole history.
+#[test]
+fn every_acked_record_is_on_the_successor_under_concurrent_sessions() {
+    const SESSIONS: usize = 4;
+    const MUTATIONS: u64 = 80;
+    const LAG_BOUND: u64 = 4;
+    let store_src = TempDir::new("acked-src");
+    let store_sink = TempDir::new("acked-sink");
+    let peers = vec![reserve_addr(), reserve_addr()];
+    let source = spawn(&peers[0], &store_src.0, &peers, 0, FaultPlan::none());
+    let sink = spawn(&peers[1], &store_sink.0, &peers, 1, FaultPlan::none());
+    let owner = peers[0].as_str();
+    let reject = ACCEPT.replacen("accept", "reject", 1);
+
+    let (mut samples, mut worst) = (0usize, 0u64);
+    std::thread::scope(|scope| {
+        let drivers: Vec<_> = (0..SESSIONS)
+            .map(|i| {
+                let reject = reject.as_str();
+                scope.spawn(move || {
+                    let id = format!("cs{i}");
+                    let mut c = Client::connect(owner).unwrap();
+                    c.session_new(Some(&id)).unwrap();
+                    for n in 1..=MUTATIONS {
+                        let resp = match n {
+                            1 => c.request_with_heredoc("load er a", SCHEMA_A),
+                            2 => c.request_with_heredoc("load er b", SCHEMA_B),
+                            n if n % 2 == 1 => c.request(ACCEPT),
+                            _ => c.request(reject),
+                        };
+                        resp.unwrap().expect_ok().unwrap();
+                        let want = format!("source id={id} seq={n} acked={n} lag=0");
+                        let status = repl_status(owner);
+                        assert!(
+                            status.lines().any(|row| row == want),
+                            "record {n} of {id} must be acked when its ok returns: {status}"
+                        );
+                    }
+                })
+            })
+            .collect();
+        while !drivers.iter().all(|d| d.is_finished()) {
+            for row in repl_status(owner).lines() {
+                let Some(fields) = row.strip_prefix("source ") else {
+                    continue;
+                };
+                let lag = fields
+                    .split_whitespace()
+                    .find_map(|f| f.strip_prefix("lag="))
+                    .and_then(|v| v.parse::<u64>().ok())
+                    .unwrap_or_else(|| panic!("unparsable source row: {row}"));
+                samples += 1;
+                worst = worst.max(lag);
+            }
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    });
+    assert!(samples > 0, "the sampler must have seen source rows");
+    assert!(
+        worst <= LAG_BOUND,
+        "replication lag reached {worst} records over {samples} samples (bound {LAG_BOUND})"
+    );
+
+    let status = repl_status(&peers[1]);
+    for i in 0..SESSIONS {
+        assert!(
+            status.contains(&format!("replica id=cs{i} seq={MUTATIONS} ")),
+            "the successor must hold all of cs{i}: {status}"
+        );
+    }
+    // The image committed at record 64 reached the successor too.
+    wait_until(
+        "every image on the successor",
+        Duration::from_secs(10),
+        || {
+            let status = repl_status(&peers[1]);
+            (0..SESSIONS)
+                .all(|i| status.contains(&format!("replica id=cs{i} seq={MUTATIONS} image=64")))
+        },
+    );
+
+    source.shutdown();
+    source.join();
+    sink.shutdown();
+    sink.join();
+}

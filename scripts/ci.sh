@@ -17,8 +17,8 @@ cargo fmt --check
 echo "== cargo clippy --offline --workspace --all-targets -- -D warnings"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
-echo "== iwb_bench compiles (a package outside the workspace that imports iwb-server and iwb-router)"
-cargo check --offline --locked --all-targets --manifest-path iwb_bench/Cargo.toml \
+echo "== iwb_bench builds (a package outside the workspace that imports iwb-server and iwb-router)"
+cargo build --release --offline --locked --all-targets --manifest-path iwb_bench/Cargo.toml \
     --target-dir target/iwb_bench
 
 echo "== chaos smoke (fault-injection integration tests, fixed seeds)"
@@ -118,16 +118,23 @@ cargo test -q --offline -p iwb-server --lib -- \
     dispatch_sequences_release_and_repl_promote_a_session \
     dispatch_answers_probes_without_a_session
 
-echo "== streamed-replication suite (torn replica tail heals on restart, lag visible + drains, every shipment one repl range frame: a record at the owner's line bound is on the successor when its ok returns)"
+echo "== streamed-replication suite (torn replica tail heals on restart, lag visible + drains, every shipment one repl range frame: a record at the owner's line bound is on the successor when its ok returns; every acked record is on the successor under four concurrent sessions, with no sampled lag above 4 records)"
 cargo test -q --offline -p iwb-server --test repl_stream
 cargo test -q --offline -p iwb-server --test repl_stream -- \
-    a_record_at_the_line_bound_is_on_the_successor_when_its_ok_returns
+    a_record_at_the_line_bound_is_on_the_successor_when_its_ok_returns \
+    every_acked_record_is_on_the_successor_under_concurrent_sessions
 
-echo "== bench_server fleet smoke (replicated failover, zero session loss, bounded lag)"
-cargo run -q --release --offline -p iwb-bench --bin bench_server -- \
-    --fleet --quick --out target/BENCH_fleet_quick.json
-grep -q '"sessions_lost": 0' target/BENCH_fleet_quick.json
-grep -Eq '"repl_lag_max": [0-4],' target/BENCH_fleet_quick.json
+echo "== fleet failover smoke (iwb_bench quick traced failover: every acked reply matches the control, no failed command, at least one failover and promotion, no stale-replica refusal)"
+cargo run -q --release --offline --locked --manifest-path iwb_bench/Cargo.toml \
+    --target-dir target/iwb_bench --bin iwb_bench -- \
+    run --quick --workload failover --trace 1 --seed 3 --out-dir target/iwb_bench_quick \
+    > target/iwb_bench_failover_quick.txt
+result=$(grep '^{"correct": ' target/iwb_bench_failover_quick.txt)
+grep -q '"correct": true' <<<"$result"
+grep -q '"failed": 0,' <<<"$result"
+grep -Eq '"router\.failovers": \{"value": [1-9]' <<<"$result"
+grep -Eq '"router\.promotions": \{"value": [1-9]' <<<"$result"
+grep -q '"router.stale_refusals": {"value": 0,' <<<"$result"
 
 echo "== eval generator calibration (pinned domain counts, knob adherence properties)"
 cargo test -q --offline -p iwb-eval --test calibration --test generator_properties

@@ -192,11 +192,13 @@ impl WorkbenchManager {
             .iter()
             .position(|t| t.name() == tool_name)
             .ok_or_else(|| ToolError::Failed(format!("no tool named {tool_name:?}")))?;
-        self.session_trace.push(format!("invoke {tool_name}"));
 
-        // Transaction body: the tool buffers its events.
+        // Transaction body: the tool buffers its events. A tool that
+        // fails leaves no trace either, so the trace of a session equals
+        // that of one that ran only the commands that succeeded.
         let mut pending: Vec<WorkbenchEvent> = Vec::new();
         let output = self.tools[idx].invoke(&mut self.blackboard, args, &mut pending)?;
+        self.session_trace.push(format!("invoke {tool_name}"));
         self.session_trace
             .push(format!("  txn commit: {} event(s) buffered", pending.len()));
 

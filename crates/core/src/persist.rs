@@ -6,8 +6,9 @@
 //! element ids, matrices with locked cells and row/column annotations,
 //! library, version chains, provenance, focus context), the manager's
 //! trace, and every tool's state (for Harmony: merger weights, corpus
-//! seed and epochs, learned decisions, match configuration, the last
-//! result per pair; for blocking: the index). A host takes one at a
+//! seed and epochs, match configuration, and per schema pair the cells
+//! already learned and the previous per-voter votes; for blocking: the
+//! index). A host takes one at a
 //! journal watermark `W`; [`restore`] plus a replay of the records past
 //! `W` rebuilds the session exactly as a replay from record 0 would
 //! (property-tested over curation replays in `iwb-eval`), at a cost
@@ -184,7 +185,7 @@ mod tests {
         // trace is compared before it on both sides).
         assert_eq!(reads(&mut live), reads(&mut restored));
         // And so does everything after: a learned re-match against the
-        // restored last result and weights, then the reads again.
+        // restored previous votes and weights, then the reads again.
         let more = "reject left right left/SHIPMENT/ship_no right/DELIVERY/deliver_dt\n\
                     match left right\n";
         assert_eq!(

@@ -207,13 +207,13 @@ impl WorkbenchTool for BlockingTool {
         event: &WorkbenchEvent,
         _events: &mut Vec<WorkbenchEvent>,
     ) {
-        if let WorkbenchEvent::SchemaGraph { .. } = event {
+        if let WorkbenchEvent::SchemaGraph { schema } = event {
             // A blackboard-derived index no longer reflects the board;
             // a generated registry is immutable and stays valid.
             if matches!(self.indexed, Some((_, _, IndexSource::Blackboard))) {
                 self.indexed = None;
             }
-            self.engine.invalidate_features();
+            self.engine.forget_schema(schema);
         }
     }
 

@@ -9,37 +9,24 @@ use crate::blackboard::Blackboard;
 use crate::event::{EventKind, WorkbenchEvent};
 use crate::taskmodel::Task;
 use crate::tool::{ToolArgs, ToolError, ToolKind, WorkbenchTool};
-use iwb_harmony::{Budget, Confidence, Feedback, HarmonyEngine, MatchResult};
+use iwb_harmony::{Budget, Confidence, HarmonyEngine};
 use iwb_model::{ElementPath, SchemaId};
-use iwb_store::artifacts::{
-    decode_engine_state, decode_match_result, encode_engine_state, encode_match_result,
-};
+use iwb_store::artifacts::{decode_engine_state, encode_engine_state};
 use iwb_store::codec::{ByteReader, ByteWriter, CodecError};
 use std::collections::{HashMap, HashSet};
 use std::time::Duration;
 
+/// Only cells at/above this magnitude produce mapping-cell events (the
+/// full matrix is still written to the IB).
+const EVENT_THRESHOLD: f64 = 0.5;
+
 /// The Harmony matcher as a tool. The engine persists across
-/// invocations so learning (§4.3) carries forward.
+/// invocations so learning (§4.3) carries forward: it keeps, per schema
+/// pair, the decisions already learned and the votes they are learned
+/// against ([`HarmonyEngine::rematch`]).
+#[derive(Default)]
 pub struct HarmonyTool {
     engine: HarmonyEngine,
-    /// Previous engine result per pair, for merger re-weighting.
-    last_result: HashMap<(SchemaId, SchemaId), MatchResult>,
-    /// Decisions already fed back, so each is learned once.
-    learned: HashSet<(SchemaId, SchemaId, String, String)>,
-    /// Only cells at/above this magnitude produce mapping-cell events
-    /// (the full matrix is still written to the IB).
-    pub event_threshold: f64,
-}
-
-impl Default for HarmonyTool {
-    fn default() -> Self {
-        HarmonyTool {
-            engine: HarmonyEngine::default(),
-            last_result: HashMap::new(),
-            learned: HashSet::new(),
-            event_threshold: 0.5,
-        }
-    }
 }
 
 impl HarmonyTool {
@@ -130,45 +117,10 @@ impl HarmonyTool {
     ) -> Result<String, ToolError> {
         let src_graph = bb
             .schema(source)
-            .ok_or_else(|| ToolError::UnknownSchema(source.to_string()))?
-            .clone();
+            .ok_or_else(|| ToolError::UnknownSchema(source.to_string()))?;
         let tgt_graph = bb
             .schema(target)
-            .ok_or_else(|| ToolError::UnknownSchema(target.to_string()))?
-            .clone();
-        // Locked cells: existing user decisions in the matrix. The
-        // matrix itself is only ensured *after* the engine completes —
-        // an aborted run must leave the blackboard untouched, without
-        // even an empty matrix as a trace.
-        let mut locked = HashMap::new();
-        let mut fresh_feedback = Vec::new();
-        if let Some(matrix) = bb.matrix(source, target) {
-            for (row, col, confidence) in matrix.user_cells() {
-                locked.insert((row, col), confidence);
-                let key = (
-                    source.clone(),
-                    target.clone(),
-                    src_graph.name_path(row),
-                    tgt_graph.name_path(col),
-                );
-                if self.learned.insert(key) {
-                    fresh_feedback.push(Feedback {
-                        src: row,
-                        tgt: col,
-                        accepted: confidence == Confidence::ACCEPT,
-                    });
-                }
-            }
-        }
-
-        // Learn from new decisions against the previous run (§4.3).
-        if let Some(prev) = self.last_result.get(&(source.clone(), target.clone())) {
-            if !fresh_feedback.is_empty() {
-                self.engine
-                    .learn(&src_graph, &tgt_graph, prev, &fresh_feedback);
-            }
-        }
-
+            .ok_or_else(|| ToolError::UnknownSchema(target.to_string()))?;
         // Sub-tree restriction (§5.3: "she can choose a sub-tree
         // (including an entire schema) and request recommended matches").
         let scope: Option<HashSet<iwb_model::ElementId>> = match subtree {
@@ -178,13 +130,26 @@ impl HarmonyTool {
             }
             None => None,
         };
+        // Locked cells: existing user decisions in the matrix. The
+        // matrix itself is only ensured *after* the engine completes —
+        // an aborted run must leave the blackboard untouched, without
+        // even an empty matrix as a trace.
+        let locked: HashMap<_, _> = bb
+            .matrix(source, target)
+            .map(|m| {
+                m.user_cells()
+                    .map(|(row, col, c)| ((row, col), c))
+                    .collect()
+            })
+            .unwrap_or_default();
 
         // The effective budget is the host's (per-command deadline,
         // cancel token) tightened by the engine's own configured
-        // per-run timeout — whichever expires first wins. An abort
-        // returns here *before* any cell is written, so the matrix is
-        // exactly as it was (feedback learned above is monotone engine
-        // state, not session output, and is kept).
+        // per-run timeout — whichever expires first wins. The re-match
+        // step learns from new decisions (§4.3) and runs the engine; an
+        // abort returns here before any cell is written and leaves the
+        // engine's learned state as it was, so the session is exactly
+        // as if the command had not run.
         let budget = budget.tightened(
             self.engine
                 .match_config()
@@ -193,7 +158,7 @@ impl HarmonyTool {
         );
         let result = self
             .engine
-            .run_budgeted(&src_graph, &tgt_graph, &locked, &budget)
+            .rematch(src_graph, tgt_graph, &locked, &budget)
             .map_err(ToolError::from)?;
         bb.ensure_matrix(source, target);
         let (mut written, mut emitted) = (0usize, 0usize);
@@ -211,10 +176,9 @@ impl HarmonyTool {
                     .map(move |(c, &col)| (row, col, Confidence::raw(m.scores()[r * cols + c])))
             })
             .filter(|&(row, col, _)| !locked.contains_key(&(row, col)));
-        let threshold = self.event_threshold;
         bb.set_cells(self.name(), source, target, false, cells, |row, col, c| {
             written += 1;
-            if c.magnitude() >= threshold {
+            if c.magnitude() >= EVENT_THRESHOLD {
                 events.push(WorkbenchEvent::MappingCell {
                     source: source.clone(),
                     target: target.clone(),
@@ -224,8 +188,6 @@ impl HarmonyTool {
                 emitted += 1;
             }
         });
-        self.last_result
-            .insert((source.clone(), target.clone()), result);
         Ok(format!(
             "matched {source} → {target}: {written} cells updated, {emitted} above display threshold"
         ))
@@ -261,9 +223,7 @@ impl WorkbenchTool for HarmonyTool {
         _events: &mut Vec<WorkbenchEvent>,
     ) {
         if let WorkbenchEvent::SchemaGraph { schema } = event {
-            self.engine.invalidate_features();
-            self.last_result
-                .retain(|(s, t), _| s != schema && t != schema);
+            self.engine.forget_schema(schema);
         }
     }
 
@@ -271,44 +231,17 @@ impl WorkbenchTool for HarmonyTool {
         Some(self)
     }
 
-    /// The engine's learned state, the decisions already learned, the
-    /// last result per pair (which `learn` re-weights against) and the
-    /// event threshold.
+    /// The engine's learned state, with the decisions already learned
+    /// and the votes they are learned against, per pair.
     fn save_state(&self) -> Option<Vec<u8>> {
         let mut w = ByteWriter::new();
         encode_engine_state(&mut w, &self.engine.state());
-        let mut learned: Vec<_> = self.learned.iter().collect();
-        learned.sort();
-        w.u32(learned.len() as u32);
-        for (src, tgt, row, col) in learned {
-            for part in [src.as_str(), tgt.as_str(), row, col] {
-                w.str(part);
-            }
-        }
-        let mut results: Vec<_> = self.last_result.iter().collect();
-        results.sort_by(|a, b| a.0.cmp(b.0));
-        w.u32(results.len() as u32);
-        for ((src, tgt), result) in results {
-            w.str(src.as_str());
-            w.str(tgt.as_str());
-            encode_match_result(&mut w, result);
-        }
-        w.f64(self.event_threshold);
         Some(w.into_bytes())
     }
 
     fn restore_state(&mut self, bytes: &[u8], _blackboard: &Blackboard) -> Result<(), CodecError> {
         let mut r = ByteReader::new(bytes);
         self.engine.restore_state(decode_engine_state(&mut r)?);
-        for _ in 0..r.u32()? {
-            let (src, tgt) = (SchemaId::new(r.str()?), SchemaId::new(r.str()?));
-            self.learned.insert((src, tgt, r.str()?, r.str()?));
-        }
-        for _ in 0..r.u32()? {
-            let pair = (SchemaId::new(r.str()?), SchemaId::new(r.str()?));
-            self.last_result.insert(pair, decode_match_result(&mut r)?);
-        }
-        self.event_threshold = r.f64()?;
         Ok(())
     }
 
@@ -638,14 +571,14 @@ mod tests {
         tool.invoke(&mut bb, &args, &mut Vec::new()).unwrap();
         assert_eq!(tool.engine().cache_stats().context_hits, 1);
         // Re-importing a schema must drop the cached features and the
-        // remembered result for every pair the schema participates in.
+        // previous votes of every pair the schema participates in.
         assert!(tool.subscriptions().contains(&EventKind::SchemaGraph));
         tool.on_event(
             &mut bb,
             &WorkbenchEvent::SchemaGraph { schema: po.clone() },
             &mut Vec::new(),
         );
-        assert!(!tool.last_result.contains_key(&(po, inv)));
+        assert!(tool.engine().state().pairs[&(po, inv)].votes.is_none());
         tool.invoke(&mut bb, &args, &mut Vec::new()).unwrap();
         assert_eq!(tool.engine().cache_stats().context_misses, 2);
     }

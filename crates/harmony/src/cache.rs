@@ -19,10 +19,11 @@
 //! value-identical to a fresh build, so match results are byte-identical
 //! with the cache on or off (asserted by `tests/determinism.rs`).
 //!
-//! Invalidation: the workbench's `HarmonyTool` clears the cache when the
+//! Invalidation: the workbench's tools clear the cache when the
 //! blackboard announces a schema-graph event (a schema was added or
-//! replaced), and [`crate::HarmonyEngine::invalidate_features`] exposes
-//! the same for direct embedders.
+//! replaced, [`crate::HarmonyEngine::forget_schema`]). A re-match that
+//! is interrupted after learning clears it too: it rolls the corpus
+//! epoch back ([`crate::HarmonyEngine::rematch`]).
 
 use crate::context::{schema_text_features, MatchContext, TextFeatures};
 use iwb_ling::Thesaurus;

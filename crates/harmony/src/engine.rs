@@ -3,7 +3,13 @@
 //! Implements the pipeline of the paper's Figure 1. The engine owns the
 //! voter suite and the merger (both stateful — they learn across
 //! iterations, §4.3) and is reused across runs of a
-//! [`crate::session::MatchSession`].
+//! [`crate::session::MatchSession`] or the workbench's harmony tool.
+//!
+//! # The re-match step (§4.3)
+//!
+//! "The engineer can rerun the Harmony engine, which can learn from her
+//! feedback": [`HarmonyEngine::rematch`] is that loop, learning and the
+//! run in one all-or-nothing step, with per-pair state ([`PairState`]).
 //!
 //! # Parallelism and determinism
 //!
@@ -68,9 +74,9 @@ use crate::merger::VoteMerger;
 use crate::voter::MatchVoter;
 use crate::voters::default_suite;
 use iwb_ling::{Corpus, CorpusParts, Thesaurus};
-use iwb_model::{ElementId, SchemaGraph};
+use iwb_model::{ElementId, SchemaGraph, SchemaId};
 use iwb_pool::{Budget, Interrupt, ThreadPool};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::{mpsc, Arc};
 
 /// Execution knobs for [`HarmonyEngine::run`], exposed through the
@@ -115,12 +121,36 @@ pub struct MatchResult {
 impl MatchResult {
     /// The raw vote a named voter cast for a pair.
     pub fn vote_of(&self, voter: &str, src: ElementId, tgt: ElementId) -> Confidence {
-        self.per_voter
-            .iter()
-            .find(|(n, _)| n == voter)
-            .map(|(_, m)| m.get(src, tgt))
-            .unwrap_or(Confidence::UNKNOWN)
+        vote_in(&self.per_voter, voter, src, tgt)
     }
+}
+
+/// The vote a named voter cast for a pair in per-voter matrices
+/// ([`Confidence::UNKNOWN`] for an unknown voter or pair).
+fn vote_in(
+    per_voter: &[(String, ScoreMatrix)],
+    voter: &str,
+    src: ElementId,
+    tgt: ElementId,
+) -> Confidence {
+    per_voter
+        .iter()
+        .find(|(n, _)| n == voter)
+        .map(|(_, m)| m.get(src, tgt))
+        .unwrap_or(Confidence::UNKNOWN)
+}
+
+/// What [`HarmonyEngine::rematch`] keeps for one schema pair.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct PairState {
+    /// Locked cells already fed back, by element id. A cell locked
+    /// before the pair's first completed re-match is marked here
+    /// without being fed.
+    pub learned: BTreeSet<(ElementId, ElementId)>,
+    /// Each voter's matrix from the pair's last completed re-match: what
+    /// the merger re-weights against. `None` before the first, and after
+    /// either schema was replaced ([`HarmonyEngine::forget_schema`]).
+    pub votes: Option<Vec<(String, ScoreMatrix)>>,
 }
 
 /// What an engine has learned and been configured with, as plain data:
@@ -142,6 +172,8 @@ pub struct EngineState {
     pub inputs_epoch: u64,
     /// The execution configuration (`match-config`).
     pub config: MatchConfig,
+    /// The re-match step's state per (source, target) pair.
+    pub pairs: BTreeMap<(SchemaId, SchemaId), PairState>,
 }
 
 /// How the engine produced its most recent completed result (see
@@ -245,6 +277,8 @@ pub struct HarmonyEngine {
     retained: Option<RetainedRun>,
     /// How the most recent run was produced.
     last_run: RunReport,
+    /// The re-match step's state per (source, target) pair.
+    pairs: BTreeMap<(SchemaId, SchemaId), PairState>,
 }
 
 impl Default for HarmonyEngine {
@@ -280,6 +314,7 @@ impl HarmonyEngine {
             pool: None,
             retained: None,
             last_run: RunReport::default(),
+            pairs: BTreeMap::new(),
         }
     }
 
@@ -367,6 +402,7 @@ impl HarmonyEngine {
             corpus_epoch: self.corpus_epoch,
             inputs_epoch: self.inputs_epoch,
             config: self.config,
+            pairs: self.pairs.clone(),
         }
     }
 
@@ -382,12 +418,20 @@ impl HarmonyEngine {
         self.corpus_epoch = state.corpus_epoch;
         self.inputs_epoch = state.inputs_epoch;
         self.set_match_config(state.config);
+        self.pairs = state.pairs;
     }
 
-    /// Drop all cached features (call when a schema was edited in
-    /// place; the workbench does this on blackboard schema events).
-    pub fn invalidate_features(&mut self) {
+    /// A schema was replaced or edited in place (the workbench calls
+    /// this on blackboard schema events): drop all cached features and
+    /// the previous votes of every pair the schema is part of. The cells
+    /// already learned stay learned.
+    pub fn forget_schema(&mut self, schema: &SchemaId) {
         self.cache.clear();
+        for ((src, tgt), pair) in &mut self.pairs {
+            if src == schema || tgt == schema {
+                pair.votes = None;
+            }
+        }
     }
 
     /// Voter names in execution order.
@@ -823,9 +867,81 @@ impl HarmonyEngine {
         })
     }
 
+    /// §4.3's re-match step over one schema pair: learn the locked
+    /// cells not learned yet, then run the pipeline
+    /// ([`HarmonyEngine::run_budgeted`]) with every locked cell pinned.
+    ///
+    /// * Fresh cells are fed in ascending (row id, col id) order — the
+    ///   order in which the workbench's mapping matrix lists them.
+    /// * The merger re-weights against the per-voter votes of the
+    ///   pair's previous completed re-match. Before the first (or after
+    ///   [`HarmonyEngine::forget_schema`]) there are none: fresh cells
+    ///   are then marked learned without being fed.
+    /// * Each cell is learned once per pair; deciding it again later
+    ///   does not feed it again.
+    ///
+    /// All or nothing: on [`Interrupt`] the merger weights, the corpus
+    /// seed, [`HarmonyEngine::corpus_epoch`] and the pair's
+    /// [`PairState`] are exactly as before the call. A completed step
+    /// keeps what it learned and the run's votes.
+    pub fn rematch(
+        &mut self,
+        source: &SchemaGraph,
+        target: &SchemaGraph,
+        locked: &Locked,
+        budget: &Budget,
+    ) -> Result<MatchResult, Interrupt> {
+        let key = (source.id().clone(), target.id().clone());
+        let mut pair = self.pairs.remove(&key).unwrap_or_default();
+        let mut fresh: Vec<Feedback> = locked
+            .iter()
+            .filter(|(cell, _)| !pair.learned.contains(cell))
+            .map(|(&(src, tgt), &c)| Feedback {
+                src,
+                tgt,
+                accepted: c == Confidence::ACCEPT,
+            })
+            .collect();
+        fresh.sort_unstable_by_key(|fb| (fb.src, fb.tgt));
+        let undo = match &pair.votes {
+            Some(votes) if !fresh.is_empty() => {
+                let undo = (
+                    self.merger.clone(),
+                    self.corpus_seed.clone(),
+                    self.corpus_epoch,
+                );
+                self.learn(source, target, votes, &fresh);
+                Some(undo)
+            }
+            _ => None,
+        };
+        let outcome = self.run_budgeted(source, target, locked, budget);
+        match &outcome {
+            Ok(result) => {
+                pair.learned.extend(fresh.iter().map(|fb| (fb.src, fb.tgt)));
+                pair.votes = Some(result.per_voter.clone());
+            }
+            Err(_) => {
+                if let Some((merger, corpus_seed, corpus_epoch)) = undo {
+                    self.merger = merger;
+                    self.corpus_seed = corpus_seed;
+                    self.corpus_epoch = corpus_epoch;
+                    // The run may have cached a context at the epoch
+                    // just rolled back, and the next learning step
+                    // reuses that epoch for a different corpus.
+                    self.cache.clear();
+                }
+            }
+        }
+        self.pairs.insert(key, pair);
+        outcome
+    }
+
     /// Feed user decisions back into the engine (§4.3): each voter
-    /// learns internally, and the merger re-weights voters against the
-    /// result of the *previous* run.
+    /// learns internally, and the merger re-weights voters against
+    /// `previous`, each voter's matrix from the previous run of the
+    /// pair. [`HarmonyEngine::rematch`] calls this; it is public for
+    /// tests that drive learning step by step.
     ///
     /// Voters learn on a context over the seed corpus. When the retained
     /// run scored this pair under the current thesaurus and samples,
@@ -842,7 +958,7 @@ impl HarmonyEngine {
         &mut self,
         source: &SchemaGraph,
         target: &SchemaGraph,
-        previous: &MatchResult,
+        previous: &[(String, ScoreMatrix)],
         feedback: &[Feedback],
     ) {
         if feedback.is_empty() {
@@ -869,7 +985,7 @@ impl HarmonyEngine {
         self.corpus_epoch += 1;
         let names: Vec<&str> = self.voters.iter().map(|v| v.name()).collect();
         self.merger.learn(feedback, &names, |voter, fb| {
-            previous.vote_of(voter, fb.src, fb.tgt)
+            vote_in(previous, voter, fb.src, fb.tgt)
         });
     }
 }
@@ -1032,7 +1148,7 @@ mod tests {
         let first = s.find_by_name("firstName").unwrap();
         let name = t.find_by_name("name").unwrap();
         let fb = vec![Feedback::accept(sub, total), Feedback::accept(first, name)];
-        engine.learn(&s, &t, &result, &fb);
+        engine.learn(&s, &t, &result.per_voter, &fb);
         // At least one voter weight moved away from 1.
         assert!(engine
             .merger()
@@ -1060,7 +1176,7 @@ mod tests {
         let result = engine.run(&s, &t, &HashMap::new());
         let sub = s.find_by_name("subtotal").unwrap();
         let total = t.find_by_name("total").unwrap();
-        engine.learn(&s, &t, &result, &[Feedback::accept(sub, total)]);
+        engine.learn(&s, &t, &result.per_voter, &[Feedback::accept(sub, total)]);
         let learned = engine.reweight_state();
         assert_eq!(learned.len(), fresh.len());
         assert!(
@@ -1142,7 +1258,7 @@ mod tests {
         assert_eq!(stats.context_hits, 1);
         assert_eq!(stats.context_misses, 1);
         // Invalidation forces a rebuild (text features recomputed too).
-        engine.invalidate_features();
+        engine.forget_schema(s.id());
         engine.run(&s, &t, &HashMap::new());
         assert_eq!(engine.cache_stats().context_misses, 2);
         assert_eq!(engine.cache_stats().text_misses, 4);

@@ -52,7 +52,7 @@ pub use baselines::{coma_like_engine, cupid_like_engine, name_equivalence_engine
 pub use cache::{fingerprint, CacheStats, FeatureCache};
 pub use confidence::Confidence;
 pub use context::{MatchContext, TextFeatures};
-pub use engine::{EngineState, HarmonyEngine, MatchConfig, MatchResult, RunReport};
+pub use engine::{EngineState, HarmonyEngine, MatchConfig, MatchResult, PairState, RunReport};
 pub use eval::{GoldStandard, PrMetrics};
 pub use feedback::Feedback;
 pub use filters::{FilterSet, Link, LinkFilter, NodeFilter, Side};

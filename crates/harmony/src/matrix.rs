@@ -35,7 +35,7 @@ pub fn matchable_ids(graph: &SchemaGraph) -> Vec<ElementId> {
 /// read, and a cell read by id is two. The engine's kernels go further
 /// and read [`Self::scores`] by offset, with the positions resolved once
 /// per run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScoreMatrix {
     src_ids: Vec<ElementId>,
     tgt_ids: Vec<ElementId>,

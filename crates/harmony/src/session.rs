@@ -8,10 +8,10 @@
 
 use crate::confidence::Confidence;
 use crate::engine::{HarmonyEngine, MatchResult};
-use crate::feedback::Feedback;
 use crate::filters::{FilterSet, Link};
 use crate::matrix::matchable_ids;
 use iwb_model::{ElementId, SchemaGraph};
+use iwb_pool::Budget;
 use std::collections::{HashMap, HashSet};
 
 /// An interactive matching session over one schema pair.
@@ -43,8 +43,6 @@ pub struct MatchSession<'a> {
     target: &'a SchemaGraph,
     /// User decisions: pair → ±1.
     decisions: HashMap<(ElementId, ElementId), Confidence>,
-    /// Decisions made since the last engine run (pending learning).
-    fresh_feedback: Vec<Feedback>,
     /// Elements marked complete (per side).
     complete_src: HashSet<ElementId>,
     complete_tgt: HashSet<ElementId>,
@@ -71,7 +69,6 @@ impl<'a> MatchSession<'a> {
             source,
             target,
             decisions: HashMap::new(),
-            fresh_feedback: Vec::new(),
             complete_src: HashSet::new(),
             complete_tgt: HashSet::new(),
             result: None,
@@ -89,15 +86,21 @@ impl<'a> MatchSession<'a> {
         &mut self.engine
     }
 
-    /// Run (or re-run) the engine. On re-runs, fresh user decisions are
-    /// first fed to the learning path (§4.3: "the engineer can rerun the
-    /// Harmony engine, which can learn from her feedback").
+    /// Run (or re-run) the engine through its re-match step
+    /// ([`HarmonyEngine::rematch`]), the one the workbench serves: on
+    /// re-runs, decisions not learned yet are first fed to the learning
+    /// path (§4.3: "the engineer can rerun the Harmony engine, which can
+    /// learn from her feedback").
     pub fn run(&mut self) -> &MatchResult {
-        if let (Some(prev), false) = (&self.result, self.fresh_feedback.is_empty()) {
-            let fb = std::mem::take(&mut self.fresh_feedback);
-            self.engine.learn(self.source, self.target, prev, &fb);
-        }
-        let result = self.engine.run(self.source, self.target, &self.decisions);
+        let result = self
+            .engine
+            .rematch(
+                self.source,
+                self.target,
+                &self.decisions,
+                &Budget::unlimited(),
+            )
+            .expect("unlimited budget never interrupts");
         self.runs += 1;
         self.result = Some(result);
         self.result.as_ref().expect("just set")
@@ -130,7 +133,6 @@ impl<'a> MatchSession<'a> {
             Confidence::REJECT
         };
         self.decisions.insert((src, tgt), c);
-        self.fresh_feedback.push(Feedback { src, tgt, accepted });
         if let Some(result) = &mut self.result {
             result.matrix.set(src, tgt, c);
         }

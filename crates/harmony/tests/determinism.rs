@@ -80,7 +80,9 @@ fn decoy() -> SchemaPair {
 
 /// One oracle round over `result`: the `k` source rows whose best
 /// undecided target scores highest get that target accepted when it is
-/// gold and rejected otherwise. Decisions are added to `locked`.
+/// gold and rejected otherwise. Decisions are added to `locked` and
+/// come back in (source, target) order, the order in which
+/// [`HarmonyEngine::rematch`] feeds fresh cells.
 fn oracle_round(pair: &SchemaPair, result: &MatchResult, locked: &mut Locked) -> Vec<Feedback> {
     const K: usize = 3;
     let m = &result.matrix;
@@ -96,8 +98,9 @@ fn oracle_round(pair: &SchemaPair, result: &MatchResult, locked: &mut Locked) ->
         })
         .collect();
     best.sort_by(|a, b| b.2.total_cmp(&a.2).then(a.0.cmp(&b.0)));
+    best.truncate(K);
+    best.sort_by_key(|&(s, t, _)| (s, t));
     best.into_iter()
-        .take(K)
         .map(|(s, t, _)| {
             let accepted = pair.gold.contains(&pair.source, &pair.target, s, t);
             let c = if accepted {
@@ -140,7 +143,12 @@ fn full_rounds(mut engine: HarmonyEngine, pair: &SchemaPair, rounds: usize) -> V
         let mut locked = prev.locked.clone();
         let feedback = oracle_round(pair, &prev.result, &mut locked);
         engine.run(&decoy.source, &decoy.target, &HashMap::new());
-        engine.learn(&pair.source, &pair.target, &prev.result, &feedback);
+        engine.learn(
+            &pair.source,
+            &pair.target,
+            &prev.result.per_voter,
+            &feedback,
+        );
         let result = engine.run(&pair.source, &pair.target, &locked);
         assert!(
             !engine.last_run().incremental,
@@ -375,7 +383,7 @@ fn aborted_runs_leave_the_engine_reusable_and_identical() {
             &format!("post-abort rerun, threads={threads}"),
         );
 
-        engine.learn(&pair.source, &pair.target, &r, &learned.feedback);
+        engine.learn(&pair.source, &pair.target, &r.per_voter, &learned.feedback);
         for budget in [&budget, &expired] {
             engine
                 .run_budgeted(&pair.source, &pair.target, &learned.locked, budget)
@@ -508,7 +516,7 @@ fn a_learned_rematch_rescores_only_the_voters_that_read_learned_state() {
         );
         let mut locked = HashMap::new();
         let feedback = oracle_round(&pair, &first, &mut locked);
-        engine.learn(&pair.source, &pair.target, &first, &feedback);
+        engine.learn(&pair.source, &pair.target, &first.per_voter, &feedback);
         engine.run(&pair.source, &pair.target, &locked);
         assert!(engine.last_run().incremental, "threads={threads}");
         let rescored: Vec<&str> = counters
@@ -529,13 +537,16 @@ fn learned_rematches_are_staged_and_identical_to_full_runs() {
     // Five feedback rounds on every iwb-eval domain: each learned
     // re-match takes the staged path and is bit-identical to a full
     // run after the same learning, for every thread count × cache
-    // setting (threads: 0 resolves to the available parallelism). The
+    // setting (threads: 0 resolves to the available parallelism) —
+    // driven step by step (`learn`, then `run`) and through the
+    // re-match step, which is handed only the locked cells. The
     // Cupid-like suite reads no learned state, so there only the
     // merger's learned weights force the re-merge.
     let engines = [
         ("harmony", HarmonyEngine::default as fn() -> HarmonyEngine),
         ("cupid-like", cupid_like_engine),
     ];
+    let unlimited = Budget::unlimited();
     for spec in domains() {
         let knobs = DomainKnobs {
             entities: 6,
@@ -555,15 +566,82 @@ fn learned_rematches_are_staged_and_identical_to_full_runs() {
                     let mut prev = engine.run(&pair.source, &pair.target, &HashMap::new());
                     assert_identical(&reference[0].result, &prev, &what(0));
                     for (round, step) in reference.iter().enumerate().skip(1) {
-                        engine.learn(&pair.source, &pair.target, &prev, &step.feedback);
+                        engine.learn(&pair.source, &pair.target, &prev.per_voter, &step.feedback);
                         prev = engine.run(&pair.source, &pair.target, &step.locked);
                         assert!(engine.last_run().incremental, "{}: staged", what(round));
                         assert_identical(&step.result, &prev, &what(round));
+                    }
+                    let mut stepped = configured(new_engine(), threads, cache);
+                    for (round, step) in reference.iter().enumerate() {
+                        let result = stepped
+                            .rematch(&pair.source, &pair.target, &step.locked, &unlimited)
+                            .expect("unlimited budget");
+                        let what = format!("{}, re-match step", what(round));
+                        assert_eq!(stepped.last_run().incremental, round > 0, "{what}: staged");
+                        assert_identical(&step.result, &result, &what);
                     }
                 }
             }
         }
     }
+}
+
+#[test]
+fn an_aborted_rematch_changes_nothing_and_the_cache_stays_honest() {
+    // A learned re-match interrupted mid-pipeline (the tripwire cancels
+    // while the learned-state voters are scored, after the run cached a
+    // context at the new corpus epoch) leaves the engine's learned state
+    // exactly as it was. Then further decisions and a completed
+    // re-match: the next learning step reuses the rolled-back epoch for
+    // a different corpus, so a context cached by the aborted run must
+    // not be served. Cache on and off must agree bit for bit, and with
+    // an engine that never saw the abort.
+    let pair = seeded_pair(11, 10);
+    let unlimited = Budget::unlimited();
+    let mut results = Vec::new();
+    for (cache, abort) in [(true, true), (false, true), (true, false)] {
+        let what = format!("cache={cache} abort={abort}");
+        let tripwire = Tripwire::default();
+        let armed = Arc::clone(&tripwire.armed);
+        let mut voters = default_suite();
+        voters.push(Box::new(tripwire));
+        let mut engine = configured(engine_with(voters), 1, cache);
+        let first = engine
+            .rematch(&pair.source, &pair.target, &HashMap::new(), &unlimited)
+            .expect("unlimited budget");
+        let mut locked = HashMap::new();
+        oracle_round(&pair, &first, &mut locked);
+        if abort {
+            let before = engine.state();
+            let tripped = CancelToken::new();
+            *armed.lock().expect("tripwire lock") = Some(tripped.clone());
+            let err = engine
+                .rematch(
+                    &pair.source,
+                    &pair.target,
+                    &locked,
+                    &Budget::new(tripped, Deadline::none()),
+                )
+                .expect_err("a re-match cancelled mid-pipeline must abort");
+            assert_eq!(err, Interrupt::Cancelled, "{what}");
+            assert!(engine.state() == before, "{what}: the abort changed state");
+        }
+        oracle_round(&pair, &first, &mut locked);
+        results.push(
+            engine
+                .rematch(&pair.source, &pair.target, &locked, &unlimited)
+                .expect("unlimited budget"),
+        );
+        let state = engine.state();
+        let learned = &state.pairs[&(pair.source.id().clone(), pair.target.id().clone())].learned;
+        assert_eq!(
+            learned.len(),
+            locked.len(),
+            "{what}: each cell learned once"
+        );
+    }
+    assert_identical(&results[0], &results[1], "aborted, cache on vs off");
+    assert_identical(&results[0], &results[2], "aborted vs never aborted");
 }
 
 #[test]
@@ -807,7 +885,7 @@ fn positional_kernels_match_the_id_addressed_reference() {
                 what("merge")
             );
             let feedback = oracle_round(pair, &merged, &mut locked);
-            engine.learn(src, tgt, &merged, &feedback);
+            engine.learn(src, tgt, &merged.per_voter, &feedback);
             assert!(
                 engine.merger().weights().values().any(|&w| w != 1.0),
                 "{}",

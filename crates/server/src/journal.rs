@@ -51,6 +51,7 @@
 use iwb_store::fault::{FaultPlan, JOURNAL_TORN};
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 /// File extension for session journals.
@@ -241,41 +242,42 @@ impl Journal {
     /// window a real torn write has). Returns `true` if a torn write
     /// was injected.
     pub fn append(&mut self, record: JournalRecord, faults: &FaultPlan) -> io::Result<bool> {
-        self.append_all(vec![record], faults)
+        let bytes = record.encode();
+        let span = 0..bytes.len();
+        self.append_encoded(&bytes, vec![(record, span)], faults)
     }
 
-    /// [`Journal::append`] for several records with one write and one
-    /// fsync (a replication catch-up range). The torn-write fault, if
-    /// armed, tears the last record.
-    pub fn append_all(
+    /// [`Journal::append`] for records already encoded in `bytes`: each
+    /// record with the span of `bytes` holding its
+    /// [`JournalRecord::encode`] framing, the spans back to back (a
+    /// `repl range` frame's records, see [`crate::repl::decode_frame`]).
+    /// The bytes are written as they are, with one write and one fsync.
+    /// The torn-write fault, if armed, tears the last record.
+    pub(crate) fn append_encoded(
         &mut self,
-        records: Vec<JournalRecord>,
+        bytes: &[u8],
+        records: Vec<(JournalRecord, Range<usize>)>,
         faults: &FaultPlan,
     ) -> io::Result<bool> {
-        if records.is_empty() {
+        let (Some((_, first)), Some((_, last))) = (records.first(), records.last()) else {
             return Ok(false);
-        }
+        };
         if self.dirty_tail {
             self.compact()?;
         }
-        let mut encoded = Vec::new();
-        let mut last = 0;
-        for record in &records {
-            last = encoded.len();
-            encoded.extend_from_slice(&record.encode());
-        }
         let torn = faults.fires(JOURNAL_TORN).is_some();
-        let bytes = if torn {
-            &encoded[..last + (encoded.len() - last) / 2]
+        let end = if torn {
+            last.start + last.len() / 2
         } else {
-            &encoded[..]
+            last.end
         };
-        self.file.write_all(bytes)?;
+        self.file.write_all(&bytes[first.start..end])?;
         if self.config.fsync {
             self.file.sync_data()?;
         }
         self.appends_since_compact += records.len() as u64;
-        self.records.extend(records);
+        self.records
+            .extend(records.into_iter().map(|(record, _)| record));
         self.dirty_tail = torn;
         if self.appends_since_compact >= self.config.compact_every.max(1) && !self.dirty_tail {
             self.compact()?;
@@ -601,14 +603,20 @@ mod tests {
     }
 
     #[test]
-    fn append_all_writes_a_range_with_one_fsync_and_a_torn_last_record() {
-        let config = JournalConfig::new(tmp_dir("append-all"));
+    fn append_encoded_writes_a_range_with_one_fsync_and_a_torn_last_record() {
+        let config = JournalConfig::new(tmp_dir("append-encoded"));
         let mut j = Journal::create(&config, "s").unwrap();
         let torn = FaultSpec::seeded(0).at(JOURNAL_TORN, &[0]).build();
-        let range: Vec<JournalRecord> = (0..3)
-            .map(|i| rec(&format!("match a b{i}"), None))
+        let mut bytes = Vec::new();
+        let range: Vec<(JournalRecord, Range<usize>)> = (0..3)
+            .map(|i| {
+                let record = rec(&format!("match a b{i}"), None);
+                let start = bytes.len();
+                bytes.extend_from_slice(&record.encode());
+                (record, start..bytes.len())
+            })
             .collect();
-        assert!(j.append_all(range, &torn).unwrap());
+        assert!(j.append_encoded(&bytes, range, &torn).unwrap());
         assert_eq!(j.len(), 3);
         drop(j); // crash before the heal: the last record is torn
         let loaded = Journal::load(&Journal::path_for(&config.dir, "s")).unwrap();

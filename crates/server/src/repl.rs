@@ -43,7 +43,9 @@
 //!   already held (a redelivered frame appends nothing and answers the
 //!   held length), and a frame that starts past that length is refused
 //!   with `SEQ-GAP` (the source re-handshakes rather than forking
-//!   replica history). Frames are bounded by [`MAX_FRAME_BYTES`]; a
+//!   replica history). The records the replica lacks are appended as
+//!   the frame carries them, byte for byte, once each record's header
+//!   and checksum verify. Frames are bounded by [`MAX_FRAME_BYTES`]; a
 //!   backend that does not replicate refuses every `<<BYTES` frame, and
 //!   any command but `repl range` that carries one is refused. The
 //!   reply is `repl ranged <session> have=<n> image=<w>`.
@@ -87,6 +89,7 @@ use iwb_store::fault::{fnv1a64, fnv1a64_extend, FaultPlan, REPL_DISCONNECT, REPL
 use iwb_store::{rendezvous, SessionSnapshot, SessionStore};
 use std::collections::HashMap;
 use std::io;
+use std::ops::Range;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Bound on one `repl range` frame: an image plus a catch-up range. A
@@ -135,8 +138,13 @@ pub fn encode_frame(image: Option<(u64, &[u8])>, records: &[JournalRecord]) -> V
 /// An image in a frame: its declared watermark and bytes.
 type FrameImage<'a> = Option<(u64, &'a [u8])>;
 
-/// Decode and checksum an [`encode_frame`] payload.
-pub fn decode_frame(frame: &[u8]) -> Result<(FrameImage<'_>, Vec<JournalRecord>), String> {
+/// A frame's records, each with the span of the frame that holds its
+/// journal framing; the spans are back to back.
+type FrameRecords = Vec<(JournalRecord, Range<usize>)>;
+
+/// Decode and checksum an [`encode_frame`] payload. Every record's
+/// header and payload checksum are verified.
+pub fn decode_frame(frame: &[u8]) -> Result<(FrameImage<'_>, FrameRecords), String> {
     let corrupt = |what: &str| format!("repl range refused: {what}");
     let split = frame
         .len()
@@ -155,7 +163,8 @@ pub fn decode_frame(frame: &[u8]) -> Result<(FrameImage<'_>, Vec<JournalRecord>)
     let mut records = Vec::new();
     for _ in 0..count {
         let (record, after) = parse_record(rest).ok_or_else(|| corrupt("record torn"))?;
-        records.push(record);
+        let start = split - rest.len();
+        records.push((record, start..split - after.len()));
         rest = after;
     }
     if !rest.is_empty() {
@@ -530,8 +539,8 @@ impl ReplicaStore {
     /// Apply one `repl range` frame (see the module docs) under the
     /// standby's lock — the only way anything reaches a replica: verify
     /// it whole, install a newer image and truncate the replica journal
-    /// at its watermark, then append the records from `from` the
-    /// replica lacks with one fsync. Records it already holds are
+    /// at its watermark, then append the frame's bytes of the records
+    /// from `from` the replica lacks with one fsync. Records it already holds are
     /// skipped, and a frame starting past its length is refused with
     /// `SEQ-GAP`, so redelivery after any crash is idempotent. Nothing
     /// changes unless the frame verifies.
@@ -567,11 +576,10 @@ impl ReplicaStore {
                 }
                 .to_string());
             }
-            let fresh: Vec<JournalRecord> =
-                records.into_iter().skip((have - from) as usize).collect();
+            let fresh = records.into_iter().skip((have - from) as usize).collect();
             replica
                 .journal
-                .append_all(fresh, faults)
+                .append_encoded(frame, fresh, faults)
                 .map_err(|e| format!("replica append failed: {e}"))?;
             Ok(format!(
                 "repl ranged {session} have={} image={}",
@@ -920,11 +928,30 @@ mod tests {
             ),
             heredoc("load er empty", ""),
         ];
-        let image = image("s1", 3);
-        for image in [None, Some((3, &image[..]))] {
+        let dir = temp_dir("bytes");
+        let mut config = JournalConfig::new(&dir);
+        config.fsync = false;
+        let replicas = ReplicaStore::new(&config);
+        let none = FaultPlan::none();
+        // Records from 0 without an image; records past an image at 3.
+        for (session, from, header) in [("b0", 0, "iwbj1 b0\n"), ("b1", 3, "iwbj1 b1 3\n")] {
+            let image = image(session, 3);
+            let image = (from > 0).then_some((from, &image[..]));
             let frame = encode_frame(image, &records);
-            assert_eq!(decode_frame(&frame), Ok((image, records.clone())));
+            let (decoded, spans) = decode_frame(&frame).unwrap();
+            assert_eq!(decoded, image);
+            let decoded: Vec<JournalRecord> = spans.iter().map(|(r, _)| r.clone()).collect();
+            assert_eq!(decoded, records);
+            // The replica journal holds the frame's record bytes as
+            // they are: its file is the header, then those bytes.
+            replicas.apply_range(session, from, &frame, &none).unwrap();
+            let (first, last) = (&spans[0].1, &spans[spans.len() - 1].1);
+            let mut expected = header.as_bytes().to_vec();
+            expected.extend_from_slice(&frame[first.start..last.end]);
+            let written = std::fs::read(Journal::path_for(&dir.join("replica"), session)).unwrap();
+            assert_eq!(written, expected, "{session}");
         }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

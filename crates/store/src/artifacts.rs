@@ -1,6 +1,6 @@
 //! Codecs for the state an image carries that lives below the
-//! workbench: schema graphs, score matrices and match results, the
-//! Harmony engine's learned state, and the blocking index. Every codec
+//! workbench: schema graphs, score matrices, the Harmony engine's
+//! learned state, and the blocking index. Every codec
 //! here is a *total* encoder and a *`Result`-based* decoder over the
 //! [`crate::codec`] primitives — floats travel as `to_bits`, maps are
 //! serialised in sorted key order, so encode∘decode is the identity and
@@ -10,12 +10,13 @@
 
 use crate::codec::{ByteReader, ByteWriter, CodecError};
 use iwb_blocking::{BlockingConfig, IndexParts};
-use iwb_harmony::{EngineState, MatchConfig, MatchResult, ScoreMatrix};
+use iwb_harmony::{EngineState, MatchConfig, PairState, ScoreMatrix};
 use iwb_ling::CorpusParts;
 use iwb_model::{
     AnnotationValue, DataType, EdgeKind, ElementId, ElementKind, Metamodel, SchemaElement,
     SchemaGraph, SchemaId,
 };
+use std::collections::BTreeMap;
 
 // ---------------------------------------------------------------------
 // Schema graphs
@@ -218,7 +219,7 @@ pub fn decode_schema(bytes: &[u8]) -> Result<SchemaGraph, CodecError> {
 }
 
 // ---------------------------------------------------------------------
-// Score matrices and match results
+// Score matrices
 // ---------------------------------------------------------------------
 
 /// Encode a score matrix: row and column ids, then every score as
@@ -255,42 +256,14 @@ pub fn decode_ids(r: &mut ByteReader) -> Result<Vec<ElementId>, CodecError> {
     Ok(ids)
 }
 
-/// Encode a match result: the merged matrix, each voter's matrix by
-/// name, and the flooding iteration count.
-pub fn encode_match_result(w: &mut ByteWriter, result: &MatchResult) {
-    encode_matrix(w, &result.matrix);
-    w.u32(result.per_voter.len() as u32);
-    for (name, m) in &result.per_voter {
-        w.str(name);
-        encode_matrix(w, m);
-    }
-    w.u64(result.flooding_iterations as u64);
-}
-
-/// Decode [`encode_match_result`] bytes.
-pub fn decode_match_result(r: &mut ByteReader) -> Result<MatchResult, CodecError> {
-    let matrix = decode_matrix(r)?;
-    let voters = r.u32()?;
-    let mut per_voter = Vec::with_capacity(voters as usize);
-    for _ in 0..voters {
-        let name = r.str()?;
-        per_voter.push((name, decode_matrix(r)?));
-    }
-    let flooding_iterations = r.u64()? as usize;
-    Ok(MatchResult {
-        matrix,
-        per_voter,
-        flooding_iterations,
-    })
-}
-
 // ---------------------------------------------------------------------
 // Engine state
 // ---------------------------------------------------------------------
 
 /// Encode a Harmony [`EngineState`]: merger weights, the corpus seed
-/// (document count, frequencies and boosts in term order), both epochs
-/// and the match configuration.
+/// (document count, frequencies and boosts in term order), both epochs,
+/// the match configuration, and per schema pair (in pair order) the
+/// cells already learned and the previous run's per-voter votes.
 pub fn encode_engine_state(w: &mut ByteWriter, state: &EngineState) {
     w.u32(state.weights.len() as u32);
     for (name, weight) in &state.weights {
@@ -313,6 +286,27 @@ pub fn encode_engine_state(w: &mut ByteWriter, state: &EngineState) {
     w.u32(state.config.threads as u32);
     w.bool(state.config.cache);
     w.u64(state.config.timeout_ms.unwrap_or(0));
+    w.u32(state.pairs.len() as u32);
+    for ((src, tgt), pair) in &state.pairs {
+        w.str(src.as_str());
+        w.str(tgt.as_str());
+        w.varint(pair.learned.len() as u64);
+        for (row, col) in &pair.learned {
+            w.varint(row.index() as u64);
+            w.varint(col.index() as u64);
+        }
+        match &pair.votes {
+            None => w.u8(0),
+            Some(votes) => {
+                w.u8(1);
+                w.u32(votes.len() as u32);
+                for (name, m) in votes {
+                    w.str(name);
+                    encode_matrix(w, m);
+                }
+            }
+        }
+    }
 }
 
 /// Decode [`encode_engine_state`] bytes.
@@ -330,6 +324,31 @@ pub fn decode_engine_state(r: &mut ByteReader) -> Result<EngineState, CodecError
     for _ in 0..r.u32()? {
         term_boost.push((r.str()?, r.f64()?));
     }
+    let (corpus_epoch, inputs_epoch) = (r.u64()?, r.u64()?);
+    let config = MatchConfig {
+        threads: r.u32()? as usize,
+        cache: r.bool()?,
+        timeout_ms: Some(r.u64()?).filter(|&ms| ms > 0),
+    };
+    let id = |r: &mut ByteReader| -> Result<ElementId, CodecError> {
+        Ok(ElementId::from_index(r.varint()? as usize))
+    };
+    let mut pairs = BTreeMap::new();
+    for _ in 0..r.u32()? {
+        let key = (SchemaId::new(r.str()?), SchemaId::new(r.str()?));
+        let mut pair = PairState::default();
+        for _ in 0..r.varint()? {
+            pair.learned.insert((id(r)?, id(r)?));
+        }
+        if r.u8()? != 0 {
+            let mut votes = Vec::new();
+            for _ in 0..r.u32()? {
+                votes.push((r.str()?, decode_matrix(r)?));
+            }
+            pair.votes = Some(votes);
+        }
+        pairs.insert(key, pair);
+    }
     Ok(EngineState {
         weights,
         corpus: CorpusParts {
@@ -337,13 +356,10 @@ pub fn decode_engine_state(r: &mut ByteReader) -> Result<EngineState, CodecError
             doc_freq,
             term_boost,
         },
-        corpus_epoch: r.u64()?,
-        inputs_epoch: r.u64()?,
-        config: MatchConfig {
-            threads: r.u32()? as usize,
-            cache: r.bool()?,
-            timeout_ms: Some(r.u64()?).filter(|&ms| ms > 0),
-        },
+        corpus_epoch,
+        inputs_epoch,
+        config,
+        pairs,
     })
 }
 
@@ -493,14 +509,21 @@ mod tests {
 
     #[test]
     fn engine_state_round_trips_bit_exactly() {
-        use iwb_harmony::{Feedback, HarmonyEngine};
+        use iwb_harmony::{Budget, Confidence, HarmonyEngine};
         let g = sample_graph();
         let mut engine = HarmonyEngine::default();
-        let result = engine.run(&g, &g, &Default::default());
+        let budget = Budget::unlimited();
+        engine
+            .rematch(&g, &g, &Default::default(), &budget)
+            .unwrap();
         let id = g.find_by_name("CUST_ID").unwrap();
-        engine.learn(&g, &g, &result, &[Feedback::accept(id, id)]);
+        let locked = [((id, id), Confidence::ACCEPT)].into_iter().collect();
+        engine.rematch(&g, &g, &locked, &budget).unwrap();
         let state = engine.state();
         assert!(!state.corpus.doc_freq.is_empty());
+        let pair = &state.pairs[&(g.id().clone(), g.id().clone())];
+        assert_eq!(pair.learned.len(), 1);
+        assert!(pair.votes.is_some());
         let mut w = ByteWriter::new();
         encode_engine_state(&mut w, &state);
         let bytes = w.into_bytes();

@@ -35,8 +35,10 @@ use std::path::Path;
 /// First eight bytes of every snapshot file.
 pub const MAGIC: [u8; 8] = *b"IWBSNAP1";
 /// Current format version; bumped on any incompatible change (2: the
-/// payload is a session image, not a command prefix plus artifacts).
-pub const VERSION: u32 = 2;
+/// payload is a session image, not a command prefix plus artifacts;
+/// 3: `tool:harmony` keeps learned cells by element id and the previous
+/// per-voter votes per pair, not decision paths and last results).
+pub const VERSION: u32 = 3;
 /// Payload page size: checksums cover the payload in chunks this big.
 pub const PAGE_SIZE: usize = 4096;
 /// Fixed header length in bytes.
@@ -449,6 +451,17 @@ mod tests {
             sample(),
             "previous file kept"
         );
+    }
+
+    #[test]
+    fn an_image_of_the_previous_version_fails_the_version_check() {
+        // Version 2 images held another `tool:harmony` layout; they must
+        // be refused like any unverifiable image, never decoded.
+        let mut file = encode(&BTreeMap::new());
+        file[8..12].copy_from_slice(&(VERSION - 1).to_le_bytes());
+        let sum = fnv1a64(&file[..56]);
+        file[56..64].copy_from_slice(&sum.to_le_bytes());
+        assert!(matches!(verify(&file), Err(SnapshotError::Version(2))));
     }
 
     #[test]

@@ -10,13 +10,12 @@
 //!    a history, so the image plus the journal suffix past it accounts
 //!    for the whole history.
 
-use iwb_harmony::{Feedback, HarmonyEngine};
+use iwb_harmony::{Budget, Confidence, HarmonyEngine};
 use iwb_ling::Corpus;
 use iwb_model::SchemaGraph;
 use iwb_registry::{generate_registry, GeneratorConfig};
 use iwb_store::artifacts::{
-    decode_engine_state, decode_match_result, decode_schema, encode_engine_state,
-    encode_match_result, encode_schema,
+    decode_engine_state, decode_schema, encode_engine_state, encode_schema,
 };
 use iwb_store::codec::{ByteReader, ByteWriter};
 use iwb_store::snapshot;
@@ -66,61 +65,38 @@ proptest! {
         }
     }
 
-    /// An engine's learned state round-trips bit-exactly, and an
-    /// engine restored from it runs and learns exactly like the one it
-    /// was captured from — the precondition for restoring Harmony from
-    /// an image instead of replaying its learning.
+    /// An engine's learned state round-trips bit-exactly — the cells
+    /// learned and the previous per-voter votes of each pair included —
+    /// and an engine restored from it re-matches and learns exactly like
+    /// the one it was captured from: the precondition for restoring
+    /// Harmony from an image instead of replaying its learning.
     #[test]
     fn engine_state_codec_is_identity(seed in 0u64..300) {
         let source = small_model(seed);
         let target = small_model(seed.wrapping_add(7919));
-        let none = std::collections::HashMap::new();
+        let budget = Budget::unlimited();
         let mut engine = HarmonyEngine::default();
-        let first = engine.run(&source, &target, &none);
+        let first = engine.rematch(&source, &target, &Default::default(), &budget).unwrap();
         let (s, t) = (first.matrix.src_ids()[0], first.matrix.tgt_ids()[0]);
-        engine.learn(&source, &target, &first, &[Feedback::accept(s, t)]);
+        let mut locked = std::collections::HashMap::new();
+        locked.insert((s, t), Confidence::ACCEPT);
+        engine.rematch(&source, &target, &locked, &budget).unwrap();
         let mut w = ByteWriter::new();
         encode_engine_state(&mut w, &engine.state());
         let bytes = w.into_bytes();
         let state = decode_engine_state(&mut ByteReader::new(&bytes)).unwrap();
         prop_assert_eq!(&state, &engine.state());
+        prop_assert!(state.pairs.values().all(|p| p.votes.is_some()));
         let mut restored = HarmonyEngine::default();
         restored.restore_state(state);
-        let a = engine.run(&source, &target, &none);
-        let b = restored.run(&source, &target, &none);
+        let t2 = first.matrix.tgt_ids()[1];
+        locked.insert((s, t2), Confidence::REJECT);
+        let a = engine.rematch(&source, &target, &locked, &budget).unwrap();
+        let b = restored.rematch(&source, &target, &locked, &budget).unwrap();
         for (x, y) in a.matrix.scores().iter().zip(b.matrix.scores()) {
             prop_assert_eq!(x.to_bits(), y.to_bits());
         }
-    }
-
-    /// A match result persisted and re-loaded is the same result to the
-    /// last bit — the last result per pair an image carries is what
-    /// `learn` re-weights against. (One small model pair per case: the
-    /// full voter ensemble is expensive in debug builds, and the codec
-    /// under test is exercised identically at any scale.)
-    #[test]
-    fn match_result_codec_is_bit_exact(seed in 0u64..300) {
-        let source = small_model(seed);
-        let target = small_model(seed.wrapping_add(7919));
-        let mut engine = HarmonyEngine::default();
-        let result = engine.run(&source, &target, &std::collections::HashMap::new());
-        let mut w = ByteWriter::new();
-        encode_match_result(&mut w, &result);
-        let bytes = w.into_bytes();
-        let decoded = decode_match_result(&mut ByteReader::new(&bytes)).unwrap();
-        prop_assert_eq!(result.flooding_iterations, decoded.flooding_iterations);
-        prop_assert_eq!(result.matrix.src_ids(), decoded.matrix.src_ids());
-        prop_assert_eq!(result.matrix.tgt_ids(), decoded.matrix.tgt_ids());
-        for (a, b) in result.matrix.scores().iter().zip(decoded.matrix.scores()) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
-        }
-        prop_assert_eq!(result.per_voter.len(), decoded.per_voter.len());
-        for ((an, am), (bn, bm)) in result.per_voter.iter().zip(&decoded.per_voter) {
-            prop_assert_eq!(an, bn);
-            for (a, b) in am.scores().iter().zip(bm.scores()) {
-                prop_assert_eq!(a.to_bits(), b.to_bits());
-            }
-        }
+        prop_assert_eq!(engine.state(), restored.state());
     }
 
     /// The snapshot image is independent of segment insertion order:

@@ -70,7 +70,7 @@ grep -q '"session_leaks": 0' target/BENCH_server_storm.json
 echo "== store suite (snapshot torn/bitflip/stale detection, roundtrips, rendezvous ranking)"
 cargo test -q --offline -p iwb-store
 
-echo "== store persistence suite (image restore, corrupt-image fallback, a torn image keeps the previous one, bad-journal refusal, truncated journals count the whole history, replica images and per-replica locks, the standby image placed on promotion or the standby kept, eviction images with the session map unlocked, binary frames only for repl range on a replicating backend, image + suffix equals replay from record 0)"
+echo "== store persistence suite (image restore, corrupt-image fallback, a torn image keeps the previous one, bad-journal refusal, truncated journals count the whole history, replica images and per-replica locks, the standby image placed on promotion or the standby kept, eviction images with the session map unlocked, binary frames only for repl range on a replicating backend, image + suffix equals replay from record 0 and the live session with a failed sub-tree match and a deadline-aborted match in the script; a failed, cancelled or post-re-import match leaves the session as if it had not run)"
 cargo test -q --offline -p iwb-server --lib -- \
     store_sessions_reopen_warm_after_restart \
     evicted_store_sessions_are_persisted_not_forgotten \
@@ -90,15 +90,21 @@ cargo test -q --offline -p iwb-server --lib -- \
     only_repl_range_takes_a_binary_frame \
     a_backend_that_does_not_replicate_refuses_binary_frames
 cargo test -q --offline -p iwb-eval --test image_restore
+cargo test -q --offline -p iwb-core --test rematch -- \
+    a_subtree_match_that_fails_learns_nothing \
+    a_cancelled_match_learns_nothing \
+    a_match_after_reimporting_a_smaller_schema_answers_ok
 
-echo "== incremental re-match determinism (byte-identical splice across threads/cache; learned re-matches re-score only the voters that read learned state, stay staged and bit-identical over 5 feedback rounds on every eval domain, and retry identically after an abort)"
+echo "== incremental re-match determinism (byte-identical splice across threads/cache; learned re-matches re-score only the voters that read learned state, stay staged and bit-identical over 5 feedback rounds on every eval domain, through learn + run and through the re-match step, and retry identically after an abort; an aborted re-match step changes nothing and agrees with the cache on and off; MatchSession and the shell share one re-match loop on every eval domain)"
 cargo test -q --offline -p iwb-harmony --test determinism -- \
     incremental_rematch_is_byte_identical_to_from_scratch \
     retracting_a_decision_incrementally_is_identical_too \
     a_learned_rematch_rescores_only_the_voters_that_read_learned_state \
     learned_rematches_are_staged_and_identical_to_full_runs \
     aborted_runs_leave_the_engine_reusable_and_identical \
+    an_aborted_rematch_changes_nothing_and_the_cache_stays_honest \
     a_thesaurus_or_sample_change_rescores_every_voter
+cargo test -q --offline -p iwb-eval --test one_rematch_loop
 
 echo "== bench_store smoke (image throughput, image restore, incremental identity)"
 cargo run -q --release --offline -p iwb-bench --bin bench_store -- \
@@ -135,6 +141,15 @@ grep -q '"failed": 0,' <<<"$result"
 grep -Eq '"router\.failovers": \{"value": [1-9]' <<<"$result"
 grep -Eq '"router\.promotions": \{"value": [1-9]' <<<"$result"
 grep -q '"router.stale_refusals": {"value": 0,' <<<"$result"
+
+echo "== curate quick traced (iwb_bench quick traced curate: every acked reply matches the control, no failed command, and the layer pass re-derives every learned re-match with the benchmark's own mirror, failing on any bit difference)"
+cargo run -q --release --offline --locked --manifest-path iwb_bench/Cargo.toml \
+    --target-dir target/iwb_bench --bin iwb_bench -- \
+    run --quick --workload curate --trace 1 --seed 3 --out-dir target/iwb_bench_quick \
+    > target/iwb_bench_curate_quick.txt
+result=$(grep '^{"correct": ' target/iwb_bench_curate_quick.txt)
+grep -q '"correct": true' <<<"$result"
+grep -q '"failed": 0,' <<<"$result"
 
 echo "== eval generator calibration (pinned domain counts, knob adherence properties)"
 cargo test -q --offline -p iwb-eval --test calibration --test generator_properties

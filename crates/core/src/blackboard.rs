@@ -194,8 +194,8 @@ impl Blackboard {
         self.matrices.keys().map(|(s, t)| (s, t)).collect()
     }
 
-    /// Set a cell with provenance. Machine suggestions do not override
-    /// user decisions (returns false in that case).
+    /// Set a cell with one provenance record. Machine suggestions do
+    /// not override user decisions (returns false in that case).
     #[allow(clippy::too_many_arguments)] // mirrors the §5.1.2 cell annotations one-to-one
     pub fn set_cell(
         &mut self,
@@ -207,50 +207,63 @@ impl Blackboard {
         confidence: Confidence,
         user_defined: bool,
     ) -> bool {
-        let mut written = false;
-        let cell = [(row, col, confidence)];
-        self.set_cells(tool, source, target, user_defined, cell, |_, _, _| {
-            written = true
-        });
-        written
+        let Some(matrix) = self.matrices.get_mut(&(source.clone(), target.clone())) else {
+            return false;
+        };
+        let changed = if user_defined {
+            matrix.decide(row, col, confidence == Confidence::ACCEPT)
+        } else {
+            matrix.suggest(row, col, confidence)
+        };
+        if changed {
+            self.provenance.record(
+                tool,
+                source.clone(),
+                target.clone(),
+                ProvenanceKind::CellSet {
+                    row,
+                    col,
+                    confidence: confidence.value(),
+                    user_defined,
+                },
+            );
+        }
+        changed
     }
 
-    /// [`Self::set_cell`] for many cells of one matrix, looked up once.
-    /// `written` is called for every cell that changed, in order. Does
-    /// nothing when the pair has no matrix.
-    pub fn set_cells(
+    /// Write an automatic match's suggestions into one matrix, looked
+    /// up once; suggestions never override user decisions. `written` is
+    /// called for every cell that changed, in order. The run is one
+    /// [`ProvenanceKind::MatchRun`] record, appended when it wrote
+    /// anything. Returns how many cells it wrote (none when the pair
+    /// has no matrix).
+    pub fn suggest_cells(
         &mut self,
         tool: &str,
         source: &SchemaId,
         target: &SchemaId,
-        user_defined: bool,
         cells: impl IntoIterator<Item = (ElementId, ElementId, Confidence)>,
         mut written: impl FnMut(ElementId, ElementId, Confidence),
-    ) {
+    ) -> usize {
         let Some(matrix) = self.matrices.get_mut(&(source.clone(), target.clone())) else {
-            return;
+            return 0;
         };
+        let mut count = 0;
         for (row, col, confidence) in cells {
-            let changed = if user_defined {
-                matrix.decide(row, col, confidence == Confidence::ACCEPT)
-            } else {
-                matrix.suggest(row, col, confidence)
-            };
-            if changed {
-                self.provenance.record(
-                    tool,
-                    source.clone(),
-                    target.clone(),
-                    ProvenanceKind::CellSet {
-                        row,
-                        col,
-                        confidence: confidence.value(),
-                        user_defined,
-                    },
-                );
+            if matrix.suggest(row, col, confidence) {
+                count += 1;
                 written(row, col, confidence);
             }
         }
+        if count > 0 {
+            self.provenance.record(
+                tool,
+                source.clone(),
+                target.clone(),
+                ProvenanceKind::MatchRun { cells: count },
+            );
+        }
+        count
     }
 
     /// Set a column's code with provenance.

@@ -29,16 +29,16 @@ pub enum WorkbenchEvent {
     },
     /// "A *mapping-cell event* is generated when a user manually
     /// establishes a correspondence. Multiple such events are triggered
-    /// by an automatic matching tool."
+    /// by an automatic matching tool." A user decision sends one cell;
+    /// an automatic match sends one event for its whole run, listing
+    /// every cell it wrote at or above its display threshold.
     MappingCell {
         /// Source schema of the matrix.
         source: SchemaId,
         /// Target schema of the matrix.
         target: SchemaId,
-        /// Row element.
-        row: ElementId,
-        /// Column element.
-        col: ElementId,
+        /// The (row, column) cells, in write order.
+        cells: Vec<(ElementId, ElementId)>,
     },
     /// "When a mapping tool establishes a transformation, it generates a
     /// *mapping-vector event*."
@@ -94,9 +94,11 @@ impl fmt::Display for WorkbenchEvent {
             WorkbenchEvent::MappingCell {
                 source,
                 target,
-                row,
-                col,
-            } => write!(f, "mapping-cell({source}→{target}, {row}×{col})"),
+                cells,
+            } => match cells.as_slice() {
+                [(row, col)] => write!(f, "mapping-cell({source}→{target}, {row}×{col})"),
+                _ => write!(f, "mapping-cell({source}→{target}, {} cells)", cells.len()),
+            },
             WorkbenchEvent::MappingVector {
                 source,
                 target,
@@ -136,13 +138,20 @@ mod tests {
 
     #[test]
     fn display_names_match_paper_vocabulary() {
+        let cell = |row, col| (ElementId::from_index(row), ElementId::from_index(col));
         let e = WorkbenchEvent::MappingCell {
             source: SchemaId::new("po"),
             target: SchemaId::new("inv"),
-            row: ElementId::from_index(1),
-            col: ElementId::from_index(2),
+            cells: vec![cell(1, 2)],
         };
         assert_eq!(e.to_string(), "mapping-cell(po→inv, e1×e2)");
+        // A match's one event names its cell count, not its cells.
+        let e = WorkbenchEvent::MappingCell {
+            source: SchemaId::new("po"),
+            target: SchemaId::new("inv"),
+            cells: vec![cell(1, 2), cell(1, 3), cell(4, 2)],
+        };
+        assert_eq!(e.to_string(), "mapping-cell(po→inv, 3 cells)");
         let e = WorkbenchEvent::MappingVector {
             source: SchemaId::new("po"),
             target: SchemaId::new("inv"),

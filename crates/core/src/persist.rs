@@ -90,8 +90,8 @@ pub fn restore(snapshot: &SessionSnapshot) -> Result<Shell, CodecError> {
 }
 
 /// Encode lines front-coded: each as the length of the prefix it
-/// shares with the line before, then the rest. Trace lines repeat
-/// their event prefix thousands of times per match.
+/// shares with the line before, then the rest. Consecutive trace lines
+/// share their indent and event prefix.
 fn encode_lines(lines: &[String]) -> Vec<u8> {
     let mut w = ByteWriter::new();
     w.varint(lines.len() as u64);
@@ -131,6 +131,7 @@ fn decode_lines(bytes: &[u8]) -> Result<Vec<String>, CodecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::provenance::ProvenanceKind;
     use iwb_model::SchemaId;
 
     const SESSION: &str = "load er left <<EOF\n\
@@ -175,11 +176,23 @@ mod tests {
         restore(&decoded).unwrap()
     }
 
+    /// The `N` of every "N cells updated" reply in a transcript.
+    fn cells_updated(transcript: &str) -> Vec<usize> {
+        transcript
+            .match_indices(" cells updated")
+            .map(|(end, _)| {
+                let n = transcript[..end].rsplit(' ').next().unwrap();
+                n.parse().unwrap()
+            })
+            .collect()
+    }
+
     #[test]
     fn a_restored_image_answers_and_continues_bit_identically() {
         let mut live = Shell::new();
         let outcome = live.run_on(SESSION);
         assert_eq!(outcome.errors, 0, "{}", outcome.transcript);
+        let mut matched = cells_updated(&outcome.transcript);
         let mut restored = round_trip(&live);
         // Every read agrees (`find-candidates` adds a trace line, so the
         // trace is compared before it on both sides).
@@ -188,16 +201,51 @@ mod tests {
         // restored previous votes and weights, then the reads again.
         let more = "reject left right left/SHIPMENT/ship_no right/DELIVERY/deliver_dt\n\
                     match left right\n";
-        assert_eq!(
-            live.run_on(more).transcript,
-            restored.run_on(more).transcript
-        );
+        let transcript = live.run_on(more).transcript;
+        assert_eq!(transcript, restored.run_on(more).transcript);
+        matched.extend(cells_updated(&transcript));
         assert_eq!(reads(&mut live), reads(&mut restored));
         // State no read shows: provenance, version chains, the library.
         let (a, b) = (live.manager().blackboard(), restored.manager().blackboard());
         assert_eq!(a.provenance.records(), b.provenance.records());
-        assert!(a.provenance.len() > 10);
-        let left = SchemaId::new("left");
+        // Provenance is exactly the script's decisions and match runs:
+        // one record per user decision, code change and match.
+        let (left, right) = (SchemaId::new("left"), SchemaId::new("right"));
+        let element =
+            |schema: &SchemaId, name| a.schema(schema).unwrap().find_by_name(name).unwrap();
+        let (ship_dt, ship_no) = (element(&left, "ship_dt"), element(&left, "ship_no"));
+        let deliver_dt = element(&right, "deliver_dt");
+        let decided = |row, confidence| ProvenanceKind::CellSet {
+            row,
+            col: deliver_dt,
+            confidence,
+            user_defined: true,
+        };
+        let run = |i: usize| ProvenanceKind::MatchRun { cells: matched[i] };
+        let expected = [
+            ("harmony", run(0)),
+            ("harmony", decided(ship_dt, 1.0)),
+            (
+                "aqualogic-mapper",
+                ProvenanceKind::CodeSet { col: deliver_dt },
+            ),
+            ("xquery-codegen", ProvenanceKind::MatrixCodeSet),
+            ("xquery-codegen", ProvenanceKind::MatrixCodeSet),
+            ("harmony", run(1)),
+            ("harmony", decided(ship_no, -1.0)),
+            ("harmony", run(2)),
+        ];
+        assert_eq!(matched.len(), 3, "{transcript}");
+        let records: Vec<_> = a
+            .provenance
+            .records()
+            .iter()
+            .map(|r| {
+                assert_eq!((&r.source, &r.target), (&left, &right));
+                (&*r.tool, r.kind.clone())
+            })
+            .collect();
+        assert_eq!(records, expected);
         assert_eq!(
             a.versions.version_count(&left),
             b.versions.version_count(&left)

@@ -4,7 +4,9 @@
 //! tested on real data. The blackboard should maintain mapping
 //! provenance." Every mutation of a mapping matrix is recorded: which
 //! tool did it, what it set, in what order — enough to answer "who set
-//! this cell to +1 and when (in sequence terms)".
+//! this cell to +1 and when (in sequence terms)". A user decision, an
+//! import or a code change is one record per cell or column; an
+//! automatic match is one record for its whole run.
 
 use iwb_model::{ElementId, SchemaId};
 use iwb_store::codec::{ByteReader, ByteWriter, CodecError};
@@ -37,6 +39,12 @@ pub enum ProvenanceKind {
     },
     /// The whole-matrix code was regenerated.
     MatrixCodeSet,
+    /// An automatic match wrote its suggestions: one record per run,
+    /// not per cell.
+    MatchRun {
+        /// How many cells the run wrote.
+        cells: usize,
+    },
 }
 
 /// One provenance record.
@@ -77,6 +85,7 @@ impl fmt::Display for ProvenanceRecord {
                 write!(f, "{element} marked complete")
             }
             ProvenanceKind::MatrixCodeSet => write!(f, "matrix code regenerated"),
+            ProvenanceKind::MatchRun { cells } => write!(f, "match run wrote {cells} cells"),
         }
     }
 }
@@ -124,8 +133,8 @@ impl ProvenanceLog {
     /// Encode for a session image. Sequence numbers are implicit (the
     /// log numbers its records 1, 2, …), tools and pairs are named
     /// through tables, and consecutive records of one tool on one pair
-    /// (a match writes thousands) share one run header, so a record
-    /// costs little more than its kind's payload.
+    /// share one run header, so a record costs little more than its
+    /// kind's payload.
     pub(crate) fn encode(&self, w: &mut ByteWriter) {
         let mut tools: Vec<&str> = Vec::new();
         let mut pairs: Vec<(&SchemaId, &SchemaId)> = Vec::new();
@@ -189,6 +198,10 @@ impl ProvenanceLog {
                         w.varint(element.index() as u64);
                     }
                     ProvenanceKind::MatrixCodeSet => w.u8(4),
+                    ProvenanceKind::MatchRun { cells } => {
+                        w.u8(5);
+                        w.varint(*cells as u64);
+                    }
                 }
             }
         }
@@ -226,6 +239,9 @@ impl ProvenanceLog {
                     2 => ProvenanceKind::CodeSet { col: id(r)? },
                     3 => ProvenanceKind::MarkedComplete { element: id(r)? },
                     4 => ProvenanceKind::MatrixCodeSet,
+                    5 => ProvenanceKind::MatchRun {
+                        cells: r.varint()? as usize,
+                    },
                     t => return Err(CodecError::BadTag("provenance kind", t)),
                 };
                 log.record(tool, source.clone(), target.clone(), kind);
@@ -239,7 +255,10 @@ impl ProvenanceLog {
         &self.records
     }
 
-    /// Records touching a particular cell, in order.
+    /// Records that set a particular cell, in order: user decisions,
+    /// imports and single-cell writes. A machine suggestion has no
+    /// record of its own; its origin is the latest
+    /// [`ProvenanceKind::MatchRun`] on its pair.
     pub fn cell_history(&self, row: ElementId, col: ElementId) -> Vec<&ProvenanceRecord> {
         self.records
             .iter()
@@ -340,6 +359,77 @@ mod tests {
     }
 
     #[test]
+    fn every_kind_survives_an_encode_decode_round_trip() {
+        let (s, t, r, c) = ids();
+        let other = SchemaId::new("ship");
+        let cell = |confidence, user_defined| ProvenanceKind::CellSet {
+            row: r,
+            col: c,
+            confidence,
+            user_defined,
+        };
+        let mut log = ProvenanceLog::new();
+        log.record("user", s.clone(), t.clone(), cell(1.0, true));
+        log.record("harmony", s.clone(), t.clone(), cell(-0.4, false));
+        log.record(
+            "harmony",
+            s.clone(),
+            t.clone(),
+            ProvenanceKind::MatchRun { cells: 8343 },
+        );
+        log.record(
+            "harmony",
+            s.clone(),
+            other.clone(),
+            ProvenanceKind::MatchRun { cells: 1 },
+        );
+        log.record(
+            "aqualogic",
+            s.clone(),
+            t.clone(),
+            ProvenanceKind::CodeSet { col: c },
+        );
+        log.record(
+            "aqualogic",
+            s.clone(),
+            t.clone(),
+            ProvenanceKind::MarkedComplete { element: r },
+        );
+        log.record(
+            "xquery-codegen",
+            s.clone(),
+            t.clone(),
+            ProvenanceKind::MatrixCodeSet,
+        );
+        log.record("harmony", s, t, ProvenanceKind::MatchRun { cells: 0 });
+        let mut w = ByteWriter::new();
+        log.encode(&mut w);
+        let bytes = w.into_bytes();
+        let decoded = ProvenanceLog::decode(&mut ByteReader::new(&bytes)).unwrap();
+        assert_eq!(decoded.records(), log.records());
+        let kinds: Vec<_> = decoded.records().iter().map(|r| &r.kind).collect();
+        assert!(kinds.contains(&&ProvenanceKind::MatchRun { cells: 8343 }));
+
+        // A kind tag past the last kind is refused, not guessed.
+        let mut w = ByteWriter::new();
+        w.varint(1);
+        w.str("harmony");
+        w.varint(1);
+        w.str("po");
+        w.str("inv");
+        w.varint(1);
+        w.varint(0);
+        w.varint(0);
+        w.varint(1);
+        w.u8(6);
+        let bytes = w.into_bytes();
+        assert!(matches!(
+            ProvenanceLog::decode(&mut ByteReader::new(&bytes)),
+            Err(CodecError::BadTag("provenance kind", 6))
+        ));
+    }
+
+    #[test]
     fn records_display_readably() {
         let (s, t, r, c) = ids();
         let mut log = ProvenanceLog::new();
@@ -357,5 +447,11 @@ mod tests {
         let text = log.records()[0].to_string();
         assert!(text.contains("harmony"));
         assert!(text.contains("-0.40"));
+        let (s, t, ..) = ids();
+        log.record("harmony", s, t, ProvenanceKind::MatchRun { cells: 42 });
+        assert_eq!(
+            log.records()[1].to_string(),
+            "#2 [harmony] po→inv: match run wrote 42 cells"
+        );
     }
 }

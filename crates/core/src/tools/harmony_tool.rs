@@ -16,8 +16,8 @@ use iwb_store::codec::{ByteReader, ByteWriter, CodecError};
 use std::collections::{HashMap, HashSet};
 use std::time::Duration;
 
-/// Only cells at/above this magnitude produce mapping-cell events (the
-/// full matrix is still written to the IB).
+/// Only cells at/above this magnitude are listed in a match's
+/// mapping-cell event (the full matrix is still written to the IB).
 const EVENT_THRESHOLD: f64 = 0.5;
 
 /// The Harmony matcher as a tool. The engine persists across
@@ -161,7 +161,6 @@ impl HarmonyTool {
             .rematch(src_graph, tgt_graph, &locked, &budget)
             .map_err(ToolError::from)?;
         bb.ensure_matrix(source, target);
-        let (mut written, mut emitted) = (0usize, 0usize);
         let m = &result.matrix;
         let cols = m.tgt_ids().len();
         let cells = m
@@ -176,18 +175,22 @@ impl HarmonyTool {
                     .map(move |(c, &col)| (row, col, Confidence::raw(m.scores()[r * cols + c])))
             })
             .filter(|&(row, col, _)| !locked.contains_key(&(row, col)));
-        bb.set_cells(self.name(), source, target, false, cells, |row, col, c| {
-            written += 1;
+        // The run is one unit of bookkeeping: one provenance record and
+        // one mapping-cell event listing its strong cells.
+        let mut strong = Vec::new();
+        let written = bb.suggest_cells(self.name(), source, target, cells, |row, col, c| {
             if c.magnitude() >= EVENT_THRESHOLD {
-                events.push(WorkbenchEvent::MappingCell {
-                    source: source.clone(),
-                    target: target.clone(),
-                    row,
-                    col,
-                });
-                emitted += 1;
+                strong.push((row, col));
             }
         });
+        let emitted = strong.len();
+        if emitted > 0 {
+            events.push(WorkbenchEvent::MappingCell {
+                source: source.clone(),
+                target: target.clone(),
+                cells: strong,
+            });
+        }
         Ok(format!(
             "matched {source} → {target}: {written} cells updated, {emitted} above display threshold"
         ))
@@ -286,8 +289,7 @@ impl WorkbenchTool for HarmonyTool {
                 events.push(WorkbenchEvent::MappingCell {
                     source,
                     target,
-                    row,
-                    col,
+                    cells: vec![(row, col)],
                 });
                 Ok(format!("{action}ed {row} × {col}"))
             }
@@ -319,10 +321,12 @@ mod tests {
             .with("target", "invoice");
         let out = tool.invoke(&mut bb, &args, &mut events).unwrap();
         assert!(out.contains("cells updated"));
-        assert!(
-            !events.is_empty(),
-            "strong links must emit mapping-cell events"
-        );
+        // One event for the run, listing its strong links.
+        let [WorkbenchEvent::MappingCell { cells, .. }] = events.as_slice() else {
+            panic!("one mapping-cell event per match, got {events:?}");
+        };
+        assert!(out.contains(&format!(", {} above display threshold", cells.len())));
+        assert_eq!(bb.provenance.len(), 1);
         let matrix = bb.matrix(&po, &inv).unwrap();
         let s = bb.schema(&po).unwrap();
         let t = bb.schema(&inv).unwrap();

@@ -9,7 +9,7 @@ use crate::event::{EventKind, VectorSide, WorkbenchEvent};
 use crate::taskmodel::Task;
 use crate::tool::{ToolArgs, ToolError, ToolKind, WorkbenchTool};
 use iwb_harmony::Confidence;
-use iwb_model::{DataType, ElementPath, SchemaId};
+use iwb_model::{DataType, ElementId, ElementPath, SchemaId};
 use iwb_store::codec::{ByteReader, ByteWriter, CodecError};
 
 /// The manual mapping tool.
@@ -25,11 +25,7 @@ impl MapperTool {
         Self::default()
     }
 
-    fn resolve(
-        bb: &Blackboard,
-        schema: &SchemaId,
-        path: &str,
-    ) -> Result<iwb_model::ElementId, ToolError> {
+    fn resolve(bb: &Blackboard, schema: &SchemaId, path: &str) -> Result<ElementId, ToolError> {
         let graph = bb
             .schema(schema)
             .ok_or_else(|| ToolError::UnknownSchema(schema.to_string()))?;
@@ -137,10 +133,10 @@ impl WorkbenchTool for MapperTool {
     }
 
     /// "A mapping tool can listen for these events to propose a
-    /// candidate transformation, such as a type conversion": when a
-    /// user-accepted correspondence appears and the column has no code
-    /// yet, propose one from the row variable (or path) and the declared
-    /// types.
+    /// candidate transformation, such as a type conversion": for each
+    /// listed cell, in order, that is a user-accepted correspondence
+    /// whose column has no code yet, propose one from the row variable
+    /// (or path) and the declared types.
     fn on_event(
         &mut self,
         blackboard: &mut Blackboard,
@@ -150,54 +146,59 @@ impl WorkbenchTool for MapperTool {
         let WorkbenchEvent::MappingCell {
             source,
             target,
-            row,
-            col,
+            cells,
         } = event
         else {
             return;
         };
-        let Some(matrix) = blackboard.matrix(source, target) else {
+        let (Some(matrix), Some(sg), Some(tg)) = (
+            blackboard.matrix(source, target),
+            blackboard.schema(source),
+            blackboard.schema(target),
+        ) else {
             return;
         };
-        let cell = matrix.cell(*row, *col);
-        if !(cell.user_defined && cell.confidence == Confidence::ACCEPT) {
-            return;
-        }
-        if matrix
-            .col_meta(*col)
-            .map(|m| m.code.is_some())
-            .unwrap_or(true)
-        {
-            return;
-        }
-        let (Some(sg), Some(tg)) = (blackboard.schema(source), blackboard.schema(target)) else {
-            return;
-        };
-        // Reference the row by its bound variable when one exists, else
-        // by path from the document variable.
-        let reference = match matrix.row_meta(*row).and_then(|m| m.variable.clone()) {
-            Some(var) => format!("${var}"),
-            None => {
-                let path = sg.name_path(*row);
-                let rel = path.split('/').skip(1).collect::<Vec<_>>().join("/");
-                format!("$doc/{rel}")
+        // Read every cell against the one matrix lookup; a column coded
+        // by an earlier cell of this event counts as coded.
+        let mut proposals: Vec<(ElementId, String)> = Vec::new();
+        for &(row, col) in cells {
+            let cell = matrix.cell(row, col);
+            if !(cell.user_defined && cell.confidence == Confidence::ACCEPT) {
+                continue;
             }
-        };
-        let src_type = sg.element(*row).data_type.clone();
-        let tgt_type = tg.element(*col).data_type.clone();
-        let code = propose_conversion(&reference, src_type.as_ref(), tgt_type.as_ref());
-        self.proposals.push(format!(
-            "{} → {}: {code}",
-            sg.name_path(*row),
-            tg.name_path(*col)
-        ));
-        blackboard.set_column_code(self.name(), source, target, *col, &code);
-        events.push(WorkbenchEvent::MappingVector {
-            source: source.clone(),
-            target: target.clone(),
-            side: VectorSide::Column,
-            element: *col,
-        });
+            let coded = matrix.col_meta(col).is_none_or(|m| m.code.is_some());
+            if coded || proposals.iter().any(|&(c, _)| c == col) {
+                continue;
+            }
+            // Reference the row by its bound variable when one exists,
+            // else by path from the document variable.
+            let reference = match matrix.row_meta(row).and_then(|m| m.variable.as_deref()) {
+                Some(var) => format!("${var}"),
+                None => {
+                    let path = sg.name_path(row);
+                    let rel = path.split('/').skip(1).collect::<Vec<_>>().join("/");
+                    format!("$doc/{rel}")
+                }
+            };
+            let src_type = sg.element(row).data_type.as_ref();
+            let tgt_type = tg.element(col).data_type.as_ref();
+            let code = propose_conversion(&reference, src_type, tgt_type);
+            self.proposals.push(format!(
+                "{} → {}: {code}",
+                sg.name_path(row),
+                tg.name_path(col)
+            ));
+            proposals.push((col, code));
+        }
+        for (col, code) in proposals {
+            blackboard.set_column_code(self.name(), source, target, col, code);
+            events.push(WorkbenchEvent::MappingVector {
+                source: source.clone(),
+                target: target.clone(),
+                side: VectorSide::Column,
+                element: col,
+            });
+        }
     }
 }
 
@@ -304,8 +305,7 @@ mod tests {
         let event = WorkbenchEvent::MappingCell {
             source: po.clone(),
             target: inv.clone(),
-            row: zip,
-            col: postal,
+            cells: vec![(zip, postal)],
         };
         let mut tool = MapperTool::new();
         let mut cascade = Vec::new();
@@ -343,8 +343,7 @@ mod tests {
             &WorkbenchEvent::MappingCell {
                 source: po.clone(),
                 target: inv.clone(),
-                row: sub,
-                col: total,
+                cells: vec![(sub, total)],
             },
             &mut cascade,
         );
@@ -358,6 +357,89 @@ mod tests {
                 .as_deref(),
             Some("handwritten")
         );
+    }
+
+    #[test]
+    fn one_event_of_many_cells_proposes_as_its_cells_would_one_by_one() {
+        // A machine suggestion, a user rejection, a user-accepted cell
+        // whose column has no code and a second accepted cell on that
+        // column, in one event.
+        let decided = || {
+            let mut bb = bb();
+            let po = SchemaId::new("po");
+            let inv = SchemaId::new("inv");
+            bb.ensure_matrix(&po, &inv);
+            let s = bb.schema(&po).unwrap().clone();
+            let t = bb.schema(&inv).unwrap().clone();
+            let zip = s.find_by_name("zip").unwrap();
+            let sub = s.find_by_name("subtotal").unwrap();
+            let postal = t.find_by_name("postalCode").unwrap();
+            let total = t.find_by_name("total").unwrap();
+            bb.set_cell("user", &po, &inv, zip, postal, Confidence::ACCEPT, true);
+            bb.set_cell(
+                "harmony",
+                &po,
+                &inv,
+                sub,
+                total,
+                Confidence::raw(0.9),
+                false,
+            );
+            bb.set_cell("user", &po, &inv, zip, total, Confidence::REJECT, true);
+            bb.set_cell("user", &po, &inv, sub, postal, Confidence::ACCEPT, true);
+            let cells = vec![(sub, total), (zip, total), (zip, postal), (sub, postal)];
+            (bb, po, inv, cells)
+        };
+        let (mut batched, po, inv, cells) = decided();
+        let mut tool = MapperTool::new();
+        let mut cascade = Vec::new();
+        let event = WorkbenchEvent::MappingCell {
+            source: po.clone(),
+            target: inv.clone(),
+            cells: cells.clone(),
+        };
+        tool.on_event(&mut batched, &event, &mut cascade);
+        assert_eq!(tool.proposals.len(), 1, "{:?}", tool.proposals);
+        let [WorkbenchEvent::MappingVector {
+            side: VectorSide::Column,
+            element,
+            ..
+        }] = cascade.as_slice()
+        else {
+            panic!("one mapping-vector event, got {cascade:?}");
+        };
+        // The proposal is the first accepted cell's, in list order.
+        let (zip, postal) = cells[2];
+        assert_eq!(*element, postal);
+        let zip_path = batched.schema(&po).unwrap().name_path(zip);
+        assert!(
+            tool.proposals[0].starts_with(&format!("{zip_path} → ")),
+            "{:?}",
+            tool.proposals
+        );
+
+        let (mut single, ..) = decided();
+        let mut one_by_one = MapperTool::new();
+        let mut single_cascade = Vec::new();
+        for &cell in &cells {
+            let event = WorkbenchEvent::MappingCell {
+                source: po.clone(),
+                target: inv.clone(),
+                cells: vec![cell],
+            };
+            one_by_one.on_event(&mut single, &event, &mut single_cascade);
+        }
+        assert_eq!(tool.proposals, one_by_one.proposals);
+        assert_eq!(cascade, single_cascade);
+        assert_eq!(batched.provenance.records(), single.provenance.records());
+        let code = |bb: &Blackboard| -> Vec<Option<String>> {
+            let m = bb.matrix(&po, &inv).unwrap();
+            m.cols()
+                .iter()
+                .map(|&c| m.col_meta(c).unwrap().code.clone())
+                .collect()
+        };
+        assert_eq!(code(&batched), code(&single));
     }
 
     #[test]

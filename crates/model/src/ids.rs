@@ -76,9 +76,8 @@ impl Positions {
 /// The blackboard keys its schema repository by `SchemaId`; loaders derive
 /// it from the imported artifact's name (file stem, database name, message
 /// format name). The name is shared, not copied: cloning an id (once per
-/// written matrix cell and per mapping-cell event) bumps a reference
-/// count. Equality, ordering, hashing and formatting are those of the
-/// name string.
+/// provenance record and per event) bumps a reference count. Equality,
+/// ordering, hashing and formatting are those of the name string.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct SchemaId(Arc<str>);
 

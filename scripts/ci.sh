@@ -106,6 +106,14 @@ cargo test -q --offline -p iwb-harmony --test determinism -- \
     a_thesaurus_or_sample_change_rescores_every_voter
 cargo test -q --offline -p iwb-eval --test one_rematch_loop
 
+echo "== per-run match bookkeeping (a match appends one provenance record, sends one mapping-cell event listing its strong cells and adds three trace lines, on two generated pairs, and one that writes nothing records and sends nothing; the mapper answers a many-cell event as it answers its cells one by one; every provenance kind round-trips through the image codec; a restored image holds exactly the script's provenance records)"
+cargo test -q --offline -p iwb-core --test match_bookkeeping
+cargo test -q --offline -p iwb-core --lib -- \
+    tools::mapper_tool::tests::one_event_of_many_cells_proposes_as_its_cells_would_one_by_one \
+    event::tests::display_names_match_paper_vocabulary \
+    provenance::tests::every_kind_survives_an_encode_decode_round_trip \
+    persist::tests::a_restored_image_answers_and_continues_bit_identically
+
 echo "== bench_store smoke (image throughput, image restore, incremental identity)"
 cargo run -q --release --offline -p iwb-bench --bin bench_store -- \
     --quick --out target/BENCH_store_quick.json
